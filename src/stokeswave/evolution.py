@@ -64,26 +64,24 @@ def energy(ms, state: ModalState) -> float:
     return 0.5 * float(state.w @ state.w + lam @ (state.u * state.u))
 
 
-def _generator(ms, damped: bool) -> np.ndarray:
-    lam = np.asarray(ms.lambdas, dtype=float)
-    n = lam.size
+def generator_matrix(lambdas: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """First-order generator [[0, I], [-Lambda, -B]] of u'' = -Lambda u - B u'."""
+    n = lambdas.size
     m = np.zeros((2 * n, 2 * n))
     m[:n, n:] = np.eye(n)
-    m[n:, :n] = -np.diag(lam)
-    if damped:
-        m[n:, n:] = -np.asarray(ms.B, dtype=float)
+    m[n:, :n] = -np.diag(lambdas)
+    m[n:, n:] = -b
     return m
 
 
-def _midpoint_setup(m: np.ndarray, dt: float):
+def _midpoint_setup(m: np.ndarray, dt: float) -> np.ndarray:
+    """One-step map (I - dt/2 M)^-1 (I + dt/2 M) of the implicit midpoint rule."""
     n2 = m.shape[0]
-    a_minus = np.eye(n2) - 0.5 * dt * m
-    a_plus = np.eye(n2) + 0.5 * dt * m
     try:
-        lu = scipy.linalg.lu_factor(a_minus)
+        lu = scipy.linalg.lu_factor(np.eye(n2) - 0.5 * dt * m)
     except scipy.linalg.LinAlgError as exc:
         raise NumericsError(f"midpoint step matrix is singular: {exc}") from exc
-    return lu, a_plus
+    return scipy.linalg.lu_solve(lu, np.eye(n2) + 0.5 * dt * m)
 
 
 def evolve(ms, state0: ModalState, T: float, dt: float,
@@ -102,7 +100,7 @@ def evolve(ms, state0: ModalState, T: float, dt: float,
     if n < 1:
         raise ConfigurationError("modal system must have at least one mode")
     b = np.asarray(ms.B, dtype=float)
-    lu, a_plus = _midpoint_setup(_generator(ms, damped), dt)
+    step = _midpoint_setup(generator_matrix(lam, b if damped else np.zeros_like(b)), dt)
 
     steps = int(round(T / dt))
     x = np.concatenate([np.asarray(state0.u, float), np.asarray(state0.w, float)])
@@ -114,7 +112,7 @@ def evolve(ms, state0: ModalState, T: float, dt: float,
     ds[0] = 0.0
     d_cum = 0.0
     for k in range(1, steps + 1):
-        x_new = scipy.linalg.lu_solve(lu, a_plus @ x)
+        x_new = step @ x
         w_mid = 0.5 * (x[n:] + x_new[n:])
         d_cum += dt * float(w_mid @ (b @ w_mid))
         x = x_new
@@ -157,34 +155,50 @@ def fit_decay(trace: EnergyTrace, window: Tuple[float, float]) -> DecayFit:
     return DecayFit(max(c0, 1.0), alpha, r2, (float(t0), float(t1)))
 
 
+_GRAMIAN_BLOCK = 256  # steps per block of the Gramian sum
+
+
 def observability_gramian(ms, T: float, dt: float) -> Tuple[np.ndarray, float]:
     """Observation Gramian of the undamped flow read through the damping form.
 
-    G accumulates dt * Phi_mid^T diag(0, B) Phi_mid along the midpoint
-    propagation of the undamped fundamental matrix, so x0^T G x0 equals the
-    observation quadrature D[v](T) of the trajectory from x0 computed with
-    the same integrator.  The reported constant is the smallest eigenvalue
-    of G in the energy inner product diag(Lambda, I).
+    G = dt * sum_n Phi_mid^T diag(0, B) Phi_mid over the round(T/dt) midpoint
+    steps of the undamped fundamental matrix, so x0^T G x0 is the observation
+    quadrature D[v](T) of the trajectory from x0 under the same integrator.
+    In the coordinates (omega u, w), omega = sqrt(lambda), the midpoint step
+    of a mode is the Cayley transform of omega [[0, 1], [-1, 0]]: exactly the
+    rotation by theta = 2 atan(omega dt / 2).  So the midpoint velocity of
+    step n is s = -omega (sin n theta + sin (n+1) theta) / 2 on u-columns and
+    c = (cos n theta + cos (n+1) theta) / 2 on w-columns, and with W = [s | c],
+    G = dt (W^T W) o [[B, B], [B, B]].  As theta is the angle of the discrete
+    map, not omega dt, this is the stepped quadrature up to rounding for any
+    dt, not an O(dt^2) approximation of it.  W^T W is summed over blocks of
+    _GRAMIAN_BLOCK steps, so memory is O(N^2) for any T/dt.  c_obs is the
+    smallest eigenvalue of G in the energy product diag(Lambda, I), without
+    the zero-energy u-coordinates of zero modes (where G vanishes).
     """
     if T <= 0:
         raise ConfigurationError("horizon T must be positive")
     if dt <= 0:
         raise ConfigurationError("dt must be positive")
     lam = np.asarray(ms.lambdas, dtype=float)
+    if np.any(lam < 0):
+        raise ConfigurationError("observability Gramian needs lambdas >= 0")
     n = lam.size
     b = np.asarray(ms.B, dtype=float)
-    lu, a_plus = _midpoint_setup(_generator(ms, damped=False), dt)
+    omega = np.sqrt(lam)
+    theta = 2.0 * np.arctan(0.5 * dt * omega)
     steps = int(round(T / dt))
-    phi = np.eye(2 * n)
-    g = np.zeros((2 * n, 2 * n))
-    for _ in range(steps):
-        phi_new = scipy.linalg.lu_solve(lu, a_plus @ phi)
-        w_mid = 0.5 * (phi[n:, :] + phi_new[n:, :])
-        g += dt * (w_mid.T @ (b @ w_mid))
-        phi = phi_new
+    wtw = np.zeros((2 * n, 2 * n))
+    for start in range(0, steps, _GRAMIAN_BLOCK):
+        phase = np.outer(np.arange(start, min(start + _GRAMIAN_BLOCK, steps) + 1), theta)
+        sin, cos = np.sin(phase), np.cos(phase)
+        w_mid = np.hstack([-0.5 * omega * (sin[:-1] + sin[1:]), 0.5 * (cos[:-1] + cos[1:])])
+        wtw += w_mid.T @ w_mid
+    g = dt * wtw * np.tile(b, (2, 2))
     g = 0.5 * (g + g.T)
-    gram = np.diag(np.concatenate([lam, np.ones(n)]))
-    c_obs = float(scipy.linalg.eigh(g, gram, eigvals_only=True)[0])
+    keep = np.concatenate([lam > 0, np.ones(n, dtype=bool)])
+    gram = np.diag(np.concatenate([lam, np.ones(n)])[keep])
+    c_obs = float(scipy.linalg.eigh(g[np.ix_(keep, keep)], gram, eigvals_only=True)[0])
     return g, c_obs
 
 

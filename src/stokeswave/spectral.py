@@ -25,6 +25,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import NumericsError
+from .evolution import generator_matrix
 from .geometry import DampingProfile
 from .stokes import EigenPair, PressureField, divergence
 
@@ -64,13 +65,8 @@ def assemble_generator(ms) -> DampedGenerator:
     """Build [[0, I], [-Lambda, -B]] from any object with .lambdas and .B."""
     lam = np.asarray(ms.lambdas, dtype=float)
     b = np.asarray(ms.B, dtype=float)
-    n = lam.size
-    m = np.zeros((2 * n, 2 * n))
-    m[:n, n:] = np.eye(n)
-    m[n:, :n] = -np.diag(lam)
-    m[n:, n:] = -b
-    gram = np.concatenate([lam, np.ones(n)])
-    return DampedGenerator(lam, b, m, gram)
+    gram = np.concatenate([lam, np.ones(lam.size)])
+    return DampedGenerator(lam, b, generator_matrix(lam, b), gram)
 
 
 def spectrum(g: DampedGenerator) -> SpectrumReport:

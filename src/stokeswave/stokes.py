@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import List, Optional
 
 import numpy as np
@@ -441,10 +442,14 @@ class ModalSystem:
     def grid(self) -> StaggeredGrid:
         return self.pairs[0].phi.grid
 
+    @cached_property
+    def _mode_matrix(self) -> np.ndarray:
+        """Mode vectors as columns, stacked on first use (pairs stay fixed)."""
+        return np.stack([p.phi.flat() for p in self.pairs], axis=1)
+
     def reconstruct(self, coeffs: np.ndarray) -> StaggeredField:
         """Grid field of a modal coefficient vector."""
-        flat = np.stack([p.phi.flat() for p in self.pairs], axis=1) @ np.asarray(coeffs)
-        return StaggeredField.from_flat(self.grid, flat)
+        return StaggeredField.from_flat(self.grid, self._mode_matrix @ np.asarray(coeffs))
 
 
 def build_modal_system(grid: StaggeredGrid, n_modes: int,

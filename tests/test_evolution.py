@@ -3,10 +3,14 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from stokeswave import (ConfigurationError, EnergyTrace, ModalState, NumericsError,
                         build_modal_system, dissipation_check, energy, evolve, fit_decay,
                         observability_gramian, random_state, undamped_modal_solution)
+from stokeswave.evolution import _GRAMIAN_BLOCK
 from stokeswave.geometry import BoundaryCollar, DampingProfile, Rectangle
 
 
@@ -142,6 +146,60 @@ def test_gramian_identity_random_states():
         _, tr = evolve(ms, state, 2.0, 1e-2, damped=False)
         quad = tr.D_cum[-1]
         assert abs(float(x0 @ g @ x0) - quad) <= 1e-6 * max(quad, 1e-12)
+
+
+def _stepped_gramian(lams, b, steps, dt):
+    """Reference: step the undamped fundamental matrix with LU midpoint solves."""
+    lam = np.asarray(lams, dtype=float)
+    n = lam.size
+    m = np.zeros((2 * n, 2 * n))
+    m[:n, n:] = np.eye(n)
+    m[n:, :n] = -np.diag(lam)
+    lu = scipy.linalg.lu_factor(np.eye(2 * n) - 0.5 * dt * m)
+    a_plus = np.eye(2 * n) + 0.5 * dt * m
+    phi = np.eye(2 * n)
+    g = np.zeros((2 * n, 2 * n))
+    for _ in range(steps):
+        phi_new = scipy.linalg.lu_solve(lu, a_plus @ phi)
+        w_mid = 0.5 * (phi[n:, :] + phi_new[n:, :])
+        g += dt * (w_mid.T @ (b @ w_mid))
+        phi = phi_new
+    g = 0.5 * (g + g.T)
+    # u-coordinates of zero modes carry no energy: drop them from the eigenproblem
+    keep = np.concatenate([lam > 0, np.ones(n, dtype=bool)])
+    gram = np.diag(np.concatenate([lam, np.ones(n)])[keep])
+    return g, float(scipy.linalg.eigh(g[np.ix_(keep, keep)], gram, eigvals_only=True)[0])
+
+
+@st.composite
+def _gramian_cases(draw):
+    n = draw(st.integers(1, 5))
+    # eigenvalues drawn from a small pool, so exact repeats (the degenerate
+    # pairs of the square) and zero modes both occur
+    pool = draw(st.lists(st.just(0.0) | st.floats(0.25, 400.0), min_size=1, max_size=n))
+    lams = [draw(st.sampled_from(pool)) for _ in range(n)]
+    raw = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1))).standard_normal(
+        (n, draw(st.integers(0, n))))
+    dt = draw(st.floats(1e-3, 0.2))
+    steps = draw(st.integers(1, 2 * _GRAMIAN_BLOCK + 50))
+    return lams, raw @ raw.T, dt, steps
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_gramian_cases())
+@example(case=([0.0, 4.0, 4.0, 30.0], np.diag([1.0, 0.5, 0.5, 2.0]) + 0.1, 1e-2,
+               _GRAMIAN_BLOCK + 57))
+def test_gramian_closed_form_matches_stepped(case):
+    lams, b, dt, steps = case
+    g, c_obs = observability_gramian(_system(lams, b), steps * dt, dt)
+    g_ref, c_ref = _stepped_gramian(lams, b, steps, dt)
+    assert np.abs(g - g_ref).max() <= 1e-10 * np.abs(g_ref).max()
+    assert abs(c_obs - c_ref) <= 1e-10
+
+
+def test_gramian_rejects_negative_lambda():
+    with pytest.raises(ConfigurationError):
+        observability_gramian(_system([4.0, -1.0], np.eye(2)), 1.0, 1e-2)
 
 
 def test_gramian_monotone_in_horizon():
