@@ -43,8 +43,8 @@ def _need(params: dict, key: str, where: str):
 
 
 def _number(val, where, positive=False, nonnegative=False) -> float:
-    if not isinstance(val, (int, float)) or isinstance(val, bool):
-        _fail(where, "must be a number")
+    if not isinstance(val, (int, float)) or isinstance(val, bool) or not math.isfinite(val):
+        _fail(where, "must be a finite number")
     val = float(val)
     if positive and not val > 0:
         _fail(where, "must be positive")
@@ -74,8 +74,8 @@ def _no_unknown(d: dict, allowed, where):
 
 
 _PARAM_KEYS = {
-    "trace": {"x0", "xi0", "T", "entry_step"},
-    "gcc": {"T", "sampler", "entry_step"},
+    "trace": {"x0", "xi0", "T"},
+    "gcc": {"T", "sampler"},
     "simulate": {"nx", "n_modes", "T", "dt", "window"},
     "spectrum": {"nx", "n_modes"},
     "resolvent": {"nx", "n_modes", "sigma"},
@@ -146,13 +146,9 @@ def _validate_params(cfg: dict):
         if not math.hypot(xi0[0], xi0[1]) > 0:
             _fail("params.xi0", "must be a nonzero direction")
         _number(_need(params, "T", "params"), "params.T", positive=True)
-        if "entry_step" in params:
-            _number(params["entry_step"], "params.entry_step", positive=True)
     elif exp == "gcc":
         _number(_need(params, "T", "params"), "params.T", positive=True)
         _sampler_from(params, validate_only=True)
-        if "entry_step" in params:
-            _number(params["entry_step"], "params.entry_step", positive=True)
     else:
         _integer(_need(params, "nx", "params"), "params.nx", minimum=3)
         _integer(_need(params, "n_modes", "params"), "params.n_modes", minimum=1)
@@ -236,19 +232,16 @@ def run_trace(cfg: dict):
     xi0 = np.asarray(params["xi0"], dtype=float)
     xi0 = xi0 / math.hypot(xi0[0], xi0[1])
     path = raytracer.trace(domain, damping, raytracer.PhasePoint(params["x0"], xi0),
-                           params["T"], entry_step=params.get("entry_step"))
+                           params["T"])
     rows = []
     t = 0.0
     for ev in path.events:
         if isinstance(ev, (raytracer.FreeSegment, raytracer.GlideArc)):
             rows.append((ev.kind, t, ev.duration, ev.start[0], ev.start[1], ev.end[0], ev.end[1]))
             t += ev.duration
-        elif isinstance(ev, raytracer.Reflection):
-            rows.append((ev.kind, t, 0.0, ev.point[0], ev.point[1], ev.point[0], ev.point[1]))
-        elif isinstance(ev, raytracer.DampedEntry):
-            rows.append((ev.kind, ev.time, 0.0, ev.point[0], ev.point[1], ev.point[0], ev.point[1]))
-        else:
-            rows.append((ev.kind, t, 0.0, ev.point[0], ev.point[1], ev.point[0], ev.point[1]))
+        else:   # point events; a damped entry carries its own time
+            rows.append((ev.kind, getattr(ev, "time", t), 0.0,
+                         ev.point[0], ev.point[1], ev.point[0], ev.point[1]))
     reporting.write_csv(out / "ray_path.csv",
                         ["kind", "t_start", "duration", "x_start", "y_start", "x_end", "y_end"],
                         rows, cfg)
@@ -268,14 +261,14 @@ def run_gcc(cfg: dict):
     if damping is None:
         _fail("damping", "gcc experiment needs a damping profile")
     sampler = _sampler_from(params, seed=cfg["seed"])
-    report = raytracer.check_gcc(domain, damping, params["T"], sampler,
-                                 entry_step=params.get("entry_step"))
+    report = raytracer.check_gcc(domain, damping, params["T"], sampler)
     reporting.write_json(out / "gcc_report.json", {
         "horizon": report.horizon,
         "n_samples": report.n_samples,
         "covered_fraction": report.covered_fraction,
         "max_first_entry_time": report.max_first_entry_time,
         "corner_terminated": report.corner_terminated,
+        "event_cap_terminated": report.event_cap_terminated,
         "sampler": cfg["params"]["sampler"],
         "worst_rays": [{"x": list(p.x), "xi": list(p.xi), "first_entry_time": t}
                        for p, t in zip(report.worst_rays, report.worst_entry_times)],

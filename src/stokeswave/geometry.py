@@ -14,8 +14,9 @@ side r1 = 0 and the point is flagged flat.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
-from typing import Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -153,10 +154,10 @@ def make_domain(spec) -> Domain:
     kind = spec.get("kind")
     if kind == "rectangle":
         _require_keys(spec, {"kind", "width", "height"}, "domain")
-        return Rectangle(float(spec["width"]), float(spec["height"]))
+        return Rectangle(_number(spec, "width", "domain"), _number(spec, "height", "domain"))
     if kind == "disk":
         _require_keys(spec, {"kind", "radius"}, "domain")
-        return Disk(float(spec["radius"]))
+        return Disk(_number(spec, "radius", "domain"))
     raise ConfigurationError(f"domain.kind must be 'rectangle' or 'disk', got {kind!r}")
 
 
@@ -164,6 +165,16 @@ def _require_keys(spec, allowed, where):
     unknown = set(spec) - allowed
     if unknown:
         raise ConfigurationError(f"unknown key(s) in {where}: {sorted(unknown)}")
+
+
+def _number(spec, key: str, where: str, default=None) -> float:
+    """spec[key] as a finite float; a ConfigurationError naming where.key otherwise."""
+    if key not in spec and default is None:
+        raise ConfigurationError(f"{where}.{key}: required key is missing")
+    val = spec.get(key, default)
+    if isinstance(val, bool) or not isinstance(val, numbers.Real) or not math.isfinite(val):
+        raise ConfigurationError(f"{where}.{key}: must be a finite number")
+    return float(val)
 
 
 # ---------------------------------------------------------------------------
@@ -226,20 +237,88 @@ class DampingProfile:
         """Signed distance to the nominal support (<= 0 on the plateau)."""
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         sh = self.shape
-        if isinstance(sh, BoundaryCollar):
-            if isinstance(self.domain, Rectangle):
-                w, h = self.domain.width, self.domain.height
-                d2b = np.minimum.reduce([pts[:, 0], w - pts[:, 0], pts[:, 1], h - pts[:, 1]])
-            else:
-                d2b = self.domain.radius - np.hypot(pts[:, 0], pts[:, 1])
-            return d2b - sh.width
         if isinstance(sh, DiskPatch):
             c = np.asarray(sh.center, dtype=float)
             return np.hypot(pts[:, 0] - c[0], pts[:, 1] - c[1]) - sh.radius
-        w, h = self.domain.width, self.domain.height
-        coord = {"left": pts[:, 0], "right": w - pts[:, 0],
-                 "bottom": pts[:, 1], "top": h - pts[:, 1]}[sh.side]
-        return coord - sh.depth
+        if isinstance(self.domain, Disk):
+            return self.domain.radius - np.hypot(pts[:, 0], pts[:, 1]) - sh.width
+        walls = _walls(pts[:, 0], pts[:, 1], self.domain.width, self.domain.height)
+        if isinstance(sh, BoundaryCollar):
+            return np.minimum.reduce(list(walls.values())) - sh.width
+        return walls[sh.side] - sh.depth
+
+    def entry_time(self, x, xi, s_max: float) -> Optional[float]:
+        """First time s in [0, s_max] at which x + s*xi enters {a > 0}, or None.
+
+        {a > 0} is the nominal support grown by smoothing_width: open when
+        smoothing_width > 0 (a vanishes on its edge), closed when it is 0.
+        s is the boundary crossing, the infimum of {s >= 0 : a(x + s*xi) > 0},
+        so a line that only touches the edge of an open set does not enter it.
+        xi is a unit vector; the segment is not clipped to the domain.
+        """
+        if self.amplitude == 0:
+            return None
+        sh, grow = self.shape, self.smoothing_width
+        x, xi = (float(x[0]), float(x[1])), (float(xi[0]), float(xi[1]))
+        if isinstance(sh, DiskPatch) or isinstance(self.domain, Disk):
+            # damped inside the circle |p - c| = rho (sign +1) or outside it (sign -1)
+            c, rho, sign = ((sh.center, sh.radius + grow, 1.0) if isinstance(sh, DiskPatch)
+                            else ((0.0, 0.0), self.domain.radius - sh.width - grow, -1.0))
+            y = (x[0] - c[0], x[1] - c[1])
+            b = y[0] * xi[0] + y[1] * xi[1]
+            h = abs(y[0] * xi[1] - y[1] * xi[0])
+            half_chord = math.sqrt(max((rho - h) * (rho + h), 0.0))
+            if self._reaches(sign * math.hypot(y[0], y[1]), sign * rho):
+                s = 0.0
+            elif sign < 0:
+                s = -b + half_chord
+            elif self._reaches(h, rho) and -b + half_chord > 0:
+                s = max(-b - half_chord, 0.0)
+            else:
+                return None
+        else:
+            # damped where some wall distance f0 + s*rate falls to level + grow
+            f0 = _walls(x[0], x[1], self.domain.width, self.domain.height)
+            rate = _walls(xi[0], xi[1], 0.0, 0.0)
+            sides, level = ((_SIDES, sh.width) if isinstance(sh, BoundaryCollar)
+                            else ((sh.side,), sh.depth))
+            s = min(0.0 if self._reaches(f0[k], level + grow)
+                    else ((f0[k] - level - grow) / -rate[k] if rate[k] < 0 else math.inf)
+                    for k in sides)
+        return s if s <= s_max else None
+
+    def arc_entry_time(self, theta0: float, orient: float, s_max: float) -> Optional[float]:
+        """entry_time for a unit-speed glide along the disk boundary.
+
+        The glide starts at polar angle theta0, counterclockwise for orient = +1
+        and clockwise for orient = -1.  A collar contains the boundary (0); a
+        patch meets it in an arc whose half-angle is a circle-circle intersection.
+        """
+        if self.amplitude == 0:
+            return None
+        sh = self.shape
+        if not isinstance(sh, DiskPatch):
+            return 0.0
+        r = self.domain.radius
+        rho = sh.radius + self.smoothing_width
+        dist = math.hypot(sh.center[0], sh.center[1])
+        if dist == 0.0:
+            return 0.0 if self._reaches(r, rho) else None
+        # on the circle, |p - c|^2 = r^2 + dist^2 - 2*r*dist*cos(angle from the center's angle)
+        cos_edge = (r * r + dist * dist - rho * rho) / (2.0 * r * dist)
+        if not self._reaches(cos_edge, 1.0):
+            return None
+        half = math.acos(max(cos_edge, -1.0))
+        rel = math.remainder(orient * (theta0 - math.atan2(sh.center[1], sh.center[0])),
+                             2.0 * math.pi)
+        if self._reaches(abs(rel), half):
+            return 0.0
+        s = r * ((-half - rel) % (2.0 * math.pi))
+        return s if s <= s_max else None
+
+    def _reaches(self, q: float, level: float) -> bool:
+        """q < level, or q == level too for a sharp profile, whose damped set is closed."""
+        return q < level or (self.smoothing_width == 0 and q == level)
 
     def values(self, pts: np.ndarray) -> np.ndarray:
         """Vectorized a(x) over an (n, 2) array of points (no domain check)."""
@@ -250,23 +329,33 @@ class DampingProfile:
         return self.amplitude * ramp
 
 
+def _walls(px, py, w, h) -> dict:
+    """Distances of (px, py) to the sides of [0, w] x [0, h]; with w = h = 0, their rates."""
+    return {"bottom": py, "right": w - px, "top": h - py, "left": px}
+
+
 def make_damping(domain: Domain, spec) -> DampingProfile:
     """Build a DampingProfile from a spec mapping (see the CLI config schema)."""
     if isinstance(spec, DampingProfile):
         return spec
     shape_name = spec.get("shape")
     common = {"shape", "amplitude", "smoothing_width"}
-    amplitude = float(spec.get("amplitude", 1.0))
-    smoothing = float(spec.get("smoothing_width", 0.0))
+    amplitude = _number(spec, "amplitude", "damping", 1.0)
+    smoothing = _number(spec, "smoothing_width", "damping", 0.0)
     if shape_name == "boundary_collar":
         _require_keys(spec, common | {"width"}, "damping")
-        shape = BoundaryCollar(float(spec["width"]))
+        shape = BoundaryCollar(_number(spec, "width", "damping"))
     elif shape_name == "disk_patch":
         _require_keys(spec, common | {"center", "radius"}, "damping")
-        shape = DiskPatch(tuple(float(c) for c in spec["center"]), float(spec["radius"]))
+        center = spec.get("center")
+        if not (isinstance(center, (list, tuple)) and len(center) == 2):
+            raise ConfigurationError("damping.center: must be a pair [x, y]")
+        xy = dict(zip("xy", center))
+        shape = DiskPatch((_number(xy, "x", "damping.center"), _number(xy, "y", "damping.center")),
+                          _number(spec, "radius", "damping"))
     elif shape_name == "side_strip":
         _require_keys(spec, common | {"side", "depth"}, "damping")
-        shape = SideStrip(str(spec["side"]), float(spec["depth"]))
+        shape = SideStrip(str(spec.get("side")), _number(spec, "depth", "damping"))
     else:
         raise ConfigurationError(
             f"damping.shape must be 'boundary_collar', 'disk_patch' or 'side_strip', got {shape_name!r}")

@@ -9,9 +9,9 @@ reflection law is invented for them, they are simply counted.
 
 The coverage checker samples phase points, traces each ray up to a time
 horizon, and records the first time it meets the damped set {a > 0}.
-First entry is detected by probing the damping profile along each segment
-or arc with a step small enough not to jump over the support ramp, then
-refined by bisection.
+First entry is exact: each segment and glide arc is intersected with the
+damped set in closed form by DampingProfile.entry_time and
+DampingProfile.arc_entry_time, so no chord is too short to be seen.
 """
 
 from __future__ import annotations
@@ -23,8 +23,8 @@ from typing import List, Optional, Union
 import numpy as np
 
 from .errors import ConfigurationError, NumericsError, PreconditionError
-from .geometry import (CORNER_TOL, BoundaryCollar, BoundaryRegime, DampingProfile, Disk,
-                       DiskPatch, Domain, Rectangle, SideStrip, classify_boundary_point)
+from .geometry import (CORNER_TOL, BoundaryRegime, DampingProfile, Disk, Domain, Rectangle,
+                       classify_boundary_point)
 
 # |xi . normal| at or below this routes a boundary hit to glide handling.
 GLANCING_TOL = 1e-9
@@ -129,8 +129,7 @@ def advance_free(domain: Domain, p: PhasePoint, s: float) -> PhasePoint:
 
 def boundary_hit(domain: Domain, p: PhasePoint) -> tuple[float, np.ndarray]:
     """Smallest s > 0 with x + s*xi on the boundary, by closed-form intersection."""
-    s, hit = _hit_raw(domain, p.x, p.xi)
-    return s, hit
+    return _hit_raw(domain, p.x, p.xi)
 
 
 def _hit_raw(domain: Domain, x: np.ndarray, xi: np.ndarray) -> tuple[float, np.ndarray]:
@@ -195,15 +194,8 @@ def glide(domain: Domain, p: PhasePoint, s: float) -> PhasePoint:
     if s < 0:
         raise PreconditionError("glide duration must be nonnegative")
     if isinstance(domain, Disk):
-        r = domain.radius
-        th0 = math.atan2(p.x[1], p.x[0])
-        tau = np.array([-math.sin(th0), math.cos(th0)])
-        orient = 1.0 if float(p.xi @ tau) >= 0 else -1.0
-        th1 = th0 + orient * s / r
-        x1 = r * np.array([math.cos(th1), math.sin(th1)])
-        xi1 = orient * np.array([-math.sin(th1), math.cos(th1)])
-        regime = classify_boundary_point(domain, x1, 1.0)
-        return PhasePoint(x1, xi1, p.s + s, boundary=regime)
+        x1, xi1 = _arc(domain, p.x, p.xi)[2](s)
+        return PhasePoint(x1, xi1, p.s + s, boundary=classify_boundary_point(domain, x1, 1.0))
     end = p.x + s * p.xi
     if not domain.contains(end):
         raise PreconditionError("flat glide runs past the corner")
@@ -211,44 +203,24 @@ def glide(domain: Domain, p: PhasePoint, s: float) -> PhasePoint:
     return PhasePoint(end, p.xi.copy(), p.s + s, boundary=regime)
 
 
-# ---------------------------------------------------------------------------
-# First-entry probing
+def _arc(domain: Disk, x, xi):
+    """Start angle, orientation (+1 counterclockwise) and state(s) = (position,
+    direction) after flow time s of the glide along the circle from x along xi."""
+    r = domain.radius
+    th0 = math.atan2(x[1], x[0])
+    orient = 1.0 if float(xi @ np.array([-math.sin(th0), math.cos(th0)])) >= 0 else -1.0
+
+    def state(s):
+        th = th0 + orient * s / r
+        return (r * np.array([math.cos(th), math.sin(th)]),
+                orient * np.array([-math.sin(th), math.cos(th)]))
+
+    return th0, orient, state
 
 
-def _probe_step(damping: Optional[DampingProfile]) -> float:
-    """Sampling step that cannot jump over the damping support or its ramp."""
-    if damping is None:
-        return math.inf
-    if damping.smoothing_width > 0:
-        return damping.smoothing_width / 4.0
-    sh = damping.shape
-    feature = sh.width if isinstance(sh, BoundaryCollar) else (
-        sh.radius if isinstance(sh, DiskPatch) else sh.depth)
-    return feature / 8.0
-
-
-def _first_positive(damping: DampingProfile, points_at, duration: float, step: float):
-    """First tau in [0, duration] with a(x(tau)) > 0, refined by bisection."""
-    if duration <= 0:
-        taus = np.array([0.0])
-    else:
-        n = max(2, int(math.ceil(duration / step)) + 1)
-        taus = np.linspace(0.0, duration, n)
-    vals = damping.values(points_at(taus))
-    nz = np.nonzero(vals > 0.0)[0]
-    if nz.size == 0:
-        return None
-    i = int(nz[0])
-    if i == 0:
-        return 0.0
-    lo, hi = float(taus[i - 1]), float(taus[i])
-    while hi - lo > 1e-13:
-        mid = 0.5 * (lo + hi)
-        if damping.values(points_at(np.array([mid])))[0] > 0.0:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+def _line(x, xi):
+    """state(s) = (position, direction) after flow time s on the line from x along xi."""
+    return lambda s: (x + s * xi, xi)
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +228,7 @@ def _first_positive(damping: DampingProfile, points_at, duration: float, step: f
 
 
 def trace(domain: Domain, damping: Optional[DampingProfile], rho0: PhasePoint, T: float,
-          entry_step: Optional[float] = None, stop_at_entry: bool = False) -> RayPath:
+          stop_at_entry: bool = False) -> RayPath:
     """Trace a generalized ray for time T, recording the first damped entry.
 
     With stop_at_entry=True the path is truncated at the first entry event
@@ -271,81 +243,60 @@ def trace(domain: Domain, damping: Optional[DampingProfile], rho0: PhasePoint, T
     if not domain.contains(x):
         raise PreconditionError("ray start must lie in the closed domain")
 
-    probing = damping is not None and damping.amplitude > 0
-    step = entry_step if entry_step is not None else _probe_step(damping)
+    # whether the first entry into {a > 0} is still ahead
+    seeking = damping is not None and damping.amplitude > 0
     events: List[RayEvent] = []
     t = 0.0
-    entered = False
     terminated = "horizon"
 
-    if probing and damping.values(x)[0] > 0.0:
+    if seeking and damping.values(x)[0] > 0.0:
         events.append(DampedEntry(x.copy(), 0.0))
-        entered = True
+        seeking = False
         if stop_at_entry:
             return RayPath(events, 0.0, "entry", PhasePoint(x, xi, rho0.s))
 
     gliding = False
-    on_bnd = _on_boundary(domain, x)
-    if on_bnd:
-        nu = domain.outward_normal(x) if not _at_corner(domain, x) else None
-        if nu is None:
+    if _on_boundary(domain, x):
+        if _at_corner(domain, x):
             return RayPath([CornerStop(x.copy())], 0.0, "corner", PhasePoint(x, xi, rho0.s))
-        d = float(xi @ nu)
+        d = float(xi @ domain.outward_normal(x))
         if d > GLANCING_TOL:
             raise PreconditionError("ray on the boundary must not point outward")
         gliding = abs(d) <= GLANCING_TOL
 
-    def line_points(x0, xi0):
-        return lambda taus: x0[None, :] + taus[:, None] * xi0[None, :]
-
     while t < T - 1e-15 and len(events) < _MAX_EVENTS:
         if gliding and isinstance(domain, Disk):
-            dur = T - t
-            t0 = t
-            t, entered, stop = _emit_arc(domain, damping if probing and not entered else None,
-                                         events, x, xi, t, dur, step, stop_at_entry, entered)
-            if stop:
-                xe, xie = _glide_endpoint(domain, x, xi, t - t0)
-                return RayPath(events, t, "entry", PhasePoint(xe, xie, rho0.s + t))
-            x, xi = _glide_endpoint(domain, x, xi, dur)
-            continue
-
-        if gliding:
-            # flat side: straight glide until the corner or the horizon
-            s_corner = _distance_to_corner_along(domain, x, xi)
-            reaches_corner = s_corner <= T - t + 1e-15
-            dur = min(T - t, s_corner)
-            entry_tau = None
-            if probing and not entered:
-                entry_tau = _first_positive(damping, line_points(x, xi), dur, step)
-            t, entered, stop = _emit_segment(events, GlideArc, x, xi, t, dur, entry_tau,
-                                             stop_at_entry, entered)
-            if stop:
-                return RayPath(events, t, "entry", PhasePoint(events[-1].point, xi, rho0.s + t))
-            x = x + dur * xi
-            if reaches_corner:
-                events.append(CornerStop(x.copy()))
-                terminated = "corner"
-                break
-            continue
-
-        s_hit, hit = _hit_raw(domain, x, xi)
-        dur = min(s_hit, T - t)
-        entry_tau = None
-        if probing and not entered:
-            entry_tau = _first_positive(damping, line_points(x, xi), dur, step)
-        t, entered, stop = _emit_segment(events, FreeSegment, x, xi, t, dur, entry_tau,
-                                         stop_at_entry, entered)
+            th0, orient, state = _arc(domain, x, xi)
+            seg_cls, dur = GlideArc, T - t
+            entry = damping.arc_entry_time(th0, orient, dur) if seeking else None
+        else:
+            if gliding:
+                # flat side: straight glide until the corner or the horizon
+                s_corner = _distance_to_corner_along(domain, x, xi)
+                seg_cls, dur = GlideArc, min(T - t, s_corner)
+            else:
+                s_hit, hit = _hit_raw(domain, x, xi)
+                seg_cls, dur = FreeSegment, min(s_hit, T - t)
+            state = _line(x, xi)
+            entry = damping.entry_time(x, xi, dur) if seeking else None
+        t, stop = _emit(events, seg_cls, x, state, t, dur, entry, stop_at_entry)
         if stop:
-            return RayPath(events, t, "entry", PhasePoint(events[-1].point, xi, rho0.s + t))
-        if dur < s_hit:          # horizon reached mid-flight
-            x = x + dur * xi
+            return RayPath(events, t, "entry", PhasePoint(*state(entry), rho0.s + t))
+        seeking = seeking and entry is None
+        x, xi = state(dur)
+        if gliding:
+            corner = isinstance(domain, Rectangle) and s_corner <= dur + 1e-15
+        elif dur < s_hit:          # horizon reached mid-flight
             break
-        x = hit
-        if _at_corner(domain, x):
+        else:
+            x = hit
+            corner = _at_corner(domain, x)
+        if corner:
             events.append(CornerStop(x.copy()))
             terminated = "corner"
             break
+        if gliding:
+            continue
         nu = domain.outward_normal(x)
         d = float(xi @ nu)
         if abs(d) <= GLANCING_TOL:
@@ -360,60 +311,22 @@ def trace(domain: Domain, damping: Optional[DampingProfile], rho0: PhasePoint, T
     return RayPath(events, t, terminated, PhasePoint(x, xi, rho0.s + t))
 
 
-def _emit_segment(events, seg_cls, x, xi, t, dur, entry_tau, stop_at_entry, entered):
-    """Append a straight segment, split at the entry point when one occurs."""
-    if entry_tau is None:
+def _emit(events, seg_cls, x, state, t, dur, entry, stop_at_entry):
+    """Append the move from x along state(s), 0 <= s <= dur, split at the entry time;
+    return the flow time after it and whether tracing stops at the entry."""
+    if entry is None:
         if dur > 0:
-            events.append(seg_cls(x.copy(), x + dur * xi, dur))
-        return t + dur, entered, False
-    pt = x + entry_tau * xi
-    if entry_tau > 0:
-        events.append(seg_cls(x.copy(), pt.copy(), entry_tau))
-    events.append(DampedEntry(pt.copy(), t + entry_tau))
+            events.append(seg_cls(x.copy(), state(dur)[0], dur))
+        return t + dur, False
+    pt = state(entry)[0]
+    if entry > 0:
+        events.append(seg_cls(x.copy(), pt.copy(), entry))
+    events.append(DampedEntry(pt.copy(), t + entry))
     if stop_at_entry:
-        return t + entry_tau, True, True
-    if dur - entry_tau > 0:
-        events.append(seg_cls(pt.copy(), x + dur * xi, dur - entry_tau))
-    return t + dur, True, False
-
-
-def _emit_arc(domain, damping, events, x, xi, t, dur, step, stop_at_entry, entered):
-    """Append a circular glide arc on the disk, split at the entry point."""
-    r = domain.radius
-    th0 = math.atan2(x[1], x[0])
-    tau_vec = np.array([-math.sin(th0), math.cos(th0)])
-    orient = 1.0 if float(xi @ tau_vec) >= 0 else -1.0
-
-    def arc_points(taus):
-        th = th0 + orient * taus / r
-        return r * np.stack([np.cos(th), np.sin(th)], axis=1)
-
-    entry_tau = None
-    if damping is not None:
-        entry_tau = _first_positive(damping, arc_points, dur, step)
-    if entry_tau is None:
-        if dur > 0:
-            events.append(GlideArc(x.copy(), arc_points(np.array([dur]))[0], dur))
-        return t + dur, entered, False
-    pt = arc_points(np.array([entry_tau]))[0]
-    if entry_tau > 0:
-        events.append(GlideArc(x.copy(), pt.copy(), entry_tau))
-    events.append(DampedEntry(pt.copy(), t + entry_tau))
-    if stop_at_entry:
-        return t + entry_tau, True, True
-    if dur - entry_tau > 0:
-        events.append(GlideArc(pt.copy(), arc_points(np.array([dur]))[0], dur - entry_tau))
-    return t + dur, True, False
-
-
-def _glide_endpoint(domain, x, xi, dur):
-    r = domain.radius
-    th0 = math.atan2(x[1], x[0])
-    tau_vec = np.array([-math.sin(th0), math.cos(th0)])
-    orient = 1.0 if float(xi @ tau_vec) >= 0 else -1.0
-    th1 = th0 + orient * dur / r
-    return (r * np.array([math.cos(th1), math.sin(th1)]),
-            orient * np.array([-math.sin(th1), math.cos(th1)]))
+        return t + entry, True
+    if dur - entry > 0:
+        events.append(seg_cls(pt.copy(), state(dur)[0], dur - entry))
+    return t + dur, False
 
 
 def _on_boundary(domain: Domain, x, tol: float = 1e-12) -> bool:
@@ -517,32 +430,35 @@ class GccReport:
     worst_rays: List[PhasePoint]
     worst_entry_times: List[float]
     corner_terminated: int
+    event_cap_terminated: int
     sampler: Sampler
     first_entry_times: np.ndarray = field(repr=False, default=None)
 
 
 def check_gcc(domain: Domain, damping: DampingProfile, T: float, sampler: Sampler,
-              entry_step: Optional[float] = None, n_worst: int = 5) -> GccReport:
+              n_worst: int = 5) -> GccReport:
     """Trace each sampled ray and report how much of phase space is covered.
 
-    corner_terminated counts rays that reached a rectangle corner before
-    entering the damped set (tracing stops at the first entry).
+    corner_terminated counts rays that reached a rectangle corner, and
+    event_cap_terminated rays that hit the cap of _MAX_EVENTS events, before
+    entering the damped set (tracing stops at the first entry).  Both count
+    as not covered.
     """
     if T <= 0:
         raise ConfigurationError("horizon T must be positive")
     positions, directions = sampler.samples(domain)
     n = positions.shape[0]
     entry = np.full(n, math.inf)
-    corners = 0
+    ends = []
     for i in range(n):
         path = trace(domain, damping, PhasePoint(positions[i], directions[i]), T,
-                     entry_step=entry_step, stop_at_entry=True)
+                     stop_at_entry=True)
         entry[i] = path.first_entry_time
-        if path.terminated == "corner":
-            corners += 1
+        ends.append(path.terminated)
     covered = float(np.count_nonzero(entry < T)) / n
     max_entry = math.inf if np.any(np.isinf(entry)) else float(entry.max())
     order = np.argsort(-np.where(np.isinf(entry), np.finfo(float).max, entry), kind="stable")
     worst = [PhasePoint(positions[int(i)], directions[int(i)]) for i in order[:n_worst]]
     worst_times = [float(entry[int(i)]) for i in order[:n_worst]]
-    return GccReport(T, n, covered, max_entry, worst, worst_times, corners, sampler, entry)
+    return GccReport(T, n, covered, max_entry, worst, worst_times, ends.count("corner"),
+                     ends.count("error"), sampler, entry)

@@ -41,6 +41,7 @@ def test_gcc_subcommand(tmp_path):
     assert rep["covered_fraction"] == 1.0
     assert rep["n_samples"] == 6 * 6 * 8
     assert len(rep["worst_rays"]) == 5
+    assert rep["event_cap_terminated"] == 0
 
 
 def test_simulate_undamped_constant_energy(tmp_path):
@@ -116,6 +117,29 @@ def test_unknown_key_rejected(tmp_path, capsys):
     cfg = _cfg("spectrum", {"nx": 12, "n_modes": 4, "bogus": 1}, tmp_path)
     assert main(["spectrum", _write(tmp_path, cfg)]) == 2
     assert "params.bogus" in capsys.readouterr().err
+
+
+_DISK = {"kind": "disk", "radius": 1.0}
+_PATCH = {"shape": "disk_patch", "center": [0.3, 0.1], "radius": 0.2}
+_GCC = {"T": 1.0, "sampler": {"kind": "seeded_random", "n": 4}}
+
+
+@pytest.mark.parametrize("experiment, domain, damping, params, path", [
+    ("gcc", {**SQUARE, "width": "a"}, COLLAR, _GCC, "domain.width"),
+    ("gcc", {"kind": "rectangle", "height": 1.0}, COLLAR, _GCC, "domain.width"),
+    ("gcc", {"kind": "disk", "radius": math.inf}, _PATCH, _GCC, "domain.radius"),
+    ("gcc", _DISK, {**_PATCH, "center": 0.3}, _GCC, "damping.center"),
+    ("gcc", _DISK, {**_PATCH, "center": [0.3, 0.1, 0.2]}, _GCC, "damping.center"),
+    ("gcc", SQUARE, {**COLLAR, "amplitude": "x"}, _GCC, "damping.amplitude"),
+    ("gcc", SQUARE, COLLAR, {**_GCC, "entry_step": 0.01}, "params.entry_step"),
+    ("observability", SQUARE, COLLAR, {"nx": 12, "n_modes": 4, "T": math.inf, "dt": 0.01},
+     "params.T"),
+])
+def test_malformed_value_names_its_path(tmp_path, capsys, experiment, domain, damping, params,
+                                        path):
+    cfg = _cfg(experiment, params, tmp_path, damping=damping, domain=domain)
+    assert main([experiment, _write(tmp_path, cfg)]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {path}: ")
 
 
 def test_malformed_json_reports_line(tmp_path, capsys):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from stokeswave import (BoundaryCollar, ClassificationError, ConfigurationError, DampingProfile,
                         Disk, DiskPatch, DomainError, Rectangle, SideStrip,
@@ -147,3 +149,64 @@ def test_make_damping_validation():
     assert eval_damping(prof, (0.5, 0.5)) == 2.0
     with pytest.raises(ConfigurationError):
         DampingProfile(sq, BoundaryCollar(0.1), -1.0, 0.0)
+
+
+_RECT = Rectangle(1.3, 0.8)
+_DISK = Disk(1.0)
+_SHAPES = ([(_RECT, BoundaryCollar(0.15)), (_DISK, BoundaryCollar(0.2)),
+            (_DISK, DiskPatch((0.3, -0.2), 0.25))]
+           + [(_RECT, SideStrip(side, 0.2)) for side in ("left", "right", "bottom", "top")])
+_PROFILES = [DampingProfile(dom, sh, 1.0, g) for dom, sh in _SHAPES for g in (0.0, 0.05)]
+_SPACING = 1e-3
+
+
+@settings(max_examples=300, deadline=None)
+@given(prof=st.sampled_from(_PROFILES), u=st.floats(0.0, 1.0), v=st.floats(0.0, 1.0),
+       angle=st.floats(0.0, 2 * math.pi), s_max=st.floats(0.0, 2.5))
+def test_entry_time_matches_dense_oracle(prof, u, v, angle, s_max):
+    dom = prof.domain
+    if isinstance(dom, Rectangle):
+        x = np.array([u * dom.width, v * dom.height])
+    else:
+        x = dom.radius * math.sqrt(u) * np.array([math.cos(2 * math.pi * v),
+                                                  math.sin(2 * math.pi * v)])
+    xi = np.array([math.cos(angle), math.sin(angle)])
+    taus = np.linspace(0.0, s_max, int(s_max / _SPACING) + 2)
+    pts = x + taus[:, None] * xi
+    # away from grazing: the closest approach to the edge of {a > 0} is clear
+    # of it by more than the spacing, and the segment does not end on it
+    gap = prof.support_distance(pts) - prof.smoothing_width
+    assume(abs(gap.min()) > 2 * _SPACING and abs(gap[-1]) > 1e-9)
+    hits = np.nonzero(prof.values(pts) > 0.0)[0]
+    s = prof.entry_time(x, xi, s_max)
+    if hits.size == 0:
+        assert s is None
+        return
+    i = int(hits[0])
+    assert s is not None
+    assert (taus[i - 1] if i else 0.0) - 1e-12 <= s <= taus[i] + 1e-12
+
+
+@pytest.mark.parametrize("smoothing", [0.0, 0.05])
+def test_arc_entry_time_examples(smoothing):
+    # patch centred at polar angle phi, distance 1.5, on the disk of radius 2
+    phi = 0.7
+    dk = Disk(2.0)
+    prof = DampingProfile(dk, DiskPatch((1.5 * math.cos(phi), 1.5 * math.sin(phi)), 0.8), 1.0,
+                          smoothing)
+    rho = 0.8 + smoothing
+    # circle-circle intersection: the damped arc is |theta - phi| < half
+    half = math.acos((4.0 + 2.25 - rho * rho) / (2 * 2.0 * 1.5))
+    theta0 = phi + 2.0
+    assert abs(prof.arc_entry_time(theta0, -1.0, 20.0) - 2.0 * (2.0 - half)) <= 1e-12
+    ccw = 2.0 * (2 * math.pi - 2.0 - half)
+    assert abs(prof.arc_entry_time(theta0, 1.0, 20.0) - ccw) <= 1e-12
+    assert prof.arc_entry_time(theta0, 1.0, ccw - 1e-6) is None
+    assert prof.arc_entry_time(phi + 0.5 * half, -1.0, 1.0) == 0.0
+    assert DampingProfile(dk, BoundaryCollar(0.1), 1.0, smoothing).arc_entry_time(
+        theta0, 1.0, 5.0) == 0.0
+    # patches that miss the boundary circle
+    assert DampingProfile(dk, DiskPatch((0.0, 0.0), 1.0), 1.0, smoothing).arc_entry_time(
+        theta0, 1.0, 50.0) is None
+    assert DampingProfile(dk, DiskPatch((0.5, 0.0), 0.5), 1.0, smoothing).arc_entry_time(
+        theta0, 1.0, 50.0) is None

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from stokeswave import raytracer
 from stokeswave import (BoundaryCollar, BoundaryRegime, ConfigurationError, DampingProfile, Disk,
                         DiskPatch, GridSampler, PhasePoint, PreconditionError, RandomSampler,
                         Rectangle, SideStrip, advance_free, boundary_hit, check_gcc, glide,
@@ -146,6 +147,40 @@ def test_disk_chord_invariant():
             vals.append(abs(e.point[0] * e.xi_out[1] - e.point[1] * e.xi_out[0]))
     assert len(vals) > 50
     assert max(vals) - min(vals) <= 1e-10
+
+
+def test_trace_glide_enters_patch_at_the_arc_edge():
+    dk = Disk(2.0)
+    patch = DampingProfile(dk, DiskPatch((1.5, 0.0), 0.8), 1.0, 0.0)
+    half = math.acos((4.0 + 2.25 - 0.64) / 6.0)
+    for orient, angle in ((1.0, 2 * math.pi - 2.0 - half), (-1.0, 2.0 - half)):
+        start = PhasePoint(2.0 * np.array([math.cos(2.0), math.sin(2.0)]),
+                           orient * np.array([-math.sin(2.0), math.cos(2.0)]))
+        path = trace(dk, patch, start, 20.0, stop_at_entry=True)
+        assert abs(path.first_entry_time - 2.0 * angle) <= 1e-12
+        assert abs(math.hypot(*(path.final.x - (1.5, 0.0))) - 0.8) <= 1e-12
+
+
+def test_grazing_chords_of_sharp_patch_are_entered():
+    patch = DampingProfile(DK, DiskPatch((0.0, 0.0), 0.2), 1.0, 0.0)
+    offsets = np.linspace(0.199, 0.19999, 200)
+    starts = np.random.default_rng(3).uniform(-0.9, -0.5, 200)
+    times = [trace(DK, patch, PhasePoint((x0, d), (1.0, 0.0)), 2.0,
+                   stop_at_entry=True).first_entry_time for d, x0 in zip(offsets, starts)]
+    exact = -starts - np.sqrt(0.04 - offsets ** 2)
+    assert np.abs(np.array(times) - exact).max() <= 1e-12
+
+
+def test_event_cap_rays_are_counted(monkeypatch):
+    strip = DampingProfile(SQ, SideStrip("left", 0.1), 1.0, 0.0)
+    monkeypatch.setattr(raytracer, "_MAX_EVENTS", 6)
+    sampler = GridSampler(4, 8)
+    rep = check_gcc(SQ, strip, 10.0, sampler)
+    ends = [trace(SQ, strip, PhasePoint(x, xi), 10.0, stop_at_entry=True).terminated
+            for x, xi in zip(*sampler.samples(SQ))]
+    assert rep.event_cap_terminated == ends.count("error") > 0
+    assert rep.corner_terminated == ends.count("corner")
+    assert rep.covered_fraction * rep.n_samples == ends.count("entry")
 
 
 def test_check_gcc_positive_square_collar():
