@@ -134,6 +134,8 @@ def _validate_params(cfg: dict):
     domain = make_domain(cfg["domain"])
     if cfg["damping"] is not None:
         make_damping(domain, cfg["damping"])
+    elif exp == "gcc":
+        _fail("damping", "gcc experiment needs a damping profile")
     if exp in _GRID_EXPERIMENTS and not isinstance(domain, Rectangle):
         _fail("domain.kind", f"experiment '{exp}' needs a rectangle domain "
               "(the grid discretization is rectangle-only)")
@@ -258,8 +260,6 @@ def run_trace(cfg: dict):
 def run_gcc(cfg: dict):
     domain, damping, out = _setup(cfg)
     params = cfg["params"]
-    if damping is None:
-        _fail("damping", "gcc experiment needs a damping profile")
     sampler = _sampler_from(params, seed=cfg["seed"])
     report = raytracer.check_gcc(domain, damping, params["T"], sampler)
     reporting.write_json(out / "gcc_report.json", {

@@ -154,10 +154,11 @@ def make_domain(spec) -> Domain:
     kind = spec.get("kind")
     if kind == "rectangle":
         _require_keys(spec, {"kind", "width", "height"}, "domain")
-        return Rectangle(_number(spec, "width", "domain"), _number(spec, "height", "domain"))
+        return Rectangle(_number(spec, "width", "domain", positive=True),
+                         _number(spec, "height", "domain", positive=True))
     if kind == "disk":
         _require_keys(spec, {"kind", "radius"}, "domain")
-        return Disk(_number(spec, "radius", "domain"))
+        return Disk(_number(spec, "radius", "domain", positive=True))
     raise ConfigurationError(f"domain.kind must be 'rectangle' or 'disk', got {kind!r}")
 
 
@@ -167,13 +168,18 @@ def _require_keys(spec, allowed, where):
         raise ConfigurationError(f"unknown key(s) in {where}: {sorted(unknown)}")
 
 
-def _number(spec, key: str, where: str, default=None) -> float:
-    """spec[key] as a finite float; a ConfigurationError naming where.key otherwise."""
+def _number(spec, key: str, where: str, default=None, positive=False,
+            nonnegative=False) -> float:
+    """spec[key] as a finite float in range; a ConfigurationError naming where.key otherwise."""
     if key not in spec and default is None:
         raise ConfigurationError(f"{where}.{key}: required key is missing")
     val = spec.get(key, default)
     if isinstance(val, bool) or not isinstance(val, numbers.Real) or not math.isfinite(val):
         raise ConfigurationError(f"{where}.{key}: must be a finite number")
+    if positive and not val > 0:
+        raise ConfigurationError(f"{where}.{key}: must be positive")
+    if nonnegative and val < 0:
+        raise ConfigurationError(f"{where}.{key}: must be nonnegative")
     return float(val)
 
 
@@ -340,11 +346,11 @@ def make_damping(domain: Domain, spec) -> DampingProfile:
         return spec
     shape_name = spec.get("shape")
     common = {"shape", "amplitude", "smoothing_width"}
-    amplitude = _number(spec, "amplitude", "damping", 1.0)
-    smoothing = _number(spec, "smoothing_width", "damping", 0.0)
+    amplitude = _number(spec, "amplitude", "damping", 1.0, nonnegative=True)
+    smoothing = _number(spec, "smoothing_width", "damping", 0.0, nonnegative=True)
     if shape_name == "boundary_collar":
         _require_keys(spec, common | {"width"}, "damping")
-        shape = BoundaryCollar(_number(spec, "width", "damping"))
+        shape = BoundaryCollar(_number(spec, "width", "damping", positive=True))
     elif shape_name == "disk_patch":
         _require_keys(spec, common | {"center", "radius"}, "damping")
         center = spec.get("center")
@@ -352,10 +358,14 @@ def make_damping(domain: Domain, spec) -> DampingProfile:
             raise ConfigurationError("damping.center: must be a pair [x, y]")
         xy = dict(zip("xy", center))
         shape = DiskPatch((_number(xy, "x", "damping.center"), _number(xy, "y", "damping.center")),
-                          _number(spec, "radius", "damping"))
+                          _number(spec, "radius", "damping", positive=True))
     elif shape_name == "side_strip":
         _require_keys(spec, common | {"side", "depth"}, "damping")
-        shape = SideStrip(str(spec.get("side")), _number(spec, "depth", "damping"))
+        if spec.get("side") not in _SIDES:
+            raise ConfigurationError(f"damping.side: must be one of {_SIDES}")
+        if not isinstance(domain, Rectangle):
+            raise ConfigurationError("damping.shape: side_strip requires a rectangle domain")
+        shape = SideStrip(spec["side"], _number(spec, "depth", "damping", positive=True))
     else:
         raise ConfigurationError(
             f"damping.shape must be 'boundary_collar', 'disk_patch' or 'side_strip', got {shape_name!r}")

@@ -3,11 +3,16 @@ semiclassical diagnostics.
 
 The first-order generator of the damped modal system is the block matrix
 [[0, I], [-Lambda, -B]].  Its spectral abscissa predicts the energy decay
-rate (energy is quadratic in the semigroup, hence the factor two), and
-the resolvent is measured along the imaginary axis in the energy norm:
-singular values are taken after congruence with the square root of the
-energy Gram matrix diag(Lambda, I), because the decay criterion lives in
-that norm, not the Euclidean one.
+rate (energy is quadratic in the semigroup, hence the factor two).  The
+resolvent is measured along the imaginary axis in the energy norm, because
+the decay criterion lives in that norm, not the Euclidean one.  In energy
+coordinates (sqrt(lambda) u, u') the generator is
+A = [[0, Omega], [-Omega, -B]] with Omega = diag(sqrt(lambda)), the
+congruence of the block matrix with the square root of the energy Gram
+matrix diag(Lambda, I), written without a division so that zero modes stay
+finite.  The sweep reduces A to complex Schur form T = Z^H A Z once; since Z
+is unitary, smin(A - i*sigma) = smin(T - i*sigma), and each sigma costs a
+few triangular solves of inverse Lanczos instead of a dense SVD.
 
 Per-eigenmode diagnostics operate at the semiclassical scale h = 1/sqrt(lambda):
 boundary flux of h * (normal derivative), the normal-trace identity defect,
@@ -24,10 +29,13 @@ from typing import List, Optional, Tuple
 import numpy as np
 import scipy.linalg
 
-from .errors import NumericsError
+from .errors import ConfigurationError, NumericsError
 from .evolution import generator_matrix
 from .geometry import DampingProfile
 from .stokes import EigenPair, PressureField, divergence
+
+# Lanczos stops once the residual of its largest Ritz value is this share of it.
+_LANCZOS_TOL = 1e-12
 
 
 @dataclass
@@ -96,17 +104,75 @@ def resolvent_sweep(g: DampedGenerator, sigma_grid) -> np.ndarray:
     Returns an array of rows (sigma, smin); the energy-norm resolvent norm
     is 1/smin wherever smin > 0 (smin = 0 flags a spectral point on the
     axis and no division is performed here).
+
+    smin is that of A - i*sigma, with A = [[0, Omega], [-Omega, -B]] the
+    generator in energy coordinates (module docstring).  It is read off the
+    complex Schur factor T of A, computed once (real Schur form, then
+    rsf2csf).  Per sigma, Lanczos with full reorthogonalization runs on
+    (T - i*sigma)^-1 (T - i*sigma)^-H, applied by two triangular solves, and
+    smin = theta^(-1/2) for its largest Ritz value theta.  It stops once the
+    Ritz residual beta_j*|e_j^T y| is at most 1e-12*theta, which puts theta
+    within a relative 1e-12 of an eigenvalue, or at the full dimension, where
+    Lanczos is exact.  The start vector comes from a fixed seed and is the
+    same for every sigma, so a row depends on its sigma alone and reruns are
+    byte-identical.
+
+    Zero modes: lambda = 0 gives a zero row and column in A, which leave the
+    singular value |sigma| of A - i*sigma.  So smin <= |sigma| and
+    smin(0) = 0, flagging the generator's eigenvalue 0.  A shift that makes
+    T - i*sigma exactly singular, or so near singular that its solves
+    overflow (smin below about 1e-154*(max|T| + |sigma|)), gives smin = 0.
     """
-    sqrt_g = np.sqrt(g.gram_diag)
-    inv_sqrt_g = 1.0 / sqrt_g
-    n2 = g.matrix.shape[0]
+    lam = np.asarray(g.lambdas, dtype=float)
+    if np.any(lam < 0):
+        raise ConfigurationError("resolvent sweep needs lambdas >= 0")
+    n = lam.size
+    omega = np.diag(np.sqrt(lam))
+    t = scipy.linalg.rsf2csf(*scipy.linalg.schur(
+        np.block([[np.zeros((n, n)), omega], [-omega, -g.B]])))[0]
+    diag = t.diagonal()
+    rng = np.random.default_rng(0)
+    start = rng.standard_normal(2 * n) + 1j * rng.standard_normal(2 * n)
+    start /= np.linalg.norm(start)
+    size = np.abs(t).max()
     rows = np.empty((len(sigma_grid), 2))
     for k, sigma in enumerate(sigma_grid):
-        shifted = g.matrix - 1j * float(sigma) * np.eye(n2)
-        scaled = sqrt_g[:, None] * shifted * inv_sqrt_g[None, :]
-        smin = float(scipy.linalg.svdvals(scaled)[-1])
-        rows[k] = (float(sigma), smin)
+        sigma = float(sigma)
+        # solve with entries of order one, so the Lanczos vectors, of order
+        # smin^-2, overflow only where smin is below about 1e-154 of them; the
+        # floor keeps 1/unit finite when A = 0 and sigma is subnormal
+        unit = max(size + abs(sigma), np.finfo(float).tiny)
+        shifted = t / unit
+        np.fill_diagonal(shifted, (diag - 1j * sigma) / unit)
+        rows[k] = (sigma, unit * _triangular_smin(shifted, start))
     return rows
+
+
+def _triangular_smin(t: np.ndarray, start: np.ndarray) -> float:
+    """smin of the upper-triangular t by inverse Lanczos (see resolvent_sweep)."""
+    trtrs, = scipy.linalg.get_lapack_funcs(("trtrs",), (t,))
+    m = t.shape[0]
+    q = np.empty((m, m), dtype=complex)
+    q[0] = start
+    tri = np.zeros((m, m))
+    for j in range(m):
+        z, info = trtrs(t, q[j], trans=2)
+        if info == 0:
+            w, info = trtrs(t, z)
+        if info > 0:
+            return 0.0
+        tri[j, j] = np.vdot(q[j], w).real
+        if not math.isfinite(tri[j, j]):
+            return 0.0
+        basis = q[:j + 1]
+        for _ in range(2):
+            w -= (basis.conj() @ w) @ basis
+        beta = scipy.linalg.norm(w, check_finite=False)   # BLAS nrm2 does not overflow
+        theta, y = np.linalg.eigh(tri[:j + 1, :j + 1])
+        if beta * abs(y[-1, -1]) <= _LANCZOS_TOL * theta[-1] or j + 1 == m:
+            return float(theta[-1] ** -0.5)
+        tri[j, j + 1] = tri[j + 1, j] = beta
+        q[j + 1] = w / beta
 
 
 def semiclassical_constants(pairs: List[EigenPair],

@@ -134,12 +134,24 @@ _GCC = {"T": 1.0, "sampler": {"kind": "seeded_random", "n": 4}}
     ("gcc", SQUARE, COLLAR, {**_GCC, "entry_step": 0.01}, "params.entry_step"),
     ("observability", SQUARE, COLLAR, {"nx": 12, "n_modes": 4, "T": math.inf, "dt": 0.01},
      "params.T"),
+    ("gcc", SQUARE, {**COLLAR, "smoothing_width": -1}, _GCC, "damping.smoothing_width"),
+    ("gcc", SQUARE, {**COLLAR, "amplitude": -2}, _GCC, "damping.amplitude"),
+    ("gcc", SQUARE, {"shape": "side_strip", "depth": 0.1}, _GCC, "damping.side"),
+    ("gcc", {**SQUARE, "width": -1.0}, COLLAR, _GCC, "domain.width"),
+    ("gcc", _DISK, {**_PATCH, "radius": 0}, _GCC, "damping.radius"),
 ])
 def test_malformed_value_names_its_path(tmp_path, capsys, experiment, domain, damping, params,
                                         path):
     cfg = _cfg(experiment, params, tmp_path, damping=damping, domain=domain)
     assert main([experiment, _write(tmp_path, cfg)]) == 2
     assert capsys.readouterr().err.startswith(f"config error: {path}: ")
+
+
+def test_gcc_without_damping_leaves_no_output(tmp_path, capsys):
+    cfg = _cfg("gcc", _GCC, tmp_path, damping=None)
+    assert main(["gcc", _write(tmp_path, cfg)]) == 2
+    assert capsys.readouterr().err.startswith("config error: damping: ")
+    assert not (tmp_path / "out").exists()
 
 
 def test_malformed_json_reports_line(tmp_path, capsys):
@@ -170,3 +182,13 @@ def test_gcc_rerun_is_byte_identical(tmp_path):
     first = (tmp_path / "out" / "gcc_report.json").read_bytes()
     assert main(["gcc", path]) == 0
     assert (tmp_path / "out" / "gcc_report.json").read_bytes() == first
+
+
+def test_resolvent_rerun_is_byte_identical(tmp_path):
+    cfg = _cfg("resolvent", {"nx": 12, "n_modes": 6,
+                             "sigma": {"min": 0.0, "max": 40.0, "count": 25}}, tmp_path)
+    path = _write(tmp_path, cfg)
+    assert main(["resolvent", path]) == 0
+    first = (tmp_path / "out" / "resolvent_curve.csv").read_bytes()
+    assert main(["resolvent", path]) == 0
+    assert (tmp_path / "out" / "resolvent_curve.csv").read_bytes() == first

@@ -15,8 +15,10 @@ def test_make_domain_examples():
     assert sq.boundary_length == 4.0
     dk = make_domain({"kind": "disk", "radius": 1.0})
     assert abs(dk.boundary_length - 2.0 * math.pi) <= 1e-12
-    with pytest.raises(ConfigurationError, match="non-positive radius"):
+    with pytest.raises(ConfigurationError, match="^domain.radius: must be positive$"):
         make_domain({"kind": "disk", "radius": -1.0})
+    with pytest.raises(ConfigurationError, match="non-positive radius"):
+        Disk(-1.0)
     with pytest.raises(ConfigurationError):
         make_domain({"kind": "rectangle", "width": 0.0, "height": 1.0})
     with pytest.raises(ConfigurationError, match="unknown key"):

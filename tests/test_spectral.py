@@ -3,9 +3,12 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from stokeswave import (BoundaryCollar, DampingProfile, Rectangle, StaggeredGrid,
-                        assemble_generator, build_modal_system, predicted_decay,
+from stokeswave import (BoundaryCollar, ConfigurationError, DampingProfile, Rectangle,
+                        StaggeredGrid, assemble_generator, build_modal_system, predicted_decay,
                         quasimode_diagnostics, resolvent_sweep, semiclassical_constants,
                         spectrum, stokes_eigenpairs)
 from stokeswave.geometry import DiskPatch
@@ -99,6 +102,76 @@ def test_resolvent_bounded_by_eigenvalue_distance():
         smin = resolvent_sweep(g, [sigma])[0][1]
         dist = np.abs(vals - 1j * sigma).min()
         assert smin <= cond * dist * (1 + 1e-9)
+
+
+def _energy_generator(g):
+    omega = np.diag(np.sqrt(g.lambdas))
+    return np.block([[np.zeros_like(omega), omega], [-omega, -g.B]])
+
+
+def _svd_sweep(g, sigma_grid):
+    """Reference: one dense SVD of the energy-coordinate generator minus i*sigma per sigma."""
+    a_hat = _energy_generator(g)
+    eye = np.eye(a_hat.shape[0])
+    return np.array([(float(s), scipy.linalg.svdvals(a_hat - 1j * s * eye)[-1])
+                     for s in sigma_grid])
+
+
+def _assert_matches_svd(g, sigma_grid):
+    curve = resolvent_sweep(g, sigma_grid)
+    oracle = _svd_sweep(g, sigma_grid)
+    assert np.array_equal(curve[:, 0], oracle[:, 0])
+    scale = np.linalg.norm(_energy_generator(g), 2) + np.abs(oracle[:, 0])
+    assert np.all(np.abs(curve[:, 1] - oracle[:, 1]) <= 1e-10 * scale)
+    return curve
+
+
+@st.composite
+def _sweep_cases(draw):
+    n = draw(st.integers(1, 8))
+    # eigenvalues drawn from a small pool, so exact repeats and zero modes both occur
+    pool = draw(st.lists(st.just(0.0) | st.floats(0.25, 400.0), min_size=1, max_size=n))
+    lams = [draw(st.sampled_from(pool)) for _ in range(n)]
+    raw = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1))).standard_normal(
+        (n, draw(st.integers(0, n))))
+    scale = draw(st.floats(0.0, 4.0))
+    # shifts on the undamped frequencies +-omega_k, where smin can vanish, and off them
+    omegas = [math.sqrt(lam) for lam in lams]
+    sigmas = draw(st.lists(st.sampled_from(omegas + [-w for w in omegas]) | st.floats(-30.0, 30.0),
+                           min_size=1, max_size=6))
+    return lams, scale * raw @ raw.T, sigmas
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_sweep_cases())
+@example(case=([0.0, 4.0, 4.0, 30.0], np.zeros((4, 4)), [0.0, 2.0, -2.0, math.sqrt(30.0), 1.0]))
+@example(case=([0.0], np.ones((1, 1)), [1e-160]))    # the solves overflow: smin reads 0
+@example(case=([0.0], np.zeros((1, 1)), [5e-324]))   # A = 0 and a subnormal shift
+def test_resolvent_sweep_matches_svd_oracle(case):
+    lams, b, sigmas = case
+    _assert_matches_svd(assemble_generator(_system(lams, b)), sigmas)
+
+
+def test_resolvent_sweep_matches_svd_on_collar_system():
+    square = Rectangle(1.0, 1.0)
+    collar = DampingProfile(square, BoundaryCollar(0.1), 1.0, 0.02)
+    ms = build_modal_system(StaggeredGrid.for_rectangle(square, 16), 12, collar)
+    omega_max = math.sqrt(ms.lambdas.max())
+    _assert_matches_svd(assemble_generator(ms), np.linspace(0.0, 1.5 * omega_max, 40))
+
+
+def test_resolvent_zero_mode():
+    # lambda = 0 leaves the singular value |sigma|: smin(0) = 0 flags the eigenvalue 0
+    g = assemble_generator(_system([0.0, 4.0], [[0.3, 0.1], [0.1, 0.2]]))
+    sigmas = [0.0, 0.5, 1.0, 2.0, 3.0, -1.0]
+    curve = _assert_matches_svd(g, sigmas)
+    assert curve[0][1] == 0.0
+    assert np.all(curve[:, 1] <= np.abs(curve[:, 0]) * (1 + 1e-12))
+
+
+def test_resolvent_rejects_negative_lambda():
+    with pytest.raises(ConfigurationError):
+        resolvent_sweep(assemble_generator(_system([4.0, -1.0], np.eye(2))), [0.0])
 
 
 def test_scaling_invariance_of_assembly():
