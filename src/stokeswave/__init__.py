@@ -16,9 +16,9 @@ from .geometry import (BoundaryCollar, BoundaryRegime, DampingProfile, Disk, Dis
 from .raytracer import (GccReport, GridSampler, PhasePoint, RandomSampler, RayPath,
                         advance_free, boundary_hit, check_gcc, glide, reflect, trace)
 from .stokes import (EigenPair, ModalSystem, PressureField, StaggeredField, StaggeredGrid,
-                     build_modal_system, damping_matrix, dirichlet_energy, divergence,
-                     gradient, leray_project, random_divergence_free, stokes_apply,
-                     stokes_eigenpairs, vector_laplacian)
+                     build_modal_system, damping_masses, damping_matrix, dirichlet_energy,
+                     divergence, gradient, leray_project, random_divergence_free,
+                     stokes_apply, stokes_eigenpairs, vector_laplacian)
 from .evolution import (DecayFit, EnergyTrace, ModalState, dissipation_check, energy,
                         evolve, fit_decay, observability_gramian, random_state,
                         undamped_modal_solution)

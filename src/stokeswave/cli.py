@@ -353,12 +353,13 @@ def run_diagnostics(cfg: dict):
     params = cfg["params"]
     grid = stokes.StaggeredGrid.for_rectangle(domain, params["nx"])
     pairs = stokes.stokes_eigenpairs(grid, params["n_modes"])
-    constants = spectral.semiclassical_constants(pairs, damping)
+    masses = stokes.damping_masses(pairs, damping)
+    constants = spectral.semiclassical_constants(pairs, masses)
     reporting.write_csv(out / "semiclassical_constants.csv", ["h", "obs_constant"],
                         constants, cfg)
     rows = []
-    for k, p in enumerate(pairs):
-        d = spectral.quasimode_diagnostics(p, p.pressure, damping)
+    for k, (p, mass) in enumerate(zip(pairs, masses)):
+        d = spectral.quasimode_diagnostics(p, p.pressure, mass)
         rows.append((k, p.lam, d.h, d.boundary_flux_norm, d.normal_component_defect,
                      d.pressure_norms[0], d.pressure_norms[1], d.obs_constant))
     reporting.write_csv(out / "quasimode_diagnostics.csv",

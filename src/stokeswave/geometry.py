@@ -159,13 +159,13 @@ def make_domain(spec) -> Domain:
     if kind == "disk":
         _require_keys(spec, {"kind", "radius"}, "domain")
         return Disk(_number(spec, "radius", "domain", positive=True))
-    raise ConfigurationError(f"domain.kind must be 'rectangle' or 'disk', got {kind!r}")
+    raise ConfigurationError(f"domain.kind: must be 'rectangle' or 'disk', got {kind!r}")
 
 
 def _require_keys(spec, allowed, where):
-    unknown = set(spec) - allowed
+    unknown = sorted(set(spec) - allowed)
     if unknown:
-        raise ConfigurationError(f"unknown key(s) in {where}: {sorted(unknown)}")
+        raise ConfigurationError(f"{where}.{unknown[0]}: unknown key")
 
 
 def _number(spec, key: str, where: str, default=None, positive=False,
@@ -368,7 +368,8 @@ def make_damping(domain: Domain, spec) -> DampingProfile:
         shape = SideStrip(spec["side"], _number(spec, "depth", "damping", positive=True))
     else:
         raise ConfigurationError(
-            f"damping.shape must be 'boundary_collar', 'disk_patch' or 'side_strip', got {shape_name!r}")
+            f"damping.shape: must be 'boundary_collar', 'disk_patch' or 'side_strip', "
+            f"got {shape_name!r}")
     return DampingProfile(domain, shape, amplitude, smoothing)
 
 

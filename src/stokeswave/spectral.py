@@ -31,7 +31,6 @@ import scipy.linalg
 
 from .errors import ConfigurationError, NumericsError
 from .evolution import generator_matrix
-from .geometry import DampingProfile
 from .stokes import EigenPair, PressureField, divergence
 
 # Lanczos stops once the residual of its largest Ritz value is this share of it.
@@ -40,12 +39,11 @@ _LANCZOS_TOL = 1e-12
 
 @dataclass
 class DampedGenerator:
-    """Assembled first-order generator with its energy Gram weights."""
+    """Assembled first-order generator [[0, I], [-Lambda, -B]] with its blocks."""
 
     lambdas: np.ndarray
     B: np.ndarray
     matrix: np.ndarray
-    gram_diag: np.ndarray
 
 
 @dataclass
@@ -73,8 +71,7 @@ def assemble_generator(ms) -> DampedGenerator:
     """Build [[0, I], [-Lambda, -B]] from any object with .lambdas and .B."""
     lam = np.asarray(ms.lambdas, dtype=float)
     b = np.asarray(ms.B, dtype=float)
-    gram = np.concatenate([lam, np.ones(lam.size)])
-    return DampedGenerator(lam, b, generator_matrix(lam, b), gram)
+    return DampedGenerator(lam, b, generator_matrix(lam, b))
 
 
 def spectrum(g: DampedGenerator) -> SpectrumReport:
@@ -176,36 +173,27 @@ def _triangular_smin(t: np.ndarray, start: np.ndarray) -> float:
 
 
 def semiclassical_constants(pairs: List[EigenPair],
-                            profile: Optional[DampingProfile]) -> List[Tuple[float, float]]:
+                            damping_masses: np.ndarray) -> List[Tuple[float, float]]:
     """Per-mode (h, C) with h = lambda^(-1/2), C = ||phi|| / ||a^(1/2) phi||.
 
-    Modes invisible to the damping report C = inf, flagging a discrete
+    damping_masses[k] is ||a^(1/2) phi_k||^2 (stokes.damping_masses).  Modes
+    invisible to the damping report C = inf, flagging a discrete
     unique-continuation violation.  Sorted by ascending h.
     """
-    out = []
-    for p in pairs:
-        h = p.lam ** -0.5
-        d = _damping_mass(p, profile)
-        nrm = p.phi.l2_norm()
-        c = math.inf if d == 0.0 else nrm / math.sqrt(d)
-        out.append((h, c))
+    out = [(p.lam ** -0.5, _obs_constant(p, d)) for p, d in zip(pairs, damping_masses)]
     return sorted(out, key=lambda hc: hc[0])
 
 
-def _damping_mass(pair: EigenPair, profile: Optional[DampingProfile]) -> float:
-    """||a^(1/2) phi||^2 by face quadrature."""
-    if profile is None:
-        return 0.0
-    grid = pair.phi.grid
-    a = np.concatenate([profile.values(grid.u_points()), profile.values(grid.v_points())])
-    flat = pair.phi.flat()
-    return grid.h ** 2 * float((a * flat) @ flat)
+def _obs_constant(pair: EigenPair, damping_mass: float) -> float:
+    return math.inf if damping_mass == 0.0 else pair.phi.l2_norm() / math.sqrt(damping_mass)
 
 
 def quasimode_diagnostics(pair: EigenPair, q: PressureField,
-                          profile: Optional[DampingProfile]) -> QuasimodeDiagnostics:
+                          damping_mass: float) -> QuasimodeDiagnostics:
     """Boundary diagnostics of an eigenmode at its semiclassical scale.
 
+    damping_mass is ||a^(1/2) phi||^2 (stokes.damping_masses), from which
+    the observability constant ||phi|| / ||a^(1/2) phi|| is formed.
     q is the projection pressure of the pair; internally it is rescaled by
     h so the reported pressure norms refer to the pressure of the h-scaled
     mode equation.  The normal-trace defect uses the divergence identity at
@@ -253,7 +241,5 @@ def quasimode_diagnostics(pair: EigenPair, q: PressureField,
     ]
     q_boundary = h_sc * math.sqrt(hg * sum(float(tr @ tr) for tr in traces))
 
-    d = _damping_mass(pair, profile)
-    nrm = pair.phi.l2_norm()
-    obs = math.inf if d == 0.0 else nrm / math.sqrt(d)
-    return QuasimodeDiagnostics(h_sc, boundary_flux, defect, (q_interior, q_boundary), obs)
+    return QuasimodeDiagnostics(h_sc, boundary_flux, defect, (q_interior, q_boundary),
+                                _obs_constant(pair, damping_mass))

@@ -14,11 +14,26 @@ transform, which is how it is solved here.
 
 Eigenmodes of the projected (negated) Laplacian restricted to the
 divergence-free subspace are computed through the discrete streamfunction
-parametrization: every divergence-free staggered field is the curl of a
-streamfunction on interior vertices, turning the eigenproblem into a
-sparse symmetric-definite pencil handled by shift-invert Lanczos (ARPACK)
-with an explicit re-orthonormalization pass.  A dense solver doubles as
-an independent oracle on coarse grids.
+parametrization: every divergence-free staggered field is the curl C psi of
+a streamfunction on the mx x my interior vertices (mx = nx - 1,
+my = ny - 1), which turns the eigenproblem into the symmetric-definite
+pencil K psi = lambda M psi with K = -C^T L C and M = C^T C.  Both have a
+tensor structure: M is exactly the 5-point Dirichlet vertex Laplacian
+(T_x (x) I + I (x) T_y)/h^2, and K = M^2 + (2/h^4)(E_x (x) I + I (x) E_y)
+with E = diag(e_first + e_last), so K - M^2 is diagonal and lives on the
+boundary ring of vertices (2/h^4 on an edge, 4/h^4 on a corner).
+
+Shift-invert Lanczos (ARPACK) needs K^-1, which is applied by the
+capacitance-matrix method of Buzbee & Dorr (SIAM J. Numer. Anal. 11,
+1974).  M^-2 = S diag(h^4/mu^2) S, with S the orthonormal type-I sine
+transform and mu its symbol; Woodbury with U, the ring vertices as columns
+(corners twice), gives K^-1 from M^-2 and the Cholesky factor of the
+capacitance matrix h^4/2 I + U^T M^-2 U, which is built once per grid in
+closed form from the 1-D sine matrices.  A solve costs two sine transforms,
+thin products with the 1-D sine matrices and one triangular solve pair of
+size 2(mx + my).  A dense generalized eigensolve doubles as an independent
+oracle on coarse grids.  Both paths end in the same canonical gauge, so
+they return the same modes.
 """
 
 from __future__ import annotations
@@ -32,7 +47,7 @@ import numpy as np
 import scipy.fft
 import scipy.linalg
 import scipy.sparse as sp
-from scipy.sparse.linalg import ArpackNoConvergence, eigsh
+from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
 from .errors import ConfigurationError, NumericsError, PreconditionError
 from .geometry import DampingProfile, Rectangle
@@ -226,6 +241,11 @@ class _Operators:
         denom[0, 0] = 1.0
         self._poisson_denom = denom
 
+    @cached_property
+    def biharmonic(self) -> "_BiharmonicSolver":
+        """Fast direct solver for K, built on first use."""
+        return _BiharmonicSolver(self.grid)
+
     @staticmethod
     def _laplacian(grid: StaggeredGrid, mask: np.ndarray) -> sp.csr_matrix:
         nx, ny, h = grid.nx, grid.ny, grid.h
@@ -274,6 +294,66 @@ class _Operators:
         rows = np.concatenate(rows); cols = np.concatenate(cols); data = np.concatenate(data)
         n_psi = (nx - 1) * (ny - 1)
         return sp.csr_matrix((data, (rows, cols)), shape=(grid.n_faces, n_psi))
+
+
+def _sine_matrix(n: int) -> np.ndarray:
+    """Orthonormal type-I sine transform of length n (symmetric and involutory)."""
+    k = np.arange(1, n + 1)
+    return math.sqrt(2.0 / (n + 1)) * np.sin(np.pi * np.outer(k, k) / (n + 1))
+
+
+class _BiharmonicSolver:
+    """K^-1 by the type-I sine transform and a boundary-ring capacitance matrix.
+
+    With S = S_x (x) S_y the 2-D orthonormal sine transform and
+    w = 1/mu^2, M^-2 = h^4 S diag(w) S.  Woodbury on
+    K = M^2 + (2/h^4) U U^T gives
+    K^-1 = M^-2 - M^-2 U (h^4/2 I + U^T M^-2 U)^-1 U^T M^-2, where the columns
+    of U pick the vertex rows i = 0, mx - 1 and then the vertex columns
+    j = 0, my - 1 (so a corner is picked twice); ring vectors use that order
+    throughout.  With the h^4 factored out the capacitance matrix is
+    I/2 + U^T S diag(w) S U; every block of it is a product of 1-D sine
+    matrices, because a ring row of S is a row of S_x times S_y or S_x times
+    a row of S_y.
+    """
+
+    def __init__(self, grid: StaggeredGrid):
+        mx, my = grid.nx - 1, grid.ny - 1
+        self.shape = (mx, my)
+        self.h4 = grid.h ** 4
+        sx, sy = _sine_matrix(mx), _sine_matrix(my)
+        mu_x = 4.0 * np.sin(np.pi * np.arange(1, mx + 1) / (2 * (mx + 1))) ** 2
+        mu_y = 4.0 * np.sin(np.pi * np.arange(1, my + 1) / (2 * (my + 1))) ** 2
+        w = 1.0 / (mu_x[:, None] + mu_y[None, :]) ** 2
+        # first and last rows of the symmetric sine matrices
+        px, py = sx[[0, -1]], sy[[0, -1]]
+        self.sx, self.sy, self.w, self.px, self.py = sx, sy, w, px, py
+        rows = [slice(a * my, (a + 1) * my) for a in range(2)]
+        cols = [slice(2 * my + b * mx, 2 * my + (b + 1) * mx) for b in range(2)]
+        cap = np.empty((2 * (mx + my), 2 * (mx + my)))
+        for a in range(2):
+            for b in range(2):
+                cap[rows[a], rows[b]] = (sy * ((px[a] * px[b]) @ w)) @ sy
+                cap[cols[a], cols[b]] = (sx * (w @ (py[a] * py[b]))) @ sx
+                cap[rows[a], cols[b]] = sy @ (py[b][:, None] * w.T * px[a]) @ sx
+                cap[cols[b], rows[a]] = cap[rows[a], cols[b]].T
+        cap[np.diag_indices_from(cap)] += 0.5
+        self.factor, info = scipy.linalg.lapack.dpotrf(cap)
+        if info != 0:
+            raise NumericsError(f"capacitance matrix is not positive definite (potrf info {info})")
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        """x with K x = b, for b ordered like the streamfunction vector."""
+        mx, my = self.shape
+        coef = scipy.fft.dstn(b.reshape(mx, my), type=1, norm="ortho")
+        y = coef * self.w                        # sine coefficients of M^-2 b / h^4
+        ring = np.concatenate([(self.px @ y @ self.sy).ravel(),
+                               (self.sx @ (y @ self.py.T)).T.ravel()])
+        z = scipy.linalg.lapack.dpotrs(self.factor, ring)[0]
+        z_rows, z_cols = z[:2 * my].reshape(2, my), z[2 * my:].reshape(2, mx)
+        # sine coefficients of U z: one rank-2 product each for rows and columns
+        coef -= self.px.T @ (z_rows @ self.sy) + (z_cols @ self.sx).T @ self.py
+        return self.h4 * scipy.fft.dstn(coef * self.w, type=1, norm="ortho").ravel()
 
 
 _OPS_CACHE: dict = {}
@@ -365,12 +445,33 @@ class EigenPair:
     residual: float
 
 
+# A pair whose residual exceeds this share of its eigenvalue fails the eigensolve.
+_RESIDUAL_TOL = 1e-8
+# Eigenvalues within this relative distance of each other form one degenerate cluster.
+_CLUSTER_TOL = 1e-9
+
+
 def stokes_eigenpairs(grid: StaggeredGrid, count: int,
                       dense: Optional[bool] = None) -> List[EigenPair]:
     """Lowest `count` eigenpairs on the divergence-free subspace, ascending.
 
-    dense=True forces the dense oracle path (small grids); by default the
-    sparse shift-invert path is used whenever the pencil is large.
+    The sparse path runs shift-invert Lanczos (ARPACK, sigma = 0) on the
+    streamfunction pencil (K, M), with K^-1 applied by the fast direct
+    solver of the module docstring: a type-I sine transform of M^-2 and a
+    Cholesky-factored capacitance matrix on the boundary ring of vertices.
+    dense=True forces the dense generalized eigensolve, the oracle on small
+    grids; by default it is used when max(nx, ny) <= 24.
+
+    Both paths M-orthonormalize the modes (unit L2 norm) and then fix a
+    canonical gauge: inside each cluster of eigenvalues within a relative
+    1e-9 of each other, the basis is rotated to the eigenvectors of a fixed
+    pseudo-random vertex weight, and each mode's sign makes its inner
+    product with the same fixed vector positive.  So the returned modes do
+    not depend on the solver's roundoff, and the two paths agree.
+
+    Each pair carries the L2 residual of -P L phi = lambda phi.  A residual
+    above 1e-8 * lambda raises NumericsError, as does an ARPACK run that
+    does not converge.
     """
     ops = _ops(grid)
     n_psi = ops.K.shape[0]
@@ -384,8 +485,10 @@ def stokes_eigenpairs(grid: StaggeredGrid, count: int,
         vals, vecs = vals[:count], vecs[:, :count]
     else:
         v0 = np.full(n_psi, 1.0 / math.sqrt(n_psi))
+        k_inv = LinearOperator(ops.K.shape, matvec=ops.biharmonic.solve, dtype=float)
         try:
-            vals, vecs = eigsh(ops.K, k=count, M=ops.M, sigma=0.0, which="LM", v0=v0)
+            vals, vecs = eigsh(ops.K, k=count, M=ops.M, sigma=0.0, which="LM", v0=v0,
+                               OPinv=k_inv)
         except ArpackNoConvergence as exc:
             raise NumericsError(
                 f"eigensolver did not converge: {len(exc.eigenvalues)} of {count} "
@@ -397,29 +500,64 @@ def stokes_eigenpairs(grid: StaggeredGrid, count: int,
     gram = vecs.T @ (ops.M @ vecs) * grid.h ** 2
     r = scipy.linalg.cholesky(gram, lower=False)
     vecs = scipy.linalg.solve_triangular(r, vecs.T, lower=False, trans="T").T
+    vecs = _canonical_gauge(vals, vecs)
 
     pairs = []
     for k in range(count):
         phi = StaggeredField.from_flat(grid, ops.C @ vecs[:, k])
         lap = vector_laplacian(phi)
         proj, q0 = leray_project(lap)
-        resid = StaggeredField.from_flat(grid, -proj.flat() - vals[k] * phi.flat())
-        pairs.append(EigenPair(float(vals[k]), phi, q0, resid.l2_norm()))
+        resid = StaggeredField.from_flat(grid, -proj.flat() - vals[k] * phi.flat()).l2_norm()
+        if not resid <= _RESIDUAL_TOL * vals[k]:
+            raise NumericsError(
+                f"eigenpair {k}: residual {resid:.3e} exceeds {_RESIDUAL_TOL:g} * lambda "
+                f"(lambda = {vals[k]:.6g})")
+        pairs.append(EigenPair(float(vals[k]), phi, q0, resid))
     return pairs
+
+
+def _canonical_gauge(vals: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+    """Columns of vecs in the canonical gauge of stokes_eigenpairs (vals ascending)."""
+    generic = np.random.default_rng(0).standard_normal(vecs.shape[0])
+    vecs = vecs.copy()
+    start = 0
+    for k in range(1, len(vals) + 1):
+        if k == len(vals) or vals[k] - vals[k - 1] > _CLUSTER_TOL * abs(vals[k]):
+            if k - start > 1:
+                block = vecs[:, start:k]
+                rotation = np.linalg.eigh(block.T @ (generic[:, None] * block))[1]
+                vecs[:, start:k] = block @ rotation
+            start = k
+    return vecs * np.where(generic @ vecs < 0.0, -1.0, 1.0)
+
+
+def _damping_quadrature(pairs: List[EigenPair], profile: DampingProfile):
+    """Modes as columns and the face weights h^2 * a of the cell quadrature.
+
+    The damping is evaluated once on the u faces and once on the v faces.
+    """
+    grid = pairs[0].phi.grid
+    a = np.concatenate([profile.values(grid.u_points()), profile.values(grid.v_points())])
+    phi = np.stack([p.phi.flat() for p in pairs], axis=1)
+    return phi, grid.h ** 2 * a
 
 
 def damping_matrix(pairs: List[EigenPair], profile: Optional[DampingProfile]) -> np.ndarray:
     """Coupling matrix B_jk = sum of a * phi_j . phi_k over faces (cell quadrature)."""
     n = len(pairs)
-    if n == 0:
-        return np.zeros((0, 0))
-    grid = pairs[0].phi.grid
-    if profile is None:
+    if n == 0 or profile is None:
         return np.zeros((n, n))
-    a = np.concatenate([profile.values(grid.u_points()), profile.values(grid.v_points())])
-    phi = np.stack([p.phi.flat() for p in pairs], axis=1)
-    b = phi.T @ (a[:, None] * phi) * grid.h ** 2
+    phi, weights = _damping_quadrature(pairs, profile)
+    b = phi.T @ (weights[:, None] * phi)
     return (b + b.T) * 0.5
+
+
+def damping_masses(pairs: List[EigenPair], profile: Optional[DampingProfile]) -> np.ndarray:
+    """||a^(1/2) phi_k||^2 of every pair: the diagonal of damping_matrix, without the rest."""
+    if not pairs or profile is None:
+        return np.zeros(len(pairs))
+    phi, weights = _damping_quadrature(pairs, profile)
+    return weights @ (phi * phi)
 
 
 @dataclass

@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from stokeswave import stokes
 from stokeswave.cli import main
 
 SQUARE = {"kind": "rectangle", "width": 1.0, "height": 1.0}
@@ -107,6 +108,13 @@ def test_diagnostics_subcommand(tmp_path):
     assert consts[2] == "h,obs_constant"
 
 
+def test_eigen_residual_gate_exits_3(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(stokes, "_RESIDUAL_TOL", 1e-30)
+    cfg = _cfg("diagnostics", {"nx": 12, "n_modes": 5}, tmp_path)
+    assert main(["diagnostics", _write(tmp_path, cfg)]) == 3
+    assert capsys.readouterr().err.startswith("numeric failure: eigenpair 0: residual ")
+
+
 def test_negative_dt_names_key(tmp_path, capsys):
     cfg = _cfg("simulate", {"nx": 12, "n_modes": 4, "T": 1.0, "dt": -0.01}, tmp_path)
     assert main(["simulate", _write(tmp_path, cfg)]) == 2
@@ -139,6 +147,9 @@ _GCC = {"T": 1.0, "sampler": {"kind": "seeded_random", "n": 4}}
     ("gcc", SQUARE, {"shape": "side_strip", "depth": 0.1}, _GCC, "damping.side"),
     ("gcc", {**SQUARE, "width": -1.0}, COLLAR, _GCC, "domain.width"),
     ("gcc", _DISK, {**_PATCH, "radius": 0}, _GCC, "damping.radius"),
+    ("gcc", {**SQUARE, "color": "red"}, COLLAR, _GCC, "domain.color"),
+    ("gcc", {**SQUARE, "kind": "square"}, COLLAR, _GCC, "domain.kind"),
+    ("gcc", SQUARE, {**COLLAR, "shape": "blob"}, _GCC, "damping.shape"),
 ])
 def test_malformed_value_names_its_path(tmp_path, capsys, experiment, domain, damping, params,
                                         path):

@@ -8,14 +8,19 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stokeswave import (BoundaryCollar, ConfigurationError, DampingProfile, Rectangle,
-                        StaggeredGrid, assemble_generator, build_modal_system, predicted_decay,
-                        quasimode_diagnostics, resolvent_sweep, semiclassical_constants,
-                        spectrum, stokes_eigenpairs)
+                        StaggeredGrid, assemble_generator, build_modal_system, damping_masses,
+                        predicted_decay, quasimode_diagnostics, resolvent_sweep,
+                        semiclassical_constants, spectrum, stokes_eigenpairs)
 from stokeswave.geometry import DiskPatch
 
 
 def _system(lams, b):
     return SimpleNamespace(lambdas=np.asarray(lams, dtype=float), B=np.asarray(b, dtype=float))
+
+
+def _energy_weights(g):
+    """Square roots of the energy Gram diagonal diag(Lambda, I) of the generator."""
+    return np.sqrt(np.concatenate([g.lambdas, np.ones(g.lambdas.size)]))
 
 
 def test_assemble_generator_examples():
@@ -72,7 +77,7 @@ def test_resolvent_dense_inverse_oracle():
     lams = np.array([4.0, 9.0, 25.0])
     raw = rng.standard_normal((3, 3))
     g = assemble_generator(_system(lams, raw @ raw.T / 3.0 + 0.1 * np.eye(3)))
-    sqrt_g = np.sqrt(g.gram_diag)
+    sqrt_g = _energy_weights(g)
     for sigma in (0.0, 1.7, 4.2):
         smin = resolvent_sweep(g, [sigma])[0][1]
         inv = np.linalg.inv(g.matrix - 1j * sigma * np.eye(6))
@@ -94,7 +99,7 @@ def test_resolvent_bounded_by_eigenvalue_distance():
     lams = np.sort(rng.uniform(2.0, 30.0, size=4))
     raw = rng.standard_normal((4, 4))
     g = assemble_generator(_system(lams, raw @ raw.T / 6.0))
-    sqrt_g = np.sqrt(g.gram_diag)
+    sqrt_g = _energy_weights(g)
     scaled = sqrt_g[:, None] * g.matrix / sqrt_g[None, :]
     vals, vecs = np.linalg.eig(scaled)
     cond = np.linalg.cond(vecs)
@@ -203,12 +208,12 @@ def test_semiclassical_constants_uniform_damping():
     grid = StaggeredGrid.for_rectangle(square, 16)
     pairs = stokes_eigenpairs(grid, 6)
     everywhere = DampingProfile(square, DiskPatch((0.5, 0.5), 5.0), 1.0, 0.0)
-    consts = semiclassical_constants(pairs, everywhere)
+    consts = semiclassical_constants(pairs, damping_masses(pairs, everywhere))
     assert all(abs(c - 1.0) <= 1e-10 for _, c in consts)
     hs = [h for h, _ in consts]
     assert hs == sorted(hs)
     # no damping at all: constants are flagged infinite
-    none = semiclassical_constants(pairs, None)
+    none = semiclassical_constants(pairs, damping_masses(pairs, None))
     assert all(math.isinf(c) for _, c in none)
 
 
@@ -217,7 +222,7 @@ def test_semiclassical_lower_bound():
     grid = StaggeredGrid.for_rectangle(square, 16)
     pairs = stokes_eigenpairs(grid, 8)
     collar = DampingProfile(square, BoundaryCollar(0.1), 2.0, 0.02)
-    consts = semiclassical_constants(pairs, collar)
+    consts = semiclassical_constants(pairs, damping_masses(pairs, collar))
     lower = 1.0 / math.sqrt(2.0)  # 1/sqrt(sup a)
     assert all(c >= lower - 1e-12 for _, c in consts)
 
@@ -227,8 +232,8 @@ def test_quasimode_diagnostics_basic():
     grid = StaggeredGrid.for_rectangle(square, 32)
     pairs = stokes_eigenpairs(grid, 12)
     collar = DampingProfile(square, BoundaryCollar(0.1), 1.0, 0.02)
-    for p in pairs:
-        d = quasimode_diagnostics(p, p.pressure, collar)
+    for p, mass in zip(pairs, damping_masses(pairs, collar)):
+        d = quasimode_diagnostics(p, p.pressure, mass)
         assert abs(d.h - p.lam ** -0.5) <= 1e-15
         assert d.normal_component_defect <= 1e-6
         assert d.boundary_flux_norm >= 0.0

@@ -2,13 +2,19 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.sparse as sp
+import scipy.sparse.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stokeswave import (BoundaryCollar, ConfigurationError, DampingProfile, DiskPatch,
                         PreconditionError, PressureField, Rectangle, StaggeredField,
-                        StaggeredGrid, build_modal_system, damping_matrix, dirichlet_energy,
-                        divergence, gradient, leray_project, random_divergence_free,
-                        stokes_apply, stokes_eigenpairs, vector_laplacian)
-from stokeswave.stokes import _ops, solve_neumann_poisson
+                        StaggeredGrid, build_modal_system, damping_masses, damping_matrix,
+                        dirichlet_energy, divergence, gradient, leray_project,
+                        random_divergence_free, stokes_apply, stokes_eigenpairs,
+                        vector_laplacian)
+from stokeswave.stokes import _canonical_gauge, _ops, _Operators, solve_neumann_poisson
 
 SQ = Rectangle(1.0, 1.0)
 
@@ -190,10 +196,17 @@ def test_eigenpairs_sanity_small_grid():
 
 
 def test_eigenpairs_dense_oracle_agreement():
+    # the unit square has exactly degenerate pairs; the canonical gauge makes
+    # both paths return the same modes, not only the same eigenvalues
     g = _grid(16)
-    lam_dense = [p.lam for p in stokes_eigenpairs(g, 8, dense=True)]
-    lam_sparse = [p.lam for p in stokes_eigenpairs(g, 8, dense=False)]
+    dense = stokes_eigenpairs(g, 12, dense=True)
+    sparse = stokes_eigenpairs(g, 12, dense=False)
+    lam_dense = [p.lam for p in dense]
+    lam_sparse = [p.lam for p in sparse]
     assert np.abs(np.array(lam_dense) - np.array(lam_sparse)).max() <= 1e-9
+    phi_dense = np.stack([p.phi.flat() for p in dense], axis=1)
+    phi_sparse = np.stack([p.phi.flat() for p in sparse], axis=1)
+    assert np.abs(phi_dense - phi_sparse).max() <= 1e-8
 
 
 def test_eigenpairs_count_guard():
@@ -255,3 +268,79 @@ def test_eigen_grid_convergence_small():
     lam_c = np.array([p.lam for p in stokes_eigenpairs(_grid(64), 5)])
     # second-order convergence: the 16->32 gap shrinks by about 4x at 32->64
     assert np.abs(lam_b - lam_c).max() <= 0.5 * np.abs(lam_a - lam_b).max()
+
+
+def _second_difference(n):
+    return sp.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(n, n))
+
+
+@pytest.mark.parametrize("nx, ny", [(3, 3), (9, 6), (12, 5), (16, 16)])
+def test_streamfunction_pencil_structure(nx, ny):
+    # M is the 5-point Dirichlet vertex Laplacian, and K - M^2 is the diagonal
+    # 2/h^4 on edge vertices, 4/h^4 on corners and 0 inside
+    h = 0.37
+    ops = _Operators(StaggeredGrid(nx, ny, h))
+    mx, my = nx - 1, ny - 1
+    lap = (sp.kron(_second_difference(mx), sp.identity(my))
+           + sp.kron(sp.identity(mx), _second_difference(my))) / h ** 2
+    assert abs(ops.M - lap).max() <= 1e-12 * abs(ops.M).max()
+    ring = np.zeros((mx, my))
+    ring[[0, -1], :] += 2.0 / h ** 4
+    ring[:, [0, -1]] += 2.0 / h ** 4
+    assert abs(ops.K - lap @ lap - sp.diags(ring.ravel())).max() <= 1e-12 * abs(ops.K).max()
+
+
+@settings(max_examples=60, deadline=None)
+@given(nx=st.integers(3, 40), ny=st.integers(3, 40), h=st.floats(1e-3, 10.0),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_biharmonic_solve_matches_sparse_lu(nx, ny, h, seed):
+    ops = _Operators(StaggeredGrid(nx, ny, h))
+    b = np.random.default_rng(seed).standard_normal(ops.K.shape[0])
+    x = ops.biharmonic.solve(b)
+    k_max = abs(ops.K).max()
+    assert np.linalg.norm(ops.K @ x - b) <= 1e-10 * k_max * np.linalg.norm(x)
+    oracle = scipy.sparse.linalg.spsolve(ops.K.tocsc(), b)
+    assert np.linalg.norm(x - oracle) <= 1e-8 * np.linalg.norm(oracle)
+
+
+def test_eigenpairs_sparse_matches_dense_on_rectangle():
+    # mx != my through eigsh: a 2:1 rectangle, nx = 20 (19 x 9 vertices)
+    g = StaggeredGrid.for_rectangle(Rectangle(2.0, 1.0), 20)
+    dense = stokes_eigenpairs(g, 30, dense=True)
+    sparse = stokes_eigenpairs(g, 30, dense=False)
+    lam_d = np.array([p.lam for p in dense])
+    lam_s = np.array([p.lam for p in sparse])
+    assert np.abs(lam_d - lam_s).max() <= 1e-10 * lam_d.max()
+    phi_d = np.stack([p.phi.flat() for p in dense], axis=1)
+    phi_s = np.stack([p.phi.flat() for p in sparse], axis=1)
+    assert np.abs(phi_d - phi_s).max() <= 1e-8
+
+
+def test_canonical_gauge_undoes_rotation_and_sign():
+    ops = _ops(_grid(16))
+    vals, vecs = scipy.linalg.eigh(ops.K.toarray(), ops.M.toarray(), subset_by_index=[0, 5])
+    split = np.diff(vals) / vals[1:]
+    a = int(np.argmin(split))
+    assert split[a] <= 1e-12            # modes a and a + 1 are a degenerate pair
+    canonical = _canonical_gauge(vals, vecs)
+    # any other basis of the pair, with any signs, lands on the same modes
+    c, s = math.cos(0.7), math.sin(0.7)
+    mixed = -vecs
+    mixed[:, [a, a + 1]] = vecs[:, [a, a + 1]] @ np.array([[c, s], [-s, c]])
+    assert np.abs(_canonical_gauge(vals, mixed) - canonical).max() <= 1e-12
+    # a mode outside any cluster is only sign-fixed
+    assert np.abs(np.abs(canonical[:, 0]) - np.abs(vecs[:, 0])).max() == 0.0
+
+
+def test_damping_masses_are_the_diagonal_of_the_damping_matrix():
+    g = _grid(16)
+    pairs = stokes_eigenpairs(g, 8)
+    collar = DampingProfile(SQ, BoundaryCollar(0.1), 1.0, 0.02)
+    masses = damping_masses(pairs, collar)
+    assert np.abs(masses - np.diag(damping_matrix(pairs, collar))).max() <= 1e-13
+    # per-mode face quadrature as the oracle
+    a = np.concatenate([collar.values(g.u_points()), collar.values(g.v_points())])
+    loop = [g.h ** 2 * float((a * p.phi.flat()) @ p.phi.flat()) for p in pairs]
+    assert np.abs(masses - loop).max() <= 1e-13
+    assert np.all(damping_masses(pairs, None) == 0.0)
+    assert damping_masses([], collar).shape == (0,)
