@@ -4,7 +4,8 @@ Submodules: geometry (domains, damping profiles, boundary classification),
 raytracer (generalized ray flow and coverage checking), stokes (staggered
 grid calculus, projector, eigenmodes), evolution (modal dynamics, energy,
 observability), spectral (damped generator spectra and mode diagnostics),
-lame (penalized-elasticity limit), cli (config-driven experiment runner).
+lame (penalized-elasticity limit), schema (config tables and their validator),
+cli (config-driven experiment runner).
 """
 
 from ._version import __version__
@@ -23,7 +24,7 @@ from .evolution import (DecayFit, EnergyTrace, ModalState, dissipation_check, en
                         evolve, fit_decay, observability_gramian, random_state,
                         undamped_modal_solution)
 from .spectral import (DampedGenerator, QuasimodeDiagnostics, SpectrumReport,
-                       assemble_generator, predicted_decay, quasimode_diagnostics,
+                       assemble_generator, quasimode_diagnostics,
                        resolvent_sweep, semiclassical_constants, spectrum)
 from .lame import LameState, LameTrace, convergence_study, evolve_lame, lame_energy, modal_reference
 

@@ -3,7 +3,14 @@
 One experiment per invocation: `stokeswave <subcommand> config.json`.
 The subcommand must match the config's "experiment" field.  Outputs are
 CSV/JSON files in the configured output directory; every file embeds the
-resolved configuration, and fixed seeds make reruns byte-identical.
+resolved configuration, defaults filled in, and fixed seeds make reruns
+byte-identical.
+
+The config schema is one set of tables in the format of stokeswave.schema:
+CONFIG, PARAMS (one table per experiment) and SAMPLERS here, DOMAINS and
+DAMPINGS in stokeswave.geometry.  They drive validation, defaults and the help
+of each subcommand; _cross_checks holds the rules that tie two values together.
+resolve_config applies both before any output directory exists.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 """
@@ -20,69 +27,33 @@ import numpy as np
 
 from . import evolution, lame, raytracer, reporting, spectral, stokes
 from .errors import ConfigurationError, NumericsError
-from .geometry import Rectangle, make_damping, make_domain
+from .geometry import DAMPING, DOMAIN, make_damping, make_domain
+from .schema import POSITIVE, REQUIRED, Tagged, check_spec, fail
 
-EXPERIMENTS = ("trace", "gcc", "simulate", "spectrum", "resolvent",
-               "observability", "lame", "diagnostics")
-
-_GRID_EXPERIMENTS = ("simulate", "spectrum", "resolvent", "observability", "lame", "diagnostics")
-
-
-# ---------------------------------------------------------------------------
-# Config validation
-
-
-def _fail(path: str, msg: str):
-    raise ConfigurationError(f"{path}: {msg}")
-
-
-def _need(params: dict, key: str, where: str):
-    if key not in params:
-        _fail(f"{where}.{key}", "required key is missing")
-    return params[key]
-
-
-def _number(val, where, positive=False, nonnegative=False) -> float:
-    if not isinstance(val, (int, float)) or isinstance(val, bool) or not math.isfinite(val):
-        _fail(where, "must be a finite number")
-    val = float(val)
-    if positive and not val > 0:
-        _fail(where, "must be positive")
-    if nonnegative and val < 0:
-        _fail(where, "must be nonnegative")
-    return val
-
-
-def _integer(val, where, minimum=None) -> int:
-    if not isinstance(val, int) or isinstance(val, bool):
-        _fail(where, "must be an integer")
-    if minimum is not None and val < minimum:
-        _fail(where, f"must be >= {minimum}")
-    return val
-
-
-def _point(val, where) -> np.ndarray:
-    if not (isinstance(val, (list, tuple)) and len(val) == 2):
-        _fail(where, "must be a pair [x, y]")
-    return np.array([_number(val[0], where), _number(val[1], where)])
-
-
-def _no_unknown(d: dict, allowed, where):
-    unknown = sorted(set(d) - set(allowed))
-    if unknown:
-        _fail(f"{where}.{unknown[0]}", "unknown key")
-
-
-_PARAM_KEYS = {
-    "trace": {"x0", "xi0", "T"},
-    "gcc": {"T", "sampler"},
-    "simulate": {"nx", "n_modes", "T", "dt", "window"},
-    "spectrum": {"nx", "n_modes"},
-    "resolvent": {"nx", "n_modes", "sigma"},
-    "observability": {"nx", "n_modes", "T", "dt"},
-    "lame": {"nx", "n_modes", "T", "dt", "eps_list", "n_init_modes", "sample_every"},
-    "diagnostics": {"nx", "n_modes"},
+_T = (float, POSITIVE, REQUIRED)
+_PAIR = ([float, float], None, REQUIRED)
+_GRID = {"nx": (int, 3, REQUIRED), "n_modes": (int, 1, REQUIRED)}
+_STEPS = {"T": _T, "dt": _T}
+SAMPLERS = {"grid": {"nx": (int, 1, REQUIRED), "ndir": (int, 1, REQUIRED)},
+            "seeded_random": {"n": (int, 1, REQUIRED)}}
+PARAMS = {
+    "trace": {"x0": _PAIR, "xi0": _PAIR, "T": _T},
+    "gcc": {"T": _T, "sampler": (Tagged("kind", SAMPLERS), None, REQUIRED)},
+    "simulate": {**_GRID, **_STEPS, "window": ([float, float], 0, None)},
+    "spectrum": _GRID,
+    "resolvent": {**_GRID, "sigma": ({"min": (float, None, REQUIRED),
+                                      "max": (float, None, REQUIRED),
+                                      "count": (int, 1, REQUIRED)}, None, REQUIRED)},
+    "observability": {**_GRID, **_STEPS},
+    "lame": {**_GRID, **_STEPS, "eps_list": ([float], POSITIVE, REQUIRED),
+             "n_init_modes": (int, 1, 3), "sample_every": (int, 1, 1)},
+    "diagnostics": _GRID,
 }
+EXPERIMENTS = tuple(PARAMS)
+# "params" is checked against PARAMS[experiment]
+CONFIG = {"experiment": (EXPERIMENTS, None, REQUIRED), "domain": DOMAIN, "damping": DAMPING,
+          "params": ({}, None, REQUIRED), "output_dir": (str, None, REQUIRED),
+          "seed": (int, 0, 0)}
 
 
 def load_config(path) -> dict:
@@ -102,113 +73,60 @@ def load_config(path) -> dict:
 
 
 def resolve_config(cfg: dict) -> dict:
-    """Validate the raw config mapping and fill defaults."""
-    _no_unknown(cfg, {"experiment", "domain", "damping", "params", "output_dir", "seed"}, "config")
-    experiment = _need(cfg, "experiment", "config")
-    if experiment not in EXPERIMENTS:
-        _fail("experiment", f"must be one of {EXPERIMENTS}, got {experiment!r}")
-    if not isinstance(_need(cfg, "domain", "config"), dict):
-        _fail("domain", "must be an object")
-    damping = cfg.get("damping")
-    if damping is not None and not isinstance(damping, dict):
-        _fail("damping", "must be an object or null")
-    params = _need(cfg, "params", "config")
-    if not isinstance(params, dict):
-        _fail("params", "must be an object")
-    out_dir = _need(cfg, "output_dir", "config")
-    if not isinstance(out_dir, str) or not out_dir:
-        _fail("output_dir", "must be a nonempty string")
-    seed = cfg.get("seed", 0)
-    seed = _integer(seed, "seed", minimum=0)
-
-    _no_unknown(params, _PARAM_KEYS[experiment], "params")
-    resolved = {"experiment": experiment, "domain": cfg["domain"], "damping": damping,
-                "params": params, "output_dir": out_dir, "seed": seed}
-    _validate_params(resolved)
+    """The checked config with every default filled in: what runners read and artifacts embed."""
+    exp = cfg.get("experiment")
+    table = {**CONFIG, "params": (PARAMS[exp] if exp in EXPERIMENTS else {}, None, REQUIRED)}
+    resolved = check_spec(cfg, table, "")
+    _cross_checks(resolved)
     return resolved
 
 
-def _validate_params(cfg: dict):
-    exp = cfg["experiment"]
-    params = cfg["params"]
+def _cross_checks(cfg: dict):
+    """The rules that tie two values of a schema-checked config together."""
+    exp, p, damping = cfg["experiment"], cfg["params"], cfg["damping"]
     domain = make_domain(cfg["domain"])
-    if cfg["damping"] is not None:
-        make_damping(domain, cfg["damping"])
-    elif exp == "gcc":
-        _fail("damping", "gcc experiment needs a damping profile")
-    if exp in _GRID_EXPERIMENTS and not isinstance(domain, Rectangle):
-        _fail("domain.kind", f"experiment '{exp}' needs a rectangle domain "
-              "(the grid discretization is rectangle-only)")
-
+    rectangle = cfg["domain"]["kind"] == "rectangle"
+    if damping is None and exp == "gcc":
+        fail("damping", "gcc experiment needs a damping profile")
+    if damping is not None and damping["shape"] == "side_strip" and not rectangle:
+        fail("damping.shape", "side_strip requires a rectangle domain")
+    if "nx" in p:
+        if not rectangle:
+            fail("domain.kind", f"experiment '{exp}' needs a rectangle domain "
+                 "(the grid discretization is rectangle-only)")
+        try:
+            grid = stokes.StaggeredGrid.for_rectangle(domain, p["nx"])
+        except ConfigurationError as exc:
+            fail("params.nx", str(exc))
+        dim = (grid.nx - 1) * (grid.ny - 1)
+        if p["n_modes"] > dim:
+            fail("params.n_modes", f"must not exceed the divergence-free dimension {dim}")
+    if "dt" in p:
+        if p["T"] < p["dt"]:
+            fail("params.T", "must be at least dt")
+        if abs(round(p["T"] / p["dt"]) * p["dt"] - p["T"]) > 1e-9 * p["T"]:
+            fail("params.dt", "T must be an integer multiple of dt")
     if exp == "trace":
-        x0 = _point(_need(params, "x0", "params"), "params.x0")
+        x0 = np.array(p["x0"])
         if not domain.contains(x0):
-            _fail("params.x0", "must lie in the closed domain")
-        xi0 = _point(_need(params, "xi0", "params"), "params.xi0")
-        if not math.hypot(xi0[0], xi0[1]) > 0:
-            _fail("params.xi0", "must be a nonzero direction")
-        _number(_need(params, "T", "params"), "params.T", positive=True)
-    elif exp == "gcc":
-        _number(_need(params, "T", "params"), "params.T", positive=True)
-        _sampler_from(params, validate_only=True)
-    else:
-        _integer(_need(params, "nx", "params"), "params.nx", minimum=3)
-        _integer(_need(params, "n_modes", "params"), "params.n_modes", minimum=1)
-
-    if exp in ("simulate", "observability", "lame"):
-        t = _number(_need(params, "T", "params"), "params.T", positive=True)
-        dt = _number(_need(params, "dt", "params"), "params.dt", positive=True)
-        if t < dt:
-            _fail("params.T", "must be at least dt")
-        if abs(round(t / dt) * dt - t) > 1e-9 * t:
-            _fail("params.dt", "T must be an integer multiple of dt")
-    if exp == "simulate" and "window" in params:
-        w = params["window"]
-        if not (isinstance(w, (list, tuple)) and len(w) == 2):
-            _fail("params.window", "must be a pair [t_min, t_max]")
-        w0 = _number(w[0], "params.window", nonnegative=True)
-        w1 = _number(w[1], "params.window", positive=True)
-        if not w0 < w1:
-            _fail("params.window", "needs t_min < t_max")
-    if exp == "resolvent":
-        sig = _need(params, "sigma", "params")
-        if not isinstance(sig, dict):
-            _fail("params.sigma", "must be an object {min, max, count}")
-        _no_unknown(sig, {"min", "max", "count"}, "params.sigma")
-        lo = _number(_need(sig, "min", "params.sigma"), "params.sigma.min")
-        hi = _number(_need(sig, "max", "params.sigma"), "params.sigma.max")
-        _integer(_need(sig, "count", "params.sigma"), "params.sigma.count", minimum=1)
-        if not hi >= lo:
-            _fail("params.sigma.max", "must be >= min")
+            fail("params.x0", "must lie in the closed domain")
+        norm = math.hypot(*p["xi0"])
+        xi0 = np.array(p["xi0"]) / norm if norm > 0 else np.zeros(2)
+        if not abs(math.hypot(*xi0) - 1.0) <= 1e-12:
+            fail("params.xi0", "must be a nonzero direction")
+        if (raytracer._on_boundary(domain, x0) and not raytracer._at_corner(domain, x0)
+                and float(xi0 @ domain.outward_normal(x0)) > raytracer.GLANCING_TOL):
+            fail("params.xi0", "must not point out of the domain from x0 on its boundary")
+    if exp == "simulate" and p["window"] is not None and not p["window"][0] < p["window"][1]:
+        fail("params.window", "needs t_min < t_max")
+    if exp == "resolvent" and not p["sigma"]["max"] >= p["sigma"]["min"]:
+        fail("params.sigma.max", "must be >= min")
     if exp == "lame":
-        eps_list = _need(params, "eps_list", "params")
-        if not (isinstance(eps_list, list) and eps_list):
-            _fail("params.eps_list", "must be a nonempty list")
-        vals = [_number(e, "params.eps_list", positive=True) for e in eps_list]
-        if any(a <= b for a, b in zip(vals, vals[1:])):
-            _fail("params.eps_list", "must be strictly descending")
-        n_init = _integer(params.get("n_init_modes", 3), "params.n_init_modes", minimum=1)
-        if n_init > params["n_modes"]:
-            _fail("params.n_init_modes", "must not exceed n_modes")
-        if "sample_every" in params:
-            _integer(params["sample_every"], "params.sample_every", minimum=1)
-
-
-def _sampler_from(params: dict, validate_only: bool = False, seed: int = 0):
-    sampler = _need(params, "sampler", "params")
-    if not isinstance(sampler, dict):
-        _fail("params.sampler", "must be an object")
-    kind = sampler.get("kind")
-    if kind == "grid":
-        _no_unknown(sampler, {"kind", "nx", "ndir"}, "params.sampler")
-        nx = _integer(_need(sampler, "nx", "params.sampler"), "params.sampler.nx", minimum=1)
-        ndir = _integer(_need(sampler, "ndir", "params.sampler"), "params.sampler.ndir", minimum=1)
-        return None if validate_only else raytracer.GridSampler(nx, ndir)
-    if kind == "seeded_random":
-        _no_unknown(sampler, {"kind", "n"}, "params.sampler")
-        n = _integer(_need(sampler, "n", "params.sampler"), "params.sampler.n", minimum=1)
-        return None if validate_only else raytracer.RandomSampler(n, seed)
-    _fail("params.sampler.kind", "must be 'grid' or 'seeded_random'")
+        eps = p["eps_list"]
+        if any(a <= b for a, b in zip(eps, eps[1:])):
+            fail("params.eps_list", "must be strictly descending")
+        if p["n_init_modes"] > p["n_modes"]:
+            fail("params.n_init_modes", "must not exceed n_modes")
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +178,9 @@ def run_trace(cfg: dict):
 def run_gcc(cfg: dict):
     domain, damping, out = _setup(cfg)
     params = cfg["params"]
-    sampler = _sampler_from(params, seed=cfg["seed"])
+    spec = params["sampler"]
+    sampler = (raytracer.GridSampler(spec["nx"], spec["ndir"]) if spec["kind"] == "grid"
+               else raytracer.RandomSampler(spec["n"], cfg["seed"]))
     report = raytracer.check_gcc(domain, damping, params["T"], sampler)
     reporting.write_json(out / "gcc_report.json", {
         "horizon": report.horizon,
@@ -269,7 +189,7 @@ def run_gcc(cfg: dict):
         "max_first_entry_time": report.max_first_entry_time,
         "corner_terminated": report.corner_terminated,
         "event_cap_terminated": report.event_cap_terminated,
-        "sampler": cfg["params"]["sampler"],
+        "sampler": spec,
         "worst_rays": [{"x": list(p.x), "xi": list(p.xi), "first_entry_time": t}
                        for p, t in zip(report.worst_rays, report.worst_entry_times)],
     }, cfg)
@@ -289,8 +209,8 @@ def run_simulate(cfg: dict):
         "E_final": float(trace.E[-1]),
         "balance_defect": evolution.dissipation_check(trace),
     }
-    if "window" in params:
-        fit = evolution.fit_decay(trace, tuple(params["window"]))
+    if params["window"] is not None:
+        fit = evolution.fit_decay(trace, params["window"])
         payload["decay_fit"] = {"C0": fit.C0, "alpha": fit.alpha,
                                 "r_squared": fit.r_squared, "window": list(fit.window)}
     reporting.write_json(out / "simulate_summary.json", payload, cfg)
@@ -336,7 +256,7 @@ def run_lame(cfg: dict):
     domain, damping, out = _setup(cfg)
     params = cfg["params"]
     ms = _modal_system(cfg, domain, None)
-    n_init = params.get("n_init_modes", 3)
+    n_init = params["n_init_modes"]
     coeffs = np.zeros(ms.n_modes)
     coeffs[:n_init] = 1.0 / math.sqrt(n_init)
     state0 = evolution.ModalState(coeffs, np.zeros(ms.n_modes))
@@ -344,7 +264,7 @@ def run_lame(cfg: dict):
     w0 = stokes.StaggeredField.zeros(ms.grid)
     rows = lame.convergence_study(u0, w0, params["eps_list"], params["T"], params["dt"],
                                   lame.modal_reference(ms, state0),
-                                  sample_every=params.get("sample_every", 1))
+                                  sample_every=params["sample_every"])
     reporting.write_csv(out / "lame_study.csv", ["eps", "max_div", "max_err"], rows, cfg)
 
 
@@ -380,28 +300,24 @@ _RUNNERS = {
 }
 
 
-def run(config: dict) -> None:
-    """Validate and execute one experiment from a raw config mapping."""
-    resolved = resolve_config(config)
-    _RUNNERS[resolved["experiment"]](resolved)
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="stokeswave",
         description="Run one experiment described by a JSON config file.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in EXPERIMENTS:
-        p = sub.add_parser(name, help=f"run a '{name}' experiment")
+    for name, table in PARAMS.items():
+        keys = [k if r[2] is REQUIRED else f"[{k}{'' if r[2] is None else f'={r[2]}'}]"
+                for k, r in table.items()]
+        p = sub.add_parser(name, help=f"run a '{name}' experiment",
+                           description=f"params keys: {', '.join(keys)}")
         p.add_argument("config", help="path to the JSON config file")
     args = parser.parse_args(argv)
     try:
         cfg = load_config(args.config)
         resolved = resolve_config(cfg)
         if resolved["experiment"] != args.command:
-            raise ConfigurationError(
-                f"experiment: config declares {resolved['experiment']!r} "
-                f"but subcommand is {args.command!r}")
+            fail("experiment", f"config declares {resolved['experiment']!r} "
+                 f"but subcommand is {args.command!r}")
         _RUNNERS[resolved["experiment"]](resolved)
     except ConfigurationError as exc:
         print(f"config error: {exc}", file=sys.stderr)

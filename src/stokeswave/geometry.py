@@ -14,13 +14,13 @@ side r1 = 0 and the point is flagged flat.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
 
 from .errors import ClassificationError, ConfigurationError, DomainError
+from .schema import POSITIVE, REQUIRED, Tagged, check_value
 
 # |r0| below this counts as glancing; exact tangency never survives rounding.
 R0_TOL = 1e-9
@@ -54,10 +54,6 @@ class Rectangle:
 
     def contains(self, x, tol: float = 1e-12) -> bool:
         return (-tol <= x[0] <= self.width + tol) and (-tol <= x[1] <= self.height + tol)
-
-    def distance_to_boundary(self, x) -> float:
-        """Distance from an interior point to the boundary (>= 0 inside)."""
-        return min(x[0], self.width - x[0], x[1], self.height - x[1])
 
     def boundary_point(self, s: float) -> np.ndarray:
         """Arclength parametrization, counterclockwise from (0, 0)."""
@@ -126,9 +122,6 @@ class Disk:
     def contains(self, x, tol: float = 1e-12) -> bool:
         return math.hypot(x[0], x[1]) <= self.radius + tol
 
-    def distance_to_boundary(self, x) -> float:
-        return self.radius - math.hypot(x[0], x[1])
-
     def boundary_point(self, s: float) -> np.ndarray:
         th = s / self.radius
         return self.radius * np.array([math.cos(th), math.sin(th)])
@@ -147,40 +140,18 @@ class Disk:
 Domain = Union[Rectangle, Disk]
 
 
+_POS = (float, POSITIVE, REQUIRED)
+# the config schema of the domain and the damping (format: see stokeswave.schema)
+DOMAINS = {"rectangle": {"width": _POS, "height": _POS}, "disk": {"radius": _POS}}
+DOMAIN = (Tagged("kind", DOMAINS), None, REQUIRED)
+
+
 def make_domain(spec) -> Domain:
-    """Build a domain from a spec mapping like {'kind': 'disk', 'radius': 1.0}."""
+    """Build a domain from a spec mapping like {'kind': 'disk', 'radius': 1.0}; see DOMAINS."""
     if isinstance(spec, (Rectangle, Disk)):
         return spec
-    kind = spec.get("kind")
-    if kind == "rectangle":
-        _require_keys(spec, {"kind", "width", "height"}, "domain")
-        return Rectangle(_number(spec, "width", "domain", positive=True),
-                         _number(spec, "height", "domain", positive=True))
-    if kind == "disk":
-        _require_keys(spec, {"kind", "radius"}, "domain")
-        return Disk(_number(spec, "radius", "domain", positive=True))
-    raise ConfigurationError(f"domain.kind: must be 'rectangle' or 'disk', got {kind!r}")
-
-
-def _require_keys(spec, allowed, where):
-    unknown = sorted(set(spec) - allowed)
-    if unknown:
-        raise ConfigurationError(f"{where}.{unknown[0]}: unknown key")
-
-
-def _number(spec, key: str, where: str, default=None, positive=False,
-            nonnegative=False) -> float:
-    """spec[key] as a finite float in range; a ConfigurationError naming where.key otherwise."""
-    if key not in spec and default is None:
-        raise ConfigurationError(f"{where}.{key}: required key is missing")
-    val = spec.get(key, default)
-    if isinstance(val, bool) or not isinstance(val, numbers.Real) or not math.isfinite(val):
-        raise ConfigurationError(f"{where}.{key}: must be a finite number")
-    if positive and not val > 0:
-        raise ConfigurationError(f"{where}.{key}: must be positive")
-    if nonnegative and val < 0:
-        raise ConfigurationError(f"{where}.{key}: must be nonnegative")
-    return float(val)
+    spec = check_value(spec, DOMAIN, "domain")
+    return {"rectangle": Rectangle, "disk": Disk}[spec.pop("kind")](**spec)
 
 
 # ---------------------------------------------------------------------------
@@ -340,37 +311,24 @@ def _walls(px, py, w, h) -> dict:
     return {"bottom": py, "right": w - px, "top": h - py, "left": px}
 
 
+_PROFILE = {"amplitude": (float, 0, 1.0), "smoothing_width": (float, 0, 0.0)}
+DAMPINGS = {
+    "boundary_collar": {"width": _POS, **_PROFILE},
+    "disk_patch": {"center": ([float, float], None, REQUIRED), "radius": _POS, **_PROFILE},
+    "side_strip": {"side": (_SIDES, None, REQUIRED), "depth": _POS, **_PROFILE},
+}
+DAMPING = (Tagged("shape", DAMPINGS), None, None)
+
+
 def make_damping(domain: Domain, spec) -> DampingProfile:
-    """Build a DampingProfile from a spec mapping (see the CLI config schema)."""
+    """Build a DampingProfile from a spec mapping; see DAMPINGS."""
     if isinstance(spec, DampingProfile):
         return spec
-    shape_name = spec.get("shape")
-    common = {"shape", "amplitude", "smoothing_width"}
-    amplitude = _number(spec, "amplitude", "damping", 1.0, nonnegative=True)
-    smoothing = _number(spec, "smoothing_width", "damping", 0.0, nonnegative=True)
-    if shape_name == "boundary_collar":
-        _require_keys(spec, common | {"width"}, "damping")
-        shape = BoundaryCollar(_number(spec, "width", "damping", positive=True))
-    elif shape_name == "disk_patch":
-        _require_keys(spec, common | {"center", "radius"}, "damping")
-        center = spec.get("center")
-        if not (isinstance(center, (list, tuple)) and len(center) == 2):
-            raise ConfigurationError("damping.center: must be a pair [x, y]")
-        xy = dict(zip("xy", center))
-        shape = DiskPatch((_number(xy, "x", "damping.center"), _number(xy, "y", "damping.center")),
-                          _number(spec, "radius", "damping", positive=True))
-    elif shape_name == "side_strip":
-        _require_keys(spec, common | {"side", "depth"}, "damping")
-        if spec.get("side") not in _SIDES:
-            raise ConfigurationError(f"damping.side: must be one of {_SIDES}")
-        if not isinstance(domain, Rectangle):
-            raise ConfigurationError("damping.shape: side_strip requires a rectangle domain")
-        shape = SideStrip(spec["side"], _number(spec, "depth", "damping", positive=True))
-    else:
-        raise ConfigurationError(
-            f"damping.shape: must be 'boundary_collar', 'disk_patch' or 'side_strip', "
-            f"got {shape_name!r}")
-    return DampingProfile(domain, shape, amplitude, smoothing)
+    spec = check_value(spec, DAMPING, "damping")
+    shape = {"boundary_collar": BoundaryCollar, "disk_patch": DiskPatch,
+             "side_strip": SideStrip}[spec.pop("shape")]
+    amplitude, smoothing = spec.pop("amplitude"), spec.pop("smoothing_width")
+    return DampingProfile(domain, shape(**spec), amplitude, smoothing)
 
 
 def eval_damping(profile: DampingProfile, x) -> float:

@@ -52,7 +52,7 @@ class SpectrumReport:
 
     eigenvalues: np.ndarray
     spectral_abscissa: float
-    predicted_decay_rate: float
+    predicted_decay_rate: float   # energy decay rate 2|abscissa|, 0 if not decaying
     resolvent_curve: Optional[np.ndarray] = None
 
 
@@ -83,16 +83,7 @@ def spectrum(g: DampedGenerator) -> SpectrumReport:
     order = np.lexsort((vals.imag, vals.real))
     vals = vals[order]
     abscissa = float(vals.real.max())
-    return SpectrumReport(vals, abscissa, _decay_rate(abscissa))
-
-
-def _decay_rate(abscissa: float) -> float:
-    return 2.0 * abs(abscissa) if abscissa < 0 else 0.0
-
-
-def predicted_decay(report: SpectrumReport) -> float:
-    """Energy decay rate implied by the spectral abscissa (0 if not decaying)."""
-    return _decay_rate(report.spectral_abscissa)
+    return SpectrumReport(vals, abscissa, 2.0 * abs(abscissa) if abscissa < 0 else 0.0)
 
 
 def resolvent_sweep(g: DampedGenerator, sigma_grid) -> np.ndarray:

@@ -460,7 +460,7 @@ def stokes_eigenpairs(grid: StaggeredGrid, count: int,
     solver of the module docstring: a type-I sine transform of M^-2 and a
     Cholesky-factored capacitance matrix on the boundary ring of vertices.
     dense=True forces the dense generalized eigensolve, the oracle on small
-    grids; by default it is used when max(nx, ny) <= 24.
+    grids; by default it is used when max(nx, ny) <= 24 or count = n_psi (past ARPACK).
 
     Both paths M-orthonormalize the modes (unit L2 norm) and then fix a
     canonical gauge: inside each cluster of eigenvalues within a relative
@@ -479,7 +479,7 @@ def stokes_eigenpairs(grid: StaggeredGrid, count: int,
         raise PreconditionError(
             f"count must be between 1 and the div-free dimension {n_psi}")
     if dense is None:
-        dense = max(grid.nx, grid.ny) <= 24
+        dense = max(grid.nx, grid.ny) <= 24 or count == n_psi
     if dense:
         vals, vecs = scipy.linalg.eigh(ops.K.toarray(), ops.M.toarray())
         vals, vecs = vals[:count], vecs[:, :count]

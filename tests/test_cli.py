@@ -1,11 +1,19 @@
+import contextlib
+import copy
+import functools
+import io
 import json
 import math
+import re
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from stokeswave import stokes
+from stokeswave import cli, stokes
 from stokeswave.cli import main
 
 SQUARE = {"kind": "rectangle", "width": 1.0, "height": 1.0}
@@ -150,12 +158,17 @@ _GCC = {"T": 1.0, "sampler": {"kind": "seeded_random", "n": 4}}
     ("gcc", {**SQUARE, "color": "red"}, COLLAR, _GCC, "domain.color"),
     ("gcc", {**SQUARE, "kind": "square"}, COLLAR, _GCC, "domain.kind"),
     ("gcc", SQUARE, {**COLLAR, "shape": "blob"}, _GCC, "damping.shape"),
+    ("trace", SQUARE, COLLAR, {"x0": [0.0, 0.5], "xi0": [-1.0, 0.0], "T": 1.0}, "params.xi0"),
+    ("spectrum", SQUARE, COLLAR, {"nx": 3, "n_modes": 50}, "params.n_modes"),
+    ("spectrum", {**SQUARE, "height": 0.7}, COLLAR, {"nx": 32, "n_modes": 4}, "params.nx"),
+    ("spectrum", {**SQUARE, "height": 0.05}, COLLAR, {"nx": 20, "n_modes": 4}, "params.nx"),
 ])
 def test_malformed_value_names_its_path(tmp_path, capsys, experiment, domain, damping, params,
                                         path):
     cfg = _cfg(experiment, params, tmp_path, damping=damping, domain=domain)
     assert main([experiment, _write(tmp_path, cfg)]) == 2
     assert capsys.readouterr().err.startswith(f"config error: {path}: ")
+    assert not (tmp_path / "out").exists()
 
 
 def test_gcc_without_damping_leaves_no_output(tmp_path, capsys):
@@ -203,3 +216,121 @@ def test_resolvent_rerun_is_byte_identical(tmp_path):
     first = (tmp_path / "out" / "resolvent_curve.csv").read_bytes()
     assert main(["resolvent", path]) == 0
     assert (tmp_path / "out" / "resolvent_curve.csv").read_bytes() == first
+
+
+def test_artifact_embeds_filled_defaults(tmp_path):
+    cfg = _cfg("spectrum", {"nx": 12, "n_modes": 4}, tmp_path,
+               damping={"shape": "boundary_collar", "width": 0.1})
+    del cfg["seed"]
+    assert main(["spectrum", _write(tmp_path, cfg)]) == 0
+    embedded = json.loads((tmp_path / "out" / "spectrum_report.json").read_text())["config"]
+    assert embedded["damping"] == {"shape": "boundary_collar", "width": 0.1,
+                                   "amplitude": 1.0, "smoothing_width": 0.0}
+    assert embedded["seed"] == 0
+    lame = cli.resolve_config(_cfg("lame", {"nx": 12, "n_modes": 4, "T": 1, "dt": 0.5,
+                                            "eps_list": [0.1]}, tmp_path, damping=None))
+    assert lame["params"]["n_init_modes"] == 3 and lame["params"]["sample_every"] == 1
+    assert isinstance(lame["params"]["T"], float)
+    sim = cli.resolve_config(_cfg("simulate", {"nx": 12, "n_modes": 4, "T": 1.0, "dt": 0.5},
+                                  tmp_path))
+    assert sim["params"]["window"] is None
+
+
+def test_schema_drives_runners_and_help(capsys):
+    assert set(cli.PARAMS) == set(cli._RUNNERS)
+    # perfbench/worker.py and perfbench/tracing.py call these
+    assert callable(cli.load_config) and callable(cli.resolve_config)
+    for sub, table in cli.PARAMS.items():
+        assert cli._RUNNERS[sub] is getattr(cli, f"run_{sub}")
+        with pytest.raises(SystemExit) as exit_info:
+            main([sub, "--help"])
+        assert exit_info.value.code == 0
+        listed = capsys.readouterr().out.split("params keys:")[1].split("\n\n")[0]
+        assert set(table) <= set(re.findall(r"\w+", listed)), (sub, listed)
+
+
+# Config fuzzing: one mutation makes a valid config invalid by construction.
+# These sets are written from the documented config format, not read from the
+# schema tables.
+_OPTIONAL = {"damping", "seed", "amplitude", "smoothing_width", "window", "n_init_modes",
+             "sample_every"}
+_NONNEGATIVE = {"T", "dt", "nx", "n_modes", "count", "n", "ndir", "width", "height", "radius",
+                "depth", "amplitude", "smoothing_width", "eps_list", "window", "seed",
+                "n_init_modes", "sample_every"}
+_PAIRS = {"x0", "xi0", "window", "center"}
+_TAGS = {"experiment", "kind", "shape", "side"}
+_VALID = [
+    ("trace", {"x0": [0.5, 0.5], "xi0": [1.0, 0.0], "T": 2.0}, SQUARE, COLLAR),
+    ("gcc", {"T": 2.0, "sampler": {"kind": "grid", "nx": 6, "ndir": 8}}, SQUARE, COLLAR),
+    ("gcc", _GCC, _DISK, {**_PATCH, "amplitude": 2.0, "smoothing_width": 0.01}),
+    ("gcc", _GCC, SQUARE, {"shape": "side_strip", "side": "left", "depth": 0.1}),
+    ("simulate", {"nx": 12, "n_modes": 4, "T": 4.0, "dt": 0.01, "window": [0.0, 4.0]},
+     SQUARE, COLLAR),
+    ("spectrum", {"nx": 12, "n_modes": 4}, SQUARE, COLLAR),
+    ("resolvent", {"nx": 12, "n_modes": 4, "sigma": {"min": 0.0, "max": 30.0, "count": 5}},
+     SQUARE, COLLAR),
+    ("observability", {"nx": 12, "n_modes": 4, "T": 2.0, "dt": 0.01}, SQUARE, COLLAR),
+    ("lame", {"nx": 12, "n_modes": 4, "T": 0.5, "dt": 0.005, "eps_list": [1e-1, 1e-2],
+              "n_init_modes": 2, "sample_every": 5}, SQUARE, None),
+    ("diagnostics", {"nx": 12, "n_modes": 5}, SQUARE, COLLAR),
+]
+_DROP, _NEG = object(), object()   # delete the key; a negative number drawn by hypothesis
+
+
+def _valid_config(i, out_dir):
+    exp, params, domain, damping = copy.deepcopy(_VALID[i])
+    return {"experiment": exp, "domain": domain, "damping": damping, "params": params,
+            "output_dir": str(out_dir), "seed": 3}
+
+
+def _mutations(node, path=()):
+    """(path, replacement) pairs over every key of the nested objects of node."""
+    yield path + ("bogus_key",), 1.0
+    for key, val in node.items():
+        where = path + (key,)
+        if key not in _OPTIONAL:
+            yield where, _DROP
+        if val is None:
+            continue
+        wrong = {dict: [5, "x", [1.0]], list: ["x", 5, {"a": 1}, None],
+                 str: [5, None, ["x"], True]}.get(type(val), ["x", None, [1.0], {"a": 1}])
+        yield from ((where, w) for w in wrong)
+        if key in _TAGS:
+            yield where, "bogus"
+        if isinstance(val, (int, float)):
+            yield from ((where, w) for w in (True, math.inf, -math.inf, math.nan, 10 ** 400))
+        if isinstance(val, list):
+            yield from ((where, [w] * len(val)) for w in (True, math.inf, math.nan))
+            yield where, val[:1] if key in _PAIRS else []
+            if key in _PAIRS:
+                yield where, val + [0.0]
+        if key in _NONNEGATIVE:
+            yield where, [_NEG] * len(val) if isinstance(val, list) else _NEG
+        if isinstance(val, dict):
+            yield from _mutations(val, where)
+
+
+_CASES = [(i, path, new) for i in range(len(_VALID))
+          for path, new in _mutations(_valid_config(i, "out"))]
+
+
+@settings(max_examples=600, deadline=None)
+@given(case=st.sampled_from(_CASES),
+       neg=st.one_of(st.integers(max_value=-1), st.floats(max_value=-1e-300)))
+def test_mutated_config_exits_2_with_its_path(case, neg):
+    i, path, new = case
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = _valid_config(i, Path(tmp) / "out")
+        *parents, key = path
+        node = functools.reduce(dict.__getitem__, parents, cfg)
+        if new is _DROP:
+            del node[key]
+        else:
+            node[key] = (neg if new is _NEG else
+                         [neg if v is _NEG else v for v in new] if isinstance(new, list) else new)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main([_VALID[i][0], _write(Path(tmp), cfg)])
+        assert code == 2, (path, new)
+        assert err.getvalue().startswith(f"config error: {'.'.join(path)}: "), err.getvalue()
+        assert not (Path(tmp) / "out").exists()

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from stokeswave import (BoundaryCollar, ConfigurationError, DampingProfile, Rectangle,
                         StaggeredGrid, assemble_generator, build_modal_system, damping_masses,
-                        predicted_decay, quasimode_diagnostics, resolvent_sweep,
+                        quasimode_diagnostics, resolvent_sweep,
                         semiclassical_constants, spectrum, stokes_eigenpairs)
 from stokeswave.geometry import DiskPatch
 
@@ -44,7 +44,6 @@ def test_spectrum_uniform_damping():
     rep = spectrum(assemble_generator(_system(lams, c * np.eye(3))))
     # all modes underdamped (c^2 < 4 lam_1): abscissa is exactly -c/2
     assert abs(rep.spectral_abscissa + c / 2) <= 1e-12
-    assert abs(predicted_decay(rep) - c) <= 1e-12
     assert abs(rep.predicted_decay_rate - c) <= 1e-12
 
 
@@ -59,7 +58,7 @@ def test_spectrum_conjugate_closed():
 
 def test_predicted_decay_zero_when_undamped():
     rep = spectrum(assemble_generator(_system([4.0, 9.0], np.zeros((2, 2)))))
-    assert predicted_decay(rep) == 0.0
+    assert rep.predicted_decay_rate == 0.0
 
 
 def test_resolvent_zero_at_undamped_eigenfrequency():

@@ -215,6 +215,13 @@ def test_eigenpairs_count_guard():
         stokes_eigenpairs(g, 10)  # div-free dimension is (nx-1)^2 = 9
 
 
+def test_eigenpairs_full_count_above_the_dense_size():
+    # the whole divergence-free dimension, (25 - 1) * (3 - 1), on a grid past the dense rule
+    pairs = stokes_eigenpairs(StaggeredGrid(25, 3, 0.04), 48)
+    assert len(pairs) == 48
+    assert all(a.lam <= b.lam for a, b in zip(pairs, pairs[1:]))
+
+
 def test_quasimode_residual_identity():
     # with h = lambda^(-1/2) and the projection pressure, the h-scaled mode
     # equation is satisfied to solver precision
