@@ -23,8 +23,7 @@ from .stokes import (EigenPair, ModalSystem, PressureField, StaggeredField, Stag
 from .evolution import (DecayFit, EnergyTrace, ModalState, dissipation_check, energy,
                         evolve, fit_decay, observability_gramian, random_state,
                         undamped_modal_solution)
-from .spectral import (DampedGenerator, QuasimodeDiagnostics, SpectrumReport,
-                       assemble_generator, quasimode_diagnostics,
+from .spectral import (QuasimodeDiagnostics, SpectrumReport, quasimode_diagnostics,
                        resolvent_sweep, semiclassical_constants, spectrum)
 from .lame import LameState, LameTrace, convergence_study, evolve_lame, lame_energy, modal_reference
 

@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import evolution, lame, raytracer, reporting, spectral, stokes
-from .errors import ConfigurationError, NumericsError
+from .errors import ConfigurationError, NumericsError, PreconditionError
 from .geometry import DAMPING, DOMAIN, make_damping, make_domain
 from .schema import POSITIVE, REQUIRED, Tagged, check_spec, fail
 
@@ -114,11 +114,15 @@ def _cross_checks(cfg: dict):
         xi0 = np.array(p["xi0"]) / norm if norm > 0 else np.zeros(2)
         if not abs(math.hypot(*xi0) - 1.0) <= 1e-12:
             fail("params.xi0", "must be a nonzero direction")
-        if (raytracer._on_boundary(domain, x0) and not raytracer._at_corner(domain, x0)
-                and float(xi0 @ domain.outward_normal(x0)) > raytracer.GLANCING_TOL):
+        try:
+            raytracer._start_kind(domain, x0, xi0)
+        except PreconditionError:
             fail("params.xi0", "must not point out of the domain from x0 on its boundary")
-    if exp == "simulate" and p["window"] is not None and not p["window"][0] < p["window"][1]:
-        fail("params.window", "needs t_min < t_max")
+    if exp == "simulate" and p["window"] is not None:
+        # the samples k*dt of evolution.evolve in the inclusive window of fit_decay
+        t = np.arange(round(p["T"] / p["dt"]) + 1) * p["dt"]
+        if np.count_nonzero((t >= p["window"][0]) & (t <= p["window"][1])) < 2:
+            fail("params.window", "needs t_min < t_max and two samples k*dt between them")
     if exp == "resolvent" and not p["sigma"]["max"] >= p["sigma"]["min"]:
         fail("params.sigma.max", "must be >= min")
     if exp == "lame":
@@ -219,7 +223,7 @@ def run_simulate(cfg: dict):
 def run_spectrum(cfg: dict):
     domain, damping, out = _setup(cfg)
     ms = _modal_system(cfg, domain, damping)
-    rep = spectral.spectrum(spectral.assemble_generator(ms))
+    rep = spectral.spectrum(ms)
     reporting.write_json(out / "spectrum_report.json", {
         "n_modes": ms.n_modes,
         "eigenvalues": [[float(z.real), float(z.imag)] for z in rep.eigenvalues],
@@ -234,7 +238,7 @@ def run_resolvent(cfg: dict):
     ms = _modal_system(cfg, domain, damping)
     sig = params["sigma"]
     grid = np.linspace(sig["min"], sig["max"], sig["count"])
-    curve = spectral.resolvent_sweep(spectral.assemble_generator(ms), grid)
+    curve = spectral.resolvent_sweep(ms, grid)
     reporting.write_csv(out / "resolvent_curve.csv", ["sigma", "smin"], curve, cfg)
 
 
@@ -279,7 +283,7 @@ def run_diagnostics(cfg: dict):
                         constants, cfg)
     rows = []
     for k, (p, mass) in enumerate(zip(pairs, masses)):
-        d = spectral.quasimode_diagnostics(p, p.pressure, mass)
+        d = spectral.quasimode_diagnostics(p, mass)
         rows.append((k, p.lam, d.h, d.boundary_flux_norm, d.normal_component_defect,
                      d.pressure_norms[0], d.pressure_norms[1], d.obs_constant))
     reporting.write_csv(out / "quasimode_diagnostics.csv",

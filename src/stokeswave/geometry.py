@@ -28,6 +28,9 @@ R0_TOL = 1e-9
 CORNER_TOL = 1e-9
 
 _SIDES = ("bottom", "right", "top", "left")
+# outward unit normal of each rectangle side
+_NORMALS = {"bottom": np.array([0.0, -1.0]), "right": np.array([1.0, 0.0]),
+            "top": np.array([0.0, 1.0]), "left": np.array([-1.0, 0.0])}
 
 
 @dataclass(frozen=True)
@@ -46,11 +49,6 @@ class Rectangle:
     @property
     def boundary_length(self) -> float:
         return 2.0 * (self.width + self.height)
-
-    @property
-    def corners(self) -> np.ndarray:
-        w, h = self.width, self.height
-        return np.array([[0.0, 0.0], [w, 0.0], [w, h], [0.0, h]])
 
     def contains(self, x, tol: float = 1e-12) -> bool:
         return (-tol <= x[0] <= self.width + tol) and (-tol <= x[1] <= self.height + tol)
@@ -83,24 +81,25 @@ class Rectangle:
 
     def side_of(self, x, tol: float = 1e-9) -> str:
         """Which side a boundary point lies on; 'corner' near a corner."""
-        on = [abs(x[1]) <= tol, abs(x[0] - self.width) <= tol,
-              abs(x[1] - self.height) <= tol, abs(x[0]) <= tol]
-        hits = [name for name, flag in zip(_SIDES, on) if flag]
-        if not hits:
+        px, py = float(x[0]), float(x[1])
+        on = (abs(py) <= tol, abs(px - self.width) <= tol,
+              abs(py - self.height) <= tol, abs(px) <= tol)
+        if not any(on):
             raise DomainError(f"point {tuple(x)} is not on the boundary")
-        if len(hits) > 1 or self._near_corner(x):
+        if sum(on) > 1 or self._near_corner(x):
             return "corner"
-        return hits[0]
+        return _SIDES[on.index(True)]
 
-    def _near_corner(self, x, tol: float = CORNER_TOL) -> bool:
-        return bool(np.any(np.all(np.abs(self.corners - np.asarray(x)) <= tol, axis=1)))
+    def _near_corner(self, x) -> bool:
+        px, py = float(x[0]), float(x[1])
+        return (min(abs(px), abs(px - self.width)) <= CORNER_TOL
+                and min(abs(py), abs(py - self.height)) <= CORNER_TOL)
 
     def outward_normal(self, x) -> np.ndarray:
         side = self.side_of(x)
         if side == "corner":
             raise ClassificationError(f"outward normal undefined at corner {tuple(x)}")
-        return {"bottom": np.array([0.0, -1.0]), "right": np.array([1.0, 0.0]),
-                "top": np.array([0.0, 1.0]), "left": np.array([-1.0, 0.0])}[side]
+        return _NORMALS[side].copy()
 
 
 @dataclass(frozen=True)

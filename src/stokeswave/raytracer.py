@@ -7,6 +7,10 @@ tangential (glancing) hits: on the disk they follow the circle forever
 straight until the corner.  Rectangle corners terminate a ray: no
 reflection law is invented for them, they are simply counted.
 
+trace and the public moves share one array kernel per move (_hit_raw,
+_reflected, _arc; a flat glide is straight flight) and one start rule,
+_start_kind, which the CLI's config check calls too.
+
 The coverage checker samples phase points, traces each ray up to a time
 horizon, and records the first time it meets the damped set {a > 0}.
 First entry is exact: each segment and glide arc is intersected with the
@@ -17,33 +21,29 @@ DampingProfile.arc_entry_time, so no chord is too short to be seen.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Union
 
 import numpy as np
 
 from .errors import ConfigurationError, NumericsError, PreconditionError
-from .geometry import (CORNER_TOL, BoundaryRegime, DampingProfile, Disk, Domain, Rectangle,
-                       classify_boundary_point)
+from .geometry import DampingProfile, Disk, Domain, Rectangle
 
 # |xi . normal| at or below this routes a boundary hit to glide handling.
 GLANCING_TOL = 1e-9
 
 _MAX_EVENTS = 200_000
+# rays reported in GccReport.worst_rays
+_N_WORST = 5
 
 
 @dataclass(frozen=True)
 class PhasePoint:
-    """Unit-speed ray state: position, direction, elapsed flow time.
-
-    boundary is None for interior states and a BoundaryRegime for states
-    attached to the boundary (post-reflection or gliding).
-    """
+    """Unit-speed ray state: position, direction, elapsed flow time."""
 
     x: np.ndarray
     xi: np.ndarray
     s: float = 0.0
-    boundary: Optional[BoundaryRegime] = None
 
     def __post_init__(self):
         object.__setattr__(self, "x", np.asarray(self.x, dtype=float))
@@ -171,36 +171,33 @@ def _hit_raw(domain: Domain, x: np.ndarray, xi: np.ndarray) -> tuple[float, np.n
 
 def reflect(domain: Domain, p: PhasePoint) -> PhasePoint:
     """Specular reflection at a hyperbolic boundary point."""
-    nu = domain.outward_normal(p.x)
-    d = float(p.xi @ nu)
-    if abs(d) <= GLANCING_TOL:
+    xi_out = _reflected(domain, p.x, p.xi)
+    if xi_out is None:
         raise PreconditionError("glancing incidence; route to glide handling")
-    xi_out = p.xi - 2.0 * d * nu
-    regime = classify_boundary_point(domain, p.x, _tangential_momentum(xi_out, nu))
-    return PhasePoint(p.x.copy(), xi_out, p.s, boundary=regime)
+    return PhasePoint(p.x.copy(), xi_out, p.s)
 
 
-def _tangential_momentum(xi: np.ndarray, nu: np.ndarray) -> float:
-    tau = np.array([-nu[1], nu[0]])
-    return float(xi @ tau)
+def _reflected(domain: Domain, x, xi) -> Optional[np.ndarray]:
+    """Direction xi - 2 (xi . nu) nu after reflection at the boundary point x, or
+    None at glancing incidence |xi . nu| <= GLANCING_TOL."""
+    nu = domain.outward_normal(x)
+    d = float(xi @ nu)
+    if abs(d) <= GLANCING_TOL:
+        return None
+    return xi - 2.0 * d * nu
 
 
 def glide(domain: Domain, p: PhasePoint, s: float) -> PhasePoint:
-    """Boundary glide of duration s from a gliding or flat glancing point."""
-    if p.boundary is not None and p.boundary.glancing_sign == "transversal":
-        raise PreconditionError("transversal glancing rays pass into the interior; glide undefined")
+    """Boundary glide of duration s from a glancing point: along the circle on the
+    disk, straight flight up to the corner on a rectangle side."""
+    if isinstance(domain, Rectangle):
+        return advance_free(domain, p, s)
     if s == 0.0:
         return p
     if s < 0:
         raise PreconditionError("glide duration must be nonnegative")
-    if isinstance(domain, Disk):
-        x1, xi1 = _arc(domain, p.x, p.xi)[2](s)
-        return PhasePoint(x1, xi1, p.s + s, boundary=classify_boundary_point(domain, x1, 1.0))
-    end = p.x + s * p.xi
-    if not domain.contains(end):
-        raise PreconditionError("flat glide runs past the corner")
-    regime = p.boundary or BoundaryRegime("glancing", 0.0, 0.0, glancing_sign="flat")
-    return PhasePoint(end, p.xi.copy(), p.s + s, boundary=regime)
+    x1, xi1 = _arc(domain, p.x, p.xi)[2](s)
+    return PhasePoint(x1, xi1, p.s + s)
 
 
 def _arc(domain: Disk, x, xi):
@@ -242,6 +239,7 @@ def trace(domain: Domain, damping: Optional[DampingProfile], rho0: PhasePoint, T
         raise PreconditionError("ray direction must be unit length")
     if not domain.contains(x):
         raise PreconditionError("ray start must lie in the closed domain")
+    start = _start_kind(domain, x, xi)
 
     # whether the first entry into {a > 0} is still ahead
     seeking = damping is not None and damping.amplitude > 0
@@ -255,14 +253,9 @@ def trace(domain: Domain, damping: Optional[DampingProfile], rho0: PhasePoint, T
         if stop_at_entry:
             return RayPath(events, 0.0, "entry", PhasePoint(x, xi, rho0.s))
 
-    gliding = False
-    if _on_boundary(domain, x):
-        if _at_corner(domain, x):
-            return RayPath([CornerStop(x.copy())], 0.0, "corner", PhasePoint(x, xi, rho0.s))
-        d = float(xi @ domain.outward_normal(x))
-        if d > GLANCING_TOL:
-            raise PreconditionError("ray on the boundary must not point outward")
-        gliding = abs(d) <= GLANCING_TOL
+    if start == "corner":
+        return RayPath([CornerStop(x.copy())], 0.0, "corner", PhasePoint(x, xi, rho0.s))
+    gliding = start == "glide"
 
     while t < T - 1e-15 and len(events) < _MAX_EVENTS:
         if gliding and isinstance(domain, Disk):
@@ -290,19 +283,17 @@ def trace(domain: Domain, damping: Optional[DampingProfile], rho0: PhasePoint, T
             break
         else:
             x = hit
-            corner = _at_corner(domain, x)
+            corner = isinstance(domain, Rectangle) and domain._near_corner(x)
         if corner:
             events.append(CornerStop(x.copy()))
             terminated = "corner"
             break
         if gliding:
             continue
-        nu = domain.outward_normal(x)
-        d = float(xi @ nu)
-        if abs(d) <= GLANCING_TOL:
+        xi_out = _reflected(domain, x, xi)
+        if xi_out is None:
             gliding = True
             continue
-        xi_out = xi - 2.0 * d * nu
         events.append(Reflection(x.copy(), xi.copy(), xi_out.copy()))
         xi = xi_out
 
@@ -329,14 +320,20 @@ def _emit(events, seg_cls, x, state, t, dur, entry, stop_at_entry):
     return t + dur, False
 
 
-def _on_boundary(domain: Domain, x, tol: float = 1e-12) -> bool:
+def _start_kind(domain: Domain, x, xi) -> str:
+    """'interior', 'corner', 'glide' (glancing) or 'wall' (inward) for a ray start x
+    in the closed domain with unit direction xi; an outward boundary start raises."""
     if isinstance(domain, Rectangle):
-        return (min(x[0], domain.width - x[0], x[1], domain.height - x[1]) <= tol)
-    return abs(math.hypot(x[0], x[1]) - domain.radius) <= tol * max(1.0, domain.radius)
-
-
-def _at_corner(domain: Domain, x) -> bool:
-    return isinstance(domain, Rectangle) and domain._near_corner(x, CORNER_TOL)
+        if min(x[0], domain.width - x[0], x[1], domain.height - x[1]) > 1e-12:
+            return "interior"
+        if domain._near_corner(x):
+            return "corner"
+    elif abs(math.hypot(x[0], x[1]) - domain.radius) > 1e-12 * max(1.0, domain.radius):
+        return "interior"
+    d = float(xi @ domain.outward_normal(x))
+    if d > GLANCING_TOL:
+        raise PreconditionError("ray on the boundary must not point outward")
+    return "glide" if abs(d) <= GLANCING_TOL else "wall"
 
 
 def _distance_to_corner_along(domain: Rectangle, x, xi) -> float:
@@ -431,12 +428,9 @@ class GccReport:
     worst_entry_times: List[float]
     corner_terminated: int
     event_cap_terminated: int
-    sampler: Sampler
-    first_entry_times: np.ndarray = field(repr=False, default=None)
 
 
-def check_gcc(domain: Domain, damping: DampingProfile, T: float, sampler: Sampler,
-              n_worst: int = 5) -> GccReport:
+def check_gcc(domain: Domain, damping: DampingProfile, T: float, sampler: Sampler) -> GccReport:
     """Trace each sampled ray and report how much of phase space is covered.
 
     corner_terminated counts rays that reached a rectangle corner, and
@@ -458,7 +452,7 @@ def check_gcc(domain: Domain, damping: DampingProfile, T: float, sampler: Sample
     covered = float(np.count_nonzero(entry < T)) / n
     max_entry = math.inf if np.any(np.isinf(entry)) else float(entry.max())
     order = np.argsort(-np.where(np.isinf(entry), np.finfo(float).max, entry), kind="stable")
-    worst = [PhasePoint(positions[int(i)], directions[int(i)]) for i in order[:n_worst]]
-    worst_times = [float(entry[int(i)]) for i in order[:n_worst]]
+    worst = [PhasePoint(positions[int(i)], directions[int(i)]) for i in order[:_N_WORST]]
+    worst_times = [float(entry[int(i)]) for i in order[:_N_WORST]]
     return GccReport(T, n, covered, max_entry, worst, worst_times, ends.count("corner"),
-                     ends.count("error"), sampler, entry)
+                     ends.count("error"))

@@ -24,26 +24,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 import scipy.linalg
 
 from .errors import ConfigurationError, NumericsError
 from .evolution import generator_matrix
-from .stokes import EigenPair, PressureField, divergence
+from .stokes import EigenPair, divergence
 
 # Lanczos stops once the residual of its largest Ritz value is this share of it.
 _LANCZOS_TOL = 1e-12
-
-
-@dataclass
-class DampedGenerator:
-    """Assembled first-order generator [[0, I], [-Lambda, -B]] with its blocks."""
-
-    lambdas: np.ndarray
-    B: np.ndarray
-    matrix: np.ndarray
 
 
 @dataclass
@@ -53,7 +44,6 @@ class SpectrumReport:
     eigenvalues: np.ndarray
     spectral_abscissa: float
     predicted_decay_rate: float   # energy decay rate 2|abscissa|, 0 if not decaying
-    resolvent_curve: Optional[np.ndarray] = None
 
 
 @dataclass
@@ -67,17 +57,11 @@ class QuasimodeDiagnostics:
     obs_constant: float
 
 
-def assemble_generator(ms) -> DampedGenerator:
-    """Build [[0, I], [-Lambda, -B]] from any object with .lambdas and .B."""
-    lam = np.asarray(ms.lambdas, dtype=float)
-    b = np.asarray(ms.B, dtype=float)
-    return DampedGenerator(lam, b, generator_matrix(lam, b))
-
-
-def spectrum(g: DampedGenerator) -> SpectrumReport:
-    """Dense eigensolve of the generator; eigenvalues sorted deterministically."""
+def spectrum(ms) -> SpectrumReport:
+    """Dense eigensolve of the generator of ms; eigenvalues sorted deterministically."""
     try:
-        vals = np.linalg.eigvals(g.matrix)
+        vals = np.linalg.eigvals(generator_matrix(np.asarray(ms.lambdas, dtype=float),
+                                                  np.asarray(ms.B, dtype=float)))
     except np.linalg.LinAlgError as exc:
         raise NumericsError(f"generator eigensolve failed: {exc}") from exc
     order = np.lexsort((vals.imag, vals.real))
@@ -86,8 +70,8 @@ def spectrum(g: DampedGenerator) -> SpectrumReport:
     return SpectrumReport(vals, abscissa, 2.0 * abs(abscissa) if abscissa < 0 else 0.0)
 
 
-def resolvent_sweep(g: DampedGenerator, sigma_grid) -> np.ndarray:
-    """Smallest energy-norm singular value of (generator - i*sigma) per sigma.
+def resolvent_sweep(ms, sigma_grid) -> np.ndarray:
+    """Smallest energy-norm singular value of (generator of ms - i*sigma) per sigma.
 
     Returns an array of rows (sigma, smin); the energy-norm resolvent norm
     is 1/smin wherever smin > 0 (smin = 0 flags a spectral point on the
@@ -111,13 +95,13 @@ def resolvent_sweep(g: DampedGenerator, sigma_grid) -> np.ndarray:
     T - i*sigma exactly singular, or so near singular that its solves
     overflow (smin below about 1e-154*(max|T| + |sigma|)), gives smin = 0.
     """
-    lam = np.asarray(g.lambdas, dtype=float)
+    lam = np.asarray(ms.lambdas, dtype=float)
     if np.any(lam < 0):
         raise ConfigurationError("resolvent sweep needs lambdas >= 0")
     n = lam.size
     omega = np.diag(np.sqrt(lam))
     t = scipy.linalg.rsf2csf(*scipy.linalg.schur(
-        np.block([[np.zeros((n, n)), omega], [-omega, -g.B]])))[0]
+        np.block([[np.zeros((n, n)), omega], [-omega, -np.asarray(ms.B, dtype=float)]])))[0]
     diag = t.diagonal()
     rng = np.random.default_rng(0)
     start = rng.standard_normal(2 * n) + 1j * rng.standard_normal(2 * n)
@@ -179,20 +163,19 @@ def _obs_constant(pair: EigenPair, damping_mass: float) -> float:
     return math.inf if damping_mass == 0.0 else pair.phi.l2_norm() / math.sqrt(damping_mass)
 
 
-def quasimode_diagnostics(pair: EigenPair, q: PressureField,
-                          damping_mass: float) -> QuasimodeDiagnostics:
+def quasimode_diagnostics(pair: EigenPair, damping_mass: float) -> QuasimodeDiagnostics:
     """Boundary diagnostics of an eigenmode at its semiclassical scale.
 
     damping_mass is ||a^(1/2) phi||^2 (stokes.damping_masses), from which
     the observability constant ||phi|| / ||a^(1/2) phi|| is formed.
-    q is the projection pressure of the pair; internally it is rescaled by
-    h so the reported pressure norms refer to the pressure of the h-scaled
-    mode equation.  The normal-trace defect uses the divergence identity at
-    boundary cells: the one-sided normal-derivative trace of the normal
-    component plus the near-wall tangential difference is exactly the cell
-    divergence, which vanishes for discrete divergence-free modes.  That
-    identity is the discrete form of the vanishing normal trace forced by
-    incompressibility and no-slip.
+    The projection pressure of the pair is rescaled by h so the reported
+    pressure norms refer to the pressure of the h-scaled mode equation.
+    The normal-trace defect uses the divergence identity at boundary cells:
+    the one-sided normal-derivative trace of the normal component plus the
+    near-wall tangential difference is exactly the cell divergence, which
+    vanishes for discrete divergence-free modes.  That identity is the
+    discrete form of the vanishing normal trace forced by incompressibility
+    and no-slip.
     """
     grid = pair.phi.grid
     h_sc = pair.lam ** -0.5
@@ -222,6 +205,7 @@ def quasimode_diagnostics(pair: EigenPair, q: PressureField,
     ring = np.concatenate([div_ring[0, :], div_ring[-1, :], div_ring[:, 0], div_ring[:, -1]])
     defect = h_sc * float(np.abs(ring).max())
 
+    q = pair.pressure
     qq = q.q
     q_interior = h_sc * q.l2_norm()
     traces = [

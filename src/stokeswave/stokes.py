@@ -459,8 +459,8 @@ def stokes_eigenpairs(grid: StaggeredGrid, count: int,
     streamfunction pencil (K, M), with K^-1 applied by the fast direct
     solver of the module docstring: a type-I sine transform of M^-2 and a
     Cholesky-factored capacitance matrix on the boundary ring of vertices.
-    dense=True forces the dense generalized eigensolve, the oracle on small
-    grids; by default it is used when max(nx, ny) <= 24 or count = n_psi (past ARPACK).
+    dense=True forces the dense generalized eigensolve, the oracle on small grids;
+    by default it runs when max(nx, ny) <= 24 or count = n_psi (ARPACK needs count < n_psi).
 
     Both paths M-orthonormalize the modes (unit L2 norm) and then fix a
     canonical gauge: inside each cluster of eigenvalues within a relative
@@ -484,6 +484,8 @@ def stokes_eigenpairs(grid: StaggeredGrid, count: int,
         vals, vecs = scipy.linalg.eigh(ops.K.toarray(), ops.M.toarray())
         vals, vecs = vals[:count], vecs[:, :count]
     else:
+        if count >= n_psi:
+            raise PreconditionError(f"the sparse eigensolve needs count < n_psi = {n_psi}")
         v0 = np.full(n_psi, 1.0 / math.sqrt(n_psi))
         k_inv = LinearOperator(ops.K.shape, matvec=ops.biharmonic.solve, dtype=float)
         try:
@@ -591,7 +593,6 @@ class ModalSystem:
 
 
 def build_modal_system(grid: StaggeredGrid, n_modes: int,
-                       damping: Optional[DampingProfile] = None,
-                       dense: Optional[bool] = None) -> ModalSystem:
-    pairs = stokes_eigenpairs(grid, n_modes, dense=dense)
+                       damping: Optional[DampingProfile] = None) -> ModalSystem:
+    pairs = stokes_eigenpairs(grid, n_modes)
     return ModalSystem(pairs, damping_matrix(pairs, damping), damping)

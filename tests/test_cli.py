@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stokeswave import cli, stokes
+from stokeswave import PhasePoint, PreconditionError, cli, make_domain, stokes, trace
 from stokeswave.cli import main
 
 SQUARE = {"kind": "rectangle", "width": 1.0, "height": 1.0}
@@ -162,6 +162,11 @@ _GCC = {"T": 1.0, "sampler": {"kind": "seeded_random", "n": 4}}
     ("spectrum", SQUARE, COLLAR, {"nx": 3, "n_modes": 50}, "params.n_modes"),
     ("spectrum", {**SQUARE, "height": 0.7}, COLLAR, {"nx": 32, "n_modes": 4}, "params.nx"),
     ("spectrum", {**SQUARE, "height": 0.05}, COLLAR, {"nx": 20, "n_modes": 4}, "params.nx"),
+    # a fit window needs two samples k*dt: [2, 3] holds none, [0.1, 0.15] only t = 0.1
+    ("simulate", SQUARE, COLLAR, {"nx": 12, "n_modes": 4, "T": 1.0, "dt": 0.1,
+                                  "window": [2.0, 3.0]}, "params.window"),
+    ("simulate", SQUARE, COLLAR, {"nx": 12, "n_modes": 4, "T": 1.0, "dt": 0.1,
+                                  "window": [0.1, 0.15]}, "params.window"),
 ])
 def test_malformed_value_names_its_path(tmp_path, capsys, experiment, domain, damping, params,
                                         path):
@@ -169,6 +174,31 @@ def test_malformed_value_names_its_path(tmp_path, capsys, experiment, domain, da
     assert main([experiment, _write(tmp_path, cfg)]) == 2
     assert capsys.readouterr().err.startswith(f"config error: {path}: ")
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("domain, x0, xi0", [
+    (SQUARE, [0.5, 0.5], [1.0, 0.0]),       # interior
+    (SQUARE, [0.0, 0.5], [0.6, 0.8]),       # inward from a wall
+    (SQUARE, [0.0, 0.5], [0.0, -1.0]),      # glancing along a wall
+    (SQUARE, [0.0, 0.5], [-1.0, 0.0]),      # outward
+    (SQUARE, [0.3, 1.0], [0.6, 0.8]),       # outward, oblique
+    (SQUARE, [1.0, 1.0], [1.0, 0.0]),       # corner, pointing out
+    (SQUARE, [0.0, 0.0], [0.6, 0.8]),       # corner, pointing in
+    (_DISK, [1.0, 0.0], [-1.0, 0.0]),       # inward
+    (_DISK, [0.0, 1.0], [1.0, 0.0]),        # glancing
+    (_DISK, [1.0, 0.0], [1e-10, 1.0]),      # outward within the glancing tolerance
+    (_DISK, [1.0, 0.0], [1e-6, 1.0]),       # outward beyond it
+    (_DISK, [0.6, 0.8], [0.6, 0.8]),        # outward along the normal
+])
+def test_cli_rejects_exactly_the_starts_trace_rejects(tmp_path, capsys, domain, x0, xi0):
+    try:
+        trace(make_domain(domain), None, PhasePoint(x0, np.array(xi0) / math.hypot(*xi0)), 1.0)
+        rejected = False
+    except PreconditionError:
+        rejected = True
+    cfg = _cfg("trace", {"x0": x0, "xi0": xi0, "T": 1.0}, tmp_path, damping=None, domain=domain)
+    assert main(["trace", _write(tmp_path, cfg)]) == (2 if rejected else 0)
+    assert capsys.readouterr().err.startswith("config error: params.xi0: ") == rejected
 
 
 def test_gcc_without_damping_leaves_no_output(tmp_path, capsys):

@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stokeswave import raytracer
-from stokeswave import (BoundaryCollar, BoundaryRegime, ConfigurationError, DampingProfile, Disk,
+from stokeswave import (BoundaryCollar, ConfigurationError, DampingProfile, Disk,
                         DiskPatch, GridSampler, PhasePoint, PreconditionError, RandomSampler,
                         Rectangle, SideStrip, advance_free, boundary_hit, check_gcc, glide,
                         reflect, trace)
@@ -54,15 +56,10 @@ def test_glide_examples():
     p = glide(DK, PhasePoint((1.0, 0.0), (0.0, 1.0)), math.pi / 2)
     assert np.allclose(p.x, [0.0, 1.0], atol=1e-15)
     assert np.allclose(p.xi, [-1.0, 0.0], atol=1e-15)
-    q = glide(SQ, PhasePoint((0.2, 0.0), (1.0, 0.0),
-                             boundary=BoundaryRegime("glancing", 0.0, 0.0, "flat")), 0.3)
+    q = glide(SQ, PhasePoint((0.2, 0.0), (1.0, 0.0)), 0.3)
     assert np.allclose(q.x, [0.5, 0.0], atol=1e-15)
     r0 = PhasePoint((1.0, 0.0), (0.0, 1.0))
     assert glide(DK, r0, 0.0) is r0
-    trans = PhasePoint((1.0, 0.0), (0.0, 1.0),
-                       boundary=BoundaryRegime("glancing", 0.0, 0.5, "transversal"))
-    with pytest.raises(PreconditionError):
-        glide(DK, trans, 0.1)
 
 
 def test_trace_square_example():
@@ -243,3 +240,57 @@ def test_trace_rejects_bad_inputs():
         trace(SQ, None, PhasePoint((0.5, 0.5), (2.0, 0.0)), 1.0)
     with pytest.raises(PreconditionError):
         trace(SQ, None, PhasePoint((0.0, 0.5), (-1.0, 0.0)), 1.0)
+
+
+RECT = Rectangle(2.0, 0.7)
+
+
+def _walk_reflections(domain, p, T):
+    """(point, xi_in, xi_out) of each reflection reached within flow time T by walking
+    boundary_hit -> reflect from p, up to the first corner or glancing hit."""
+    out, t = [], 0.0
+    while t < T - 1e-15:
+        s, hit = boundary_hit(domain, p)
+        if not s <= T - t:
+            break
+        t += s
+        if isinstance(domain, Rectangle) and domain.side_of(hit) == "corner":
+            break
+        try:
+            q = reflect(domain, PhasePoint(hit, p.xi, t))
+        except PreconditionError:
+            break
+        out.append((hit, p.xi, q.xi))
+        p = q
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(disk=st.booleans(), u=st.floats(0.01, 0.99), v=st.floats(0.01, 0.99),
+       angle=st.floats(0.0, 2 * math.pi))
+def test_trace_reflections_are_the_public_moves(disk, u, v, angle):
+    # an undamped interior start, uniform in the rectangle or in polar coordinates on the disk
+    x0 = (u * math.cos(2 * math.pi * v), u * math.sin(2 * math.pi * v)) if disk \
+        else (u * RECT.width, v * RECT.height)
+    domain = DK if disk else RECT
+    start = PhasePoint(x0, (math.cos(angle), math.sin(angle)))
+    path = trace(domain, None, start, 20.0)
+    refl = [e for e in path.events if isinstance(e, Reflection)]
+    walked = _walk_reflections(domain, start, 20.0)
+    assert len(refl) == len(walked)
+    for ev, (point, xi_in, xi_out) in zip(refl, walked):
+        assert np.array_equal(ev.point, point)
+        assert np.array_equal(ev.xi_in, xi_in)
+        assert np.array_equal(ev.xi_out, xi_out)
+
+
+@settings(max_examples=100, deadline=None)
+@given(theta=st.floats(-math.pi, math.pi), ccw=st.booleans(), T=st.floats(0.01, 50.0))
+def test_trace_boundary_glide_is_glide(theta, ccw, T):
+    orient = 1.0 if ccw else -1.0
+    start = PhasePoint((math.cos(theta), math.sin(theta)),
+                       (-orient * math.sin(theta), orient * math.cos(theta)))
+    path = trace(DK, None, start, T)
+    moved = glide(DK, start, T)
+    assert all(isinstance(e, GlideArc) for e in path.events)
+    assert np.array_equal(path.final.x, moved.x) and np.array_equal(path.final.xi, moved.xi)

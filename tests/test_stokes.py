@@ -215,6 +215,14 @@ def test_eigenpairs_count_guard():
         stokes_eigenpairs(g, 10)  # div-free dimension is (nx-1)^2 = 9
 
 
+def test_sparse_eigensolve_needs_count_below_dimension():
+    # ARPACK finds at most n_psi - 1 eigenpairs; the default path goes dense at n_psi
+    g = _grid(4)
+    with pytest.raises(PreconditionError, match="count < n_psi = 9"):
+        stokes_eigenpairs(g, 9, dense=False)
+    assert len(stokes_eigenpairs(g, 9)) == 9
+
+
 def test_eigenpairs_full_count_above_the_dense_size():
     # the whole divergence-free dimension, (25 - 1) * (3 - 1), on a grid past the dense rule
     pairs = stokes_eigenpairs(StaggeredGrid(25, 3, 0.04), 48)
