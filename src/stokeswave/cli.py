@@ -110,8 +110,7 @@ def _cross_checks(cfg: dict):
         x0 = np.array(p["x0"])
         if not domain.contains(x0):
             fail("params.x0", "must lie in the closed domain")
-        norm = math.hypot(*p["xi0"])
-        xi0 = np.array(p["xi0"]) / norm if norm > 0 else np.zeros(2)
+        xi0 = _unit_direction(p["xi0"])
         if not abs(math.hypot(*xi0) - 1.0) <= 1e-12:
             fail("params.xi0", "must be a nonzero direction")
         try:
@@ -131,6 +130,12 @@ def _cross_checks(cfg: dict):
             fail("params.eps_list", "must be strictly descending")
         if p["n_init_modes"] > p["n_modes"]:
             fail("params.n_init_modes", "must not exceed n_modes")
+
+
+def _unit_direction(xi) -> np.ndarray:
+    """The trace direction xi / |xi|, or zeros for the zero vector."""
+    norm = math.hypot(*xi)
+    return np.array(xi, dtype=float) / norm if norm > 0 else np.zeros(2)
 
 
 # ---------------------------------------------------------------------------
@@ -153,8 +158,7 @@ def _modal_system(cfg, domain, damping):
 def run_trace(cfg: dict):
     domain, damping, out = _setup(cfg)
     params = cfg["params"]
-    xi0 = np.asarray(params["xi0"], dtype=float)
-    xi0 = xi0 / math.hypot(xi0[0], xi0[1])
+    xi0 = _unit_direction(params["xi0"])
     path = raytracer.trace(domain, damping, raytracer.PhasePoint(params["x0"], xi0),
                            params["T"])
     rows = []

@@ -254,7 +254,8 @@ def trace(domain: Domain, damping: Optional[DampingProfile], rho0: PhasePoint, T
             return RayPath(events, 0.0, "entry", PhasePoint(x, xi, rho0.s))
 
     if start == "corner":
-        return RayPath([CornerStop(x.copy())], 0.0, "corner", PhasePoint(x, xi, rho0.s))
+        events.append(CornerStop(x.copy()))
+        return RayPath(events, 0.0, "corner", PhasePoint(x, xi, rho0.s))
     gliding = start == "glide"
 
     while t < T - 1e-15 and len(events) < _MAX_EVENTS:

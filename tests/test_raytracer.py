@@ -98,6 +98,20 @@ def test_trace_corner_stop():
     assert abs(path.total_time - math.hypot(0.5, 0.5)) <= 1e-12
 
 
+def test_corner_start_in_damped_set_keeps_its_entry():
+    # a ray starting at a corner inside a sharp collar enters at t = 0 and
+    # stops at the corner; with or without stop_at_entry the entry time agrees
+    collar = DampingProfile(SQ, BoundaryCollar(0.1), 1.0, 0.0)
+    start = PhasePoint((1.0, 1.0), (-0.6, -0.8))
+    path = trace(SQ, collar, start, 2.0)
+    assert path.terminated == "corner"
+    assert [type(e) for e in path.events] == [DampedEntry, CornerStop]
+    assert path.first_entry_time == 0.0
+    stopped = trace(SQ, collar, start, 2.0, stop_at_entry=True)
+    assert stopped.terminated == "entry"
+    assert stopped.first_entry_time == path.first_entry_time
+
+
 def test_trace_records_damped_entry_with_split_segment():
     collar = DampingProfile(SQ, BoundaryCollar(0.1), 1.0, 0.02)
     path = trace(SQ, collar, PhasePoint((0.5, 0.5), (1.0, 0.0)), 1.0)

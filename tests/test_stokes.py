@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
-import scipy.sparse.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -14,7 +13,9 @@ from stokeswave import (BoundaryCollar, ConfigurationError, DampingProfile, Disk
                         dirichlet_energy, divergence, gradient, leray_project,
                         random_divergence_free, stokes_apply, stokes_eigenpairs,
                         vector_laplacian)
-from stokeswave.stokes import _canonical_gauge, _ops, _Operators, solve_neumann_poisson
+from stokeswave import stokes
+from stokeswave.stokes import (_canonical_gauge, _ops, _Operators, _parity_classes,
+                               solve_neumann_poisson)
 
 SQ = Rectangle(1.0, 1.0)
 
@@ -215,12 +216,16 @@ def test_eigenpairs_count_guard():
         stokes_eigenpairs(g, 10)  # div-free dimension is (nx-1)^2 = 9
 
 
-def test_sparse_eigensolve_needs_count_below_dimension():
-    # ARPACK finds at most n_psi - 1 eigenpairs; the default path goes dense at n_psi
+def test_class_eigensolve_full_count_matches_oracle():
+    # every one of the n_psi = 9 pairs, which the full-size ARPACK run could not return
     g = _grid(4)
-    with pytest.raises(PreconditionError, match="count < n_psi = 9"):
-        stokes_eigenpairs(g, 9, dense=False)
-    assert len(stokes_eigenpairs(g, 9)) == 9
+    dense = stokes_eigenpairs(g, 9, dense=True)
+    classes = stokes_eigenpairs(g, 9)
+    lam_d = np.array([p.lam for p in dense])
+    assert np.abs(lam_d - [p.lam for p in classes]).max() <= 1e-10 * lam_d.max()
+    phi_d = np.stack([p.phi.flat() for p in dense], axis=1)
+    phi_c = np.stack([p.phi.flat() for p in classes], axis=1)
+    assert np.abs(phi_d - phi_c).max() <= 1e-8
 
 
 def test_eigenpairs_full_count_above_the_dense_size():
@@ -305,17 +310,133 @@ def test_streamfunction_pencil_structure(nx, ny):
     assert abs(ops.K - lap @ lap - sp.diags(ring.ravel())).max() <= 1e-12 * abs(ops.K).max()
 
 
-@settings(max_examples=60, deadline=None)
-@given(nx=st.integers(3, 40), ny=st.integers(3, 40), h=st.floats(1e-3, 10.0),
-       seed=st.integers(0, 2 ** 32 - 1))
-def test_biharmonic_solve_matches_sparse_lu(nx, ny, h, seed):
-    ops = _Operators(StaggeredGrid(nx, ny, h))
-    b = np.random.default_rng(seed).standard_normal(ops.K.shape[0])
-    x = ops.biharmonic.solve(b)
+def _sine_matrix(n):
+    k = np.arange(1, n + 1)
+    return math.sqrt(2.0 / (n + 1)) * np.sin(np.pi * np.outer(k, k) / (n + 1))
+
+
+@pytest.mark.parametrize("nx, ny, h", [(3, 3, 1.0), (4, 7, 0.3), (9, 6, 0.37), (12, 5, 2.0),
+                                       (16, 16, 1 / 16), (21, 8, 0.05)])
+def test_parity_classes_are_the_sine_blocks_of_the_pencil(nx, ny, h):
+    # in the sine basis M is Lam / h^2, and K restricted to a class is
+    # Lam^(1/2) A Lam^(1/2) / h^4 with A = Lam + W W^T of the class; every
+    # block between two classes is zero
+    grid = StaggeredGrid(nx, ny, h)
+    ops = _Operators(grid)
+    mx, my = nx - 1, ny - 1
+    sx, sy = _sine_matrix(mx), _sine_matrix(my)
+    # the last sine row is the first with sign (-1)^(k+1): what couples equal parities only
+    assert np.abs(sx[-1] - (-1.0) ** np.arange(mx) * sx[0]).max() <= 1e-14
+    s = np.kron(sx, sy)
+    k_hat = s @ ops.K.toarray() @ s
+    m_hat = s @ ops.M.toarray() @ s
     k_max = abs(ops.K).max()
-    assert np.linalg.norm(ops.K @ x - b) <= 1e-10 * k_max * np.linalg.norm(x)
-    oracle = scipy.sparse.linalg.spsolve(ops.K.tocsc(), b)
-    assert np.linalg.norm(x - oracle) <= 1e-8 * np.linalg.norm(oracle)
+    classes = _parity_classes(grid)
+    assert list(classes) == [(0, 0), (0, 1), (1, 0), (1, 1)]
+    flat = {c: (cls.ix[:, None] * my + cls.iy).ravel() for c, cls in classes.items()}
+    assert sorted(np.concatenate(list(flat.values()))) == list(range(mx * my))
+    for c, cls in classes.items():
+        rows = flat[c]
+        root = np.sqrt(cls.lam.ravel())
+        block = root[:, None] * cls.dense() * root / h ** 4
+        assert np.abs(k_hat[np.ix_(rows, rows)] - block).max() <= 1e-12 * k_max
+        assert np.abs(m_hat[np.ix_(rows, rows)] - np.diag(cls.lam.ravel()) / h ** 2).max() \
+            <= 1e-12 * abs(ops.M).max()
+        for other in classes:
+            if other != c:
+                cross = np.ix_(rows, flat[other])
+                assert np.abs(k_hat[cross]).max() <= 1e-12 * k_max
+                assert np.abs(m_hat[cross]).max() <= 1e-12 * abs(ops.M).max()
+
+
+@settings(max_examples=60, deadline=None)
+@given(nx=st.integers(3, 40), ny=st.integers(3, 40), seed=st.integers(0, 2 ** 32 - 1))
+def test_parity_class_woodbury_solve_matches_dense_solve(nx, ny, seed):
+    rng = np.random.default_rng(seed)
+    for cls in _parity_classes(StaggeredGrid(nx, ny, 1.0)).values():
+        a = cls.dense()
+        b = rng.standard_normal(cls.size)
+        x = cls.solve(b)
+        assert np.linalg.norm(cls.matvec(x) - b) <= 1e-12 * np.abs(a).max() * np.linalg.norm(x)
+        assert np.abs(cls.matvec(x) - a @ x).max() <= 1e-12 * np.abs(a).max() * np.abs(x).max()
+        oracle = np.linalg.solve(a, b)
+        assert np.linalg.norm(x - oracle) <= 1e-10 * np.linalg.norm(oracle)
+
+
+@settings(max_examples=40, deadline=None)
+@given(nx=st.integers(3, 30), ny=st.integers(3, 30), data=st.data())
+def test_class_eigensolve_matches_dense_oracle(nx, ny, data):
+    g = StaggeredGrid(nx, ny, 1.0 / nx)
+    n_psi = (nx - 1) * (ny - 1)
+    count = data.draw(st.integers(1, n_psi), label="count")
+    dense = stokes_eigenpairs(g, count, dense=True)
+    classes = stokes_eigenpairs(g, count)
+    lam_d = np.array([p.lam for p in dense])
+    lam_c = np.array([p.lam for p in classes])
+    assert np.all(np.abs(lam_d - lam_c) <= 1e-10 * lam_d)
+    phi_c = np.stack([p.phi.flat() for p in classes], axis=1)
+    assert np.abs(phi_c.T @ phi_c * g.h ** 2 - np.eye(count)).max() <= 1e-12
+    # a count that splits a degenerate cluster leaves its kept modes to each
+    # path's own rule, so the modes are compared below that cluster only
+    ops = _ops(g)
+    all_lam = scipy.linalg.eigh(ops.K.toarray(), ops.M.toarray(), eigvals_only=True)
+    keep = count
+    if count < n_psi and all_lam[count] - all_lam[count - 1] <= 1e-9 * all_lam[count]:
+        keep = int(np.searchsorted(lam_d, lam_d[-1] * (1.0 - 1e-9)))
+    # modes within a relative 1e-6 of a neighbour are fixed by either solver
+    # only up to a rotation among them (differences of 6e-9 at gaps of 1e-7 on
+    # 28 x 28), so such a group is compared as a span; a lone mode directly
+    phi_d = np.stack([p.phi.flat() for p in dense], axis=1)[:, :keep]
+    lam_d = lam_d[:keep]
+    for group in np.split(np.arange(keep), np.flatnonzero(np.diff(lam_d) > 1e-6 * lam_d[1:]) + 1):
+        want, got = phi_d[:, group], phi_c[:, group]
+        if group.size > 1:
+            want = want @ (want.T @ got * g.h ** 2)
+        assert np.abs(want - got).max(initial=0.0) <= 1e-8
+
+
+@pytest.mark.parametrize("nx, ny, count", [(16, 16, 40), (20, 10, 60), (9, 7, 48)])
+def test_batched_residuals_and_pressures_match_leray_project(nx, ny, count):
+    g = StaggeredGrid(nx, ny, 1.0 / nx)
+    for p in stokes_eigenpairs(g, count):
+        proj, q = leray_project(vector_laplacian(p.phi))
+        resid = StaggeredField.from_flat(g, -proj.flat() - p.lam * p.phi.flat()).l2_norm()
+        assert abs(resid - p.residual) <= 1e-12 * p.residual
+        assert np.abs(q.q - p.pressure.q).max() <= 1e-12 * np.abs(q.q).max()
+
+
+def test_split_pair_keeps_the_earlier_class_and_partners_are_bit_identical():
+    # on the square the second and third modes are swap partners in the
+    # classes eo and oe; count = 2 splits them and keeps the eo mode, whose
+    # streamfunction is even in x and odd in y, so u is even in both
+    g = _grid(16)
+    u = stokes_eigenpairs(g, 2)[1].phi.u
+    assert np.abs(u[::-1, :] - u).max() <= 1e-12 * np.abs(u).max()
+    assert np.abs(u[:, ::-1] - u).max() <= 1e-12 * np.abs(u).max()
+    lam = np.array([p.lam for p in stokes_eigenpairs(g, 100)])
+    # the partner pairs are exactly equal, and nothing else is within the cluster tolerance
+    equal = np.flatnonzero(lam[1:] == lam[:-1])
+    close = np.flatnonzero(lam[1:] - lam[:-1] <= stokes._CLUSTER_TOL * lam[1:])
+    assert equal.size == 25 and np.array_equal(equal, close)
+
+
+def test_truncated_class_doubles_its_count(monkeypatch):
+    # on a thin 100 x 3 grid the lowest 40 modes all have the first y
+    # wavenumber, so the classes ee and oe need about 20 pairs each, more than
+    # the count // 4 + margin = 18 they are asked for first
+    asked = []
+    lowest = stokes._ParityClass.lowest
+    monkeypatch.setattr(stokes._ParityClass, "lowest",
+                        lambda self, k: asked.append((self.size, k)) or lowest(self, k))
+    g = StaggeredGrid(100, 3, 0.01)
+    count = 40
+    first = count // 4 + stokes._CLASS_MARGIN
+    classes = stokes_eigenpairs(g, count)
+    assert asked == [(50, first), (50, first), (49, first), (49, first),
+                     (50, 2 * first), (49, 2 * first)]
+    dense = stokes_eigenpairs(g, count, dense=True)
+    lam_d = np.array([p.lam for p in dense])
+    assert np.all(np.abs(lam_d - [p.lam for p in classes]) <= 1e-10 * lam_d)
 
 
 def test_eigenpairs_sparse_matches_dense_on_rectangle():
