@@ -60,8 +60,11 @@ class DecayFit:
 
 def energy(ms, state: ModalState) -> float:
     """Modal energy (velocity part plus eigenvalue-weighted displacement part)."""
-    lam = np.asarray(ms.lambdas)
-    return 0.5 * float(state.w @ state.w + lam @ (state.u * state.u))
+    return _energy(np.asarray(ms.lambdas), state.u, state.w)
+
+
+def _energy(lam: np.ndarray, u: np.ndarray, w: np.ndarray) -> float:
+    return 0.5 * float(w @ w + lam @ (u * u))
 
 
 def generator_matrix(lambdas: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -104,20 +107,17 @@ def evolve(ms, state0: ModalState, T: float, dt: float,
 
     steps = int(round(T / dt))
     x = np.concatenate([np.asarray(state0.u, float), np.asarray(state0.w, float)])
-    ts = np.empty(steps + 1)
+    ts = state0.t + np.arange(steps + 1) * dt
     es = np.empty(steps + 1)
-    ds = np.empty(steps + 1)
-    ts[0] = state0.t
-    es[0] = 0.5 * (x[n:] @ x[n:] + lam @ (x[:n] * x[:n]))
-    ds[0] = 0.0
+    ds = np.zeros(steps + 1)
+    es[0] = _energy(lam, x[:n], x[n:])
     d_cum = 0.0
     for k in range(1, steps + 1):
         x_new = step @ x
         w_mid = 0.5 * (x[n:] + x_new[n:])
         d_cum += dt * float(w_mid @ (b @ w_mid))
         x = x_new
-        ts[k] = state0.t + k * dt
-        es[k] = 0.5 * (x[n:] @ x[n:] + lam @ (x[:n] * x[:n]))
+        es[k] = _energy(lam, x[:n], x[n:])
         ds[k] = d_cum
     final = ModalState(x[:n].copy(), x[n:].copy(), float(ts[-1]))
     return final, EnergyTrace(ts, es, ds)

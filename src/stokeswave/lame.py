@@ -25,7 +25,7 @@ from scipy.sparse.linalg import splu
 
 from .errors import ConfigurationError, NumericsError
 from .evolution import ModalState, undamped_modal_solution
-from .stokes import ModalSystem, StaggeredField, _ops
+from .stokes import ModalSystem, StaggeredField, StaggeredGrid, _ops
 
 
 @dataclass
@@ -56,13 +56,16 @@ class LameTrace:
 
 def lame_energy(state: LameState) -> float:
     """0.5 (||w||^2 + ||grad u||^2 + (1/eps) ||div u||^2)."""
-    ops = _ops(state.u.grid)
-    h2 = state.u.grid.h ** 2
-    uf, wf = state.u.flat(), state.w.flat()
+    return _energy_and_div(state.u.grid, state.eps, state.u.flat(), state.w.flat())[0]
+
+
+def _energy_and_div(grid: StaggeredGrid, eps: float, uf, wf) -> Tuple[float, np.ndarray]:
+    """lame_energy of flat displacement and velocity, and the cell divergence of uf."""
+    ops = _ops(grid)
     grad_part = float(uf @ (-(ops.L @ uf)))
     div = ops.D @ uf
-    pen = 0.0 if math.isinf(state.eps) else float(div @ div) / state.eps
-    return 0.5 * h2 * (float(wf @ wf) + grad_part + pen)
+    pen = 0.0 if math.isinf(eps) else float(div @ div) / eps
+    return 0.5 * grid.h ** 2 * (float(wf @ wf) + grad_part + pen), div
 
 
 def evolve_lame(state0: LameState, T: float, dt: float,
@@ -80,7 +83,6 @@ def evolve_lame(state0: LameState, T: float, dt: float,
         raise ConfigurationError("T must be at least dt")
     grid = state0.u.grid
     ops = _ops(grid)
-    h2 = grid.h ** 2
     lop = ops.L if math.isinf(state0.eps) else (ops.L + (1.0 / state0.eps) * (ops.G @ ops.D)).tocsr()
     nf = grid.n_faces
     eye = sp.identity(nf, format="csr")
@@ -93,31 +95,23 @@ def evolve_lame(state0: LameState, T: float, dt: float,
         raise NumericsError(
             f"sparse factorization failed (eps={state0.eps:g}, dt={dt:g}): {exc}") from exc
 
-    inv_eps = 0.0 if math.isinf(state0.eps) else 1.0 / state0.eps
-
     def observe(x, t):
-        uf, wf = x[:nf], x[nf:]
-        div = ops.D @ uf
-        e = 0.5 * h2 * (float(wf @ wf) + float(uf @ (-(ops.L @ uf))) + inv_eps * float(div @ div))
+        e, div = _energy_and_div(grid, state0.eps, x[:nf], x[nf:])
         dn = grid.h * float(np.linalg.norm(div))
         if reference is None:
             err = math.nan
         else:
-            err = grid.h * float(np.linalg.norm(uf - reference(t).flat()))
-        return e, dn, err
+            err = grid.h * float(np.linalg.norm(x[:nf] - reference(t).flat()))
+        return t, e, dn, err
 
     steps = int(round(T / dt))
     x = np.concatenate([state0.u.flat(), state0.w.flat()])
-    ts, es, dns, errs = [state0.t], [], [], []
-    e, dn, err = observe(x, state0.t)
-    es.append(e); dns.append(dn); errs.append(err)
+    samples = [observe(x, state0.t)]
     for k in range(1, steps + 1):
         x = solver.solve(a_plus @ x)
         if k % sample_every == 0 or k == steps:
-            t = state0.t + k * dt
-            e, dn, err = observe(x, t)
-            ts.append(t); es.append(e); dns.append(dn); errs.append(err)
-    return LameTrace(np.array(ts), np.array(es), np.array(dns), np.array(errs))
+            samples.append(observe(x, state0.t + k * dt))
+    return LameTrace(*(np.array(column) for column in zip(*samples)))
 
 
 def modal_reference(ms: ModalSystem, state0: ModalState) -> Callable[[float], StaggeredField]:

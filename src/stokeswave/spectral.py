@@ -35,6 +35,8 @@ from .stokes import EigenPair, divergence
 
 # Lanczos stops once the residual of its largest Ritz value is this share of it.
 _LANCZOS_TOL = 1e-12
+# Real parts within this share of the spectral radius are tied in the eigenvalue order.
+_TIE_TOL = 1e-10
 
 
 @dataclass
@@ -58,14 +60,19 @@ class QuasimodeDiagnostics:
 
 
 def spectrum(ms) -> SpectrumReport:
-    """Dense eigensolve of the generator of ms; eigenvalues sorted deterministically."""
+    """Dense eigensolve of the generator of ms, eigenvalues in ascending real part.
+
+    A run of real parts each within _TIE_TOL * max|z| of the next is one group,
+    ordered by imaginary part, so roundoff cannot order a multiple eigenvalue.
+    """
     try:
         vals = np.linalg.eigvals(generator_matrix(np.asarray(ms.lambdas, dtype=float),
                                                   np.asarray(ms.B, dtype=float)))
     except np.linalg.LinAlgError as exc:
         raise NumericsError(f"generator eigensolve failed: {exc}") from exc
-    order = np.lexsort((vals.imag, vals.real))
-    vals = vals[order]
+    vals = vals[np.argsort(vals.real, kind="stable")]
+    group = np.concatenate([[0], np.cumsum(np.diff(vals.real) > _TIE_TOL * np.abs(vals).max())])
+    vals = vals[np.lexsort((vals.imag, group))]
     abscissa = float(vals.real.max())
     return SpectrumReport(vals, abscissa, 2.0 * abs(abscissa) if abscissa < 0 else 0.0)
 

@@ -1,7 +1,11 @@
 """Divergence-free field calculus on a MAC staggered rectangle grid.
 
 Velocity components live on cell faces (u on vertical faces, v on
-horizontal faces), pressure on cell centers.  The discrete gradient is
+horizontal faces), pressure on cell centers.  A flat face field holds the
+u faces, an (nx+1, ny) array, then the v faces, an (nx, ny+1) array, both
+raveled in C order.  Every sparse operator is a Kronecker product of three
+1-D stencils: the forward difference, the interior-node embedding and the
+second difference with a wall or ghost end value.  The discrete gradient is
 minus the transpose of the discrete divergence in the mesh inner
 products, so the pressure projection below is an exact orthogonal
 projector and its algebra (idempotency, symmetry, annihilation of
@@ -108,21 +112,17 @@ class StaggeredGrid:
 
     def u_points(self) -> np.ndarray:
         """Coordinates of u faces, ordered like u.ravel() for u of shape (nx+1, ny)."""
-        xs = np.arange(self.nx + 1) * self.h
-        ys = (np.arange(self.ny) + 0.5) * self.h
-        px, py = np.meshgrid(xs, ys, indexing="ij")
-        return np.stack([px.ravel(), py.ravel()], axis=1)
+        return self._points(np.arange(self.nx + 1), np.arange(self.ny) + 0.5)
 
     def v_points(self) -> np.ndarray:
-        xs = (np.arange(self.nx) + 0.5) * self.h
-        ys = np.arange(self.ny + 1) * self.h
-        px, py = np.meshgrid(xs, ys, indexing="ij")
-        return np.stack([px.ravel(), py.ravel()], axis=1)
+        return self._points(np.arange(self.nx) + 0.5, np.arange(self.ny + 1))
 
     def cell_points(self) -> np.ndarray:
-        xs = (np.arange(self.nx) + 0.5) * self.h
-        ys = (np.arange(self.ny) + 0.5) * self.h
-        px, py = np.meshgrid(xs, ys, indexing="ij")
+        return self._points(np.arange(self.nx) + 0.5, np.arange(self.ny) + 0.5)
+
+    def _points(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+        """Points (i h, j h) of the tensor grid i x j, raveled in C order."""
+        px, py = np.meshgrid(i * self.h, j * self.h, indexing="ij")
         return np.stack([px.ravel(), py.ravel()], axis=1)
 
 
@@ -158,11 +158,8 @@ class StaggeredField:
     @classmethod
     def from_function(cls, grid: StaggeredGrid, fu, fv) -> "StaggeredField":
         """Sample callables fu(x, y), fv(x, y) on the respective face centers."""
-        pu = grid.u_points()
-        pv = grid.v_points()
-        u = fu(pu[:, 0], pu[:, 1]).reshape(grid.nx + 1, grid.ny)
-        v = fv(pv[:, 0], pv[:, 1]).reshape(grid.nx, grid.ny + 1)
-        return cls(u, v, grid)
+        pu, pv = grid.u_points(), grid.v_points()
+        return cls.from_flat(grid, np.concatenate([fu(pu[:, 0], pu[:, 1]), fv(pv[:, 0], pv[:, 1])]))
 
     def flat(self) -> np.ndarray:
         return np.concatenate([self.u.ravel(), self.v.ravel()])
@@ -203,35 +200,48 @@ class PressureField:
 # Sparse operator assembly (cached per grid)
 
 
+def _second_difference(n: int, h: float, end: float) -> sp.dia_matrix:
+    """tridiag(1, -2, 1) / h^2 on n nodes with `end` at both ends of the diagonal."""
+    diag = np.full(n, -2.0 / h ** 2)
+    diag[[0, -1]] = end / h ** 2
+    off = np.full(n - 1, 1.0 / h ** 2)
+    return sp.diags([off, diag, off], [-1, 0, 1])
+
+
+def _kron(a, b) -> sp.csr_matrix:
+    # scipy's default BSR result would store the zeros of its dense blocks
+    return sp.kron(a, b, format="csr")
+
+
 class _Operators:
     """Sparse divergence D, gradient G = -D^T masked to interior faces,
     componentwise Laplacian L with reflection ghosts, and streamfunction
-    curl C whose range is exactly the discrete divergence-free subspace."""
+    curl C whose range is exactly the discrete divergence-free subspace.
+
+    Faces are ordered u faces (nx+1, ny), then v faces (nx, ny+1), both in C
+    order, and so are cells (nx, ny) and interior vertices (nx-1, ny-1).  So
+    each operator, and the interior-face mask, is a Kronecker product of
+    three 1-D stencils: the forward difference (n, n+1)/h, the interior-node
+    embedding (n+1, n-1) and the second difference, whose end value is -2
+    along a component (wall nodes, rows masked) and -3 across it (the
+    reflected ghost of a wall half a cell away).
+    """
 
     def __init__(self, grid: StaggeredGrid):
         nx, ny, h = grid.nx, grid.ny, grid.h
-        self.grid = grid
+        dx, dy = (sp.diags([-1.0 / h, 1.0 / h], [0, 1], shape=(n, n + 1)) for n in (nx, ny))
+        ex, ey = (sp.eye(n + 1, n - 1, k=-1) for n in (nx, ny))
+        ix, iy = sp.identity(nx), sp.identity(ny)
 
-        iu = lambda i, j: i * ny + j
-        iv = lambda i, j: grid.n_u + i * (ny + 1) + j
-
-        ci, cj = np.meshgrid(np.arange(nx), np.arange(ny), indexing="ij")
-        ci, cj = ci.ravel(), cj.ravel()
-        rows = np.repeat(ci * ny + cj, 4)
-        cols = np.stack([iu(ci + 1, cj), iu(ci, cj), iv(ci, cj + 1), iv(ci, cj)], axis=1).ravel()
-        data = np.tile(np.array([1.0, -1.0, 1.0, -1.0]) / h, ci.size)
-        self.D = sp.csr_matrix((data, (rows, cols)), shape=(grid.n_cells, grid.n_faces))
-
-        mask = np.zeros(grid.n_faces)
-        ui, uj = np.meshgrid(np.arange(1, nx), np.arange(ny), indexing="ij")
-        mask[iu(ui.ravel(), uj.ravel())] = 1.0
-        vi, vj = np.meshgrid(np.arange(nx), np.arange(1, ny), indexing="ij")
-        mask[iv(vi.ravel(), vj.ravel()) ] = 1.0
-        self.interior_mask = mask
-        self.G = (sp.diags(mask) @ (-self.D.T)).tocsr()
-
-        self.L = self._laplacian(grid, mask)
-        self.C = self._curl(grid, iu, iv)
+        self.D = sp.hstack([_kron(dx, iy), _kron(ix, dy)], format="csr")
+        mask = sp.block_diag([_kron(ex @ ex.T, iy), _kron(ix, ey @ ey.T)], format="csr")
+        self.G = mask @ (-self.D.T)
+        lu = _kron(_second_difference(nx + 1, h, -2.0), iy) + \
+            _kron(sp.identity(nx + 1), _second_difference(ny, h, -3.0))
+        lv = _kron(_second_difference(nx, h, -3.0), sp.identity(ny + 1)) + \
+            _kron(ix, _second_difference(ny + 1, h, -2.0))
+        self.L = mask @ sp.block_diag([lu, lv], format="csr")
+        self.C = sp.vstack([_kron(ex, dy @ ey), -_kron(dx @ ex, ey)], format="csr")
 
         # cosine-transform symbol of the Neumann pressure Poisson operator D@G
         kx = (2.0 * np.cos(np.pi * np.arange(nx) / nx) - 2.0) / h ** 2
@@ -251,55 +261,6 @@ class _Operators:
     def M(self) -> sp.csr_matrix:
         m = (self.C.T @ self.C).tocsr()
         return ((m + m.T) * 0.5).tocsr()
-
-    @staticmethod
-    def _laplacian(grid: StaggeredGrid, mask: np.ndarray) -> sp.csr_matrix:
-        nx, ny, h = grid.nx, grid.ny, grid.h
-
-        def tridiag_nodes(n):
-            # value nodes on the wall itself; wall rows are masked afterwards
-            return sp.diags([1.0, -2.0, 1.0], [-1, 0, 1], shape=(n, n)) / h ** 2
-
-        def tridiag_ghost(n):
-            # wall at half-cell distance: reflected ghost gives -3 on the end diagonal
-            m = sp.diags([1.0, -2.0, 1.0], [-1, 0, 1], shape=(n, n)).tolil()
-            m[0, 0] = -3.0
-            m[n - 1, n - 1] = -3.0
-            return (m / h ** 2).tocsr()
-
-        lu = sp.kron(tridiag_nodes(nx + 1), sp.identity(ny)) + \
-            sp.kron(sp.identity(nx + 1), tridiag_ghost(ny))
-        lv = sp.kron(tridiag_ghost(nx), sp.identity(ny + 1)) + \
-            sp.kron(sp.identity(nx), tridiag_nodes(ny + 1))
-        full = sp.block_diag([lu, lv]).tocsr()
-        return (sp.diags(mask) @ full).tocsr()
-
-    @staticmethod
-    def _curl(grid: StaggeredGrid, iu, iv) -> sp.csr_matrix:
-        nx, ny, h = grid.nx, grid.ny, grid.h
-        ip = lambda i, j: (i - 1) * (ny - 1) + (j - 1)
-        rows, cols, data = [], [], []
-        # u = d(psi)/dy on interior vertical faces
-        ui, uj = np.meshgrid(np.arange(1, nx), np.arange(ny), indexing="ij")
-        ui, uj = ui.ravel(), uj.ravel()
-        sel = uj + 1 <= ny - 1
-        rows.append(iu(ui[sel], uj[sel])); cols.append(ip(ui[sel], uj[sel] + 1))
-        data.append(np.full(sel.sum(), 1.0 / h))
-        sel = uj >= 1
-        rows.append(iu(ui[sel], uj[sel])); cols.append(ip(ui[sel], uj[sel]))
-        data.append(np.full(sel.sum(), -1.0 / h))
-        # v = -d(psi)/dx on interior horizontal faces
-        vi, vj = np.meshgrid(np.arange(nx), np.arange(1, ny), indexing="ij")
-        vi, vj = vi.ravel(), vj.ravel()
-        sel = vi + 1 <= nx - 1
-        rows.append(iv(vi[sel], vj[sel])); cols.append(ip(vi[sel] + 1, vj[sel]))
-        data.append(np.full(sel.sum(), -1.0 / h))
-        sel = vi >= 1
-        rows.append(iv(vi[sel], vj[sel])); cols.append(ip(vi[sel], vj[sel]))
-        data.append(np.full(sel.sum(), 1.0 / h))
-        rows = np.concatenate(rows); cols = np.concatenate(cols); data = np.concatenate(data)
-        n_psi = (nx - 1) * (ny - 1)
-        return sp.csr_matrix((data, (rows, cols)), shape=(grid.n_faces, n_psi))
 
 
 class _ParityClass:
@@ -417,15 +378,21 @@ def solve_neumann_poisson(grid: StaggeredGrid, rhs: np.ndarray) -> np.ndarray:
     return scipy.fft.idctn(coeffs, type=2, norm="ortho", axes=(0, 1))
 
 
+def _project(grid: StaggeredGrid, flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(flat - G q, q) for flat face fields of shape (n_faces,) or (n_faces, m), where
+    q of shape (nx, ny) or (nx, ny, m) solves the pressure Poisson problem for D flat."""
+    ops = _ops(grid)
+    q = solve_neumann_poisson(grid, (ops.D @ flat).reshape((grid.nx, grid.ny) + flat.shape[1:]))
+    return flat - ops.G @ q.reshape((grid.n_cells,) + flat.shape[1:]), q
+
+
 def leray_project(f: StaggeredField) -> tuple[StaggeredField, PressureField]:
     """Orthogonal projection onto discretely divergence-free fields.
 
     Returns (f - grad q, q) where q solves the Neumann pressure Poisson
     problem for div f with mean-zero normalization.
     """
-    rhs = (_ops(f.grid).D @ f.flat()).reshape(f.grid.nx, f.grid.ny)
-    q = solve_neumann_poisson(f.grid, rhs)
-    out = f.flat() - _ops(f.grid).G @ q.ravel()
+    out, q = _project(f.grid, f.flat())
     return StaggeredField.from_flat(f.grid, out), PressureField(q, f.grid)
 
 
@@ -512,11 +479,9 @@ def stokes_eigenpairs(grid: StaggeredGrid, count: int, dense: bool = False) -> L
         vals, vecs = _class_eigenpairs(grid, count)
     vecs = _canonical_gauge(vals, vecs)
 
-    nx, ny, h = grid.nx, grid.ny, grid.h
     phi = ops.C @ vecs
-    lap = ops.L @ phi
-    q = solve_neumann_poisson(grid, (ops.D @ lap).reshape(nx, ny, count))
-    resid = h * np.linalg.norm(ops.G @ q.reshape(nx * ny, count) - lap - vals * phi, axis=0)
+    proj, q = _project(grid, ops.L @ phi)
+    resid = grid.h * np.linalg.norm(proj + vals * phi, axis=0)
     bad = np.flatnonzero(~(resid <= _RESIDUAL_TOL * vals))
     if bad.size:
         k = bad[0]
@@ -625,7 +590,6 @@ class ModalSystem:
 
     pairs: List[EigenPair]
     B: np.ndarray
-    damping: Optional[DampingProfile] = None
 
     @property
     def n_modes(self) -> int:
@@ -652,4 +616,4 @@ class ModalSystem:
 def build_modal_system(grid: StaggeredGrid, n_modes: int,
                        damping: Optional[DampingProfile] = None) -> ModalSystem:
     pairs = stokes_eigenpairs(grid, n_modes)
-    return ModalSystem(pairs, damping_matrix(pairs, damping), damping)
+    return ModalSystem(pairs, damping_matrix(pairs, damping))

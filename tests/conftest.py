@@ -49,9 +49,9 @@ def strip01(square):
 
 @pytest.fixture(scope="session")
 def ms_collar(pairs64, collar):
-    return ModalSystem(pairs64, damping_matrix(pairs64, collar), collar)
+    return ModalSystem(pairs64, damping_matrix(pairs64, collar))
 
 
 @pytest.fixture(scope="session")
 def ms_strip(pairs64, strip01):
-    return ModalSystem(pairs64, damping_matrix(pairs64, strip01), strip01)
+    return ModalSystem(pairs64, damping_matrix(pairs64, strip01))

@@ -57,6 +57,24 @@ def test_spectrum_conjugate_closed():
     assert np.allclose(np.sort_complex(rep.eigenvalues), conj, atol=1e-10)
 
 
+def test_spectrum_orders_tied_real_parts_by_imaginary_part():
+    # real parts 1e-11 apart: far above roundoff, far below the tie tolerance
+    for b in ([0.5, 0.5 + 2e-11], [0.5 + 2e-11, 0.5]):
+        vals = spectrum(_system([4.0, 4.0], np.diag(b))).eigenvalues
+        assert np.all(np.diff(vals.imag) > 0.0)
+
+
+def test_spectrum_order_is_invariant_under_mode_permutation(ms_collar):
+    # the square's swap partners give double eigenvalues; permuting the modes
+    # changes only the roundoff, so the sorted arrays agree entry by entry
+    ref = spectrum(ms_collar).eigenvalues
+    for seed in range(16):
+        perm = np.random.default_rng(seed).permutation(ms_collar.n_modes)
+        permuted = _system(ms_collar.lambdas[perm], ms_collar.B[np.ix_(perm, perm)])
+        got = spectrum(permuted).eigenvalues
+        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max(), seed
+
+
 def test_predicted_decay_zero_when_undamped():
     rep = spectrum(_system([4.0, 9.0], np.zeros((2, 2))))
     assert rep.predicted_decay_rate == 0.0

@@ -84,6 +84,68 @@ def test_vector_laplacian_examples():
     assert np.abs(la.v[2:-2, 2:-2]).max() <= 1e-10
 
 
+def test_operators_match_loop_stencils_on_a_nonsquare_grid():
+    # each operator against its stencil written out face by face; the random
+    # arrays include the wall faces, which L reads and whose own rows it masks
+    nx, ny, h = 7, 4, 0.3
+    g = StaggeredGrid(nx, ny, h)
+    ops = _ops(g)
+    rng = np.random.default_rng(3)
+    flat = rng.standard_normal(g.n_faces)
+    u, v = flat[:g.n_u].reshape(nx + 1, ny), flat[g.n_u:].reshape(nx, ny + 1)
+    q = rng.standard_normal((nx, ny))
+    psi = np.zeros((nx + 1, ny + 1))
+    psi[1:-1, 1:-1] = rng.standard_normal((nx - 1, ny - 1))
+
+    div = np.zeros((nx, ny))
+    for i in range(nx):
+        for j in range(ny):
+            div[i, j] = (u[i + 1, j] - u[i, j] + v[i, j + 1] - v[i, j]) / h
+    gu, gv = np.zeros((nx + 1, ny)), np.zeros((nx, ny + 1))
+    for i in range(1, nx):
+        for j in range(ny):
+            gu[i, j] = (q[i, j] - q[i - 1, j]) / h
+    for i in range(nx):
+        for j in range(1, ny):
+            gv[i, j] = (q[i, j] - q[i, j - 1]) / h
+    # the wall half a cell away reflects the tangential component: ghost = -value
+    lu, lv = np.zeros((nx + 1, ny)), np.zeros((nx, ny + 1))
+    for i in range(1, nx):
+        for j in range(ny):
+            below = u[i, j - 1] if j > 0 else -u[i, j]
+            above = u[i, j + 1] if j < ny - 1 else -u[i, j]
+            lu[i, j] = (u[i - 1, j] + u[i + 1, j] + below + above - 4.0 * u[i, j]) / h ** 2
+    for i in range(nx):
+        for j in range(1, ny):
+            left = v[i - 1, j] if i > 0 else -v[i, j]
+            right = v[i + 1, j] if i < nx - 1 else -v[i, j]
+            lv[i, j] = (left + right + v[i, j - 1] + v[i, j + 1] - 4.0 * v[i, j]) / h ** 2
+    cu, cv = np.zeros((nx + 1, ny)), np.zeros((nx, ny + 1))
+    for i in range(nx + 1):
+        for j in range(ny):
+            cu[i, j] = (psi[i, j + 1] - psi[i, j]) / h
+    for i in range(nx):
+        for j in range(ny + 1):
+            cv[i, j] = -(psi[i + 1, j] - psi[i, j]) / h
+
+    def close(got, *want):
+        want = np.concatenate([w.ravel() for w in want])
+        return np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    assert close(ops.D @ flat, div)
+    assert close(ops.G @ q.ravel(), gu, gv)
+    assert close(ops.L @ flat, lu, lv)
+    assert close(ops.C @ psi[1:-1, 1:-1].ravel(), cu, cv)
+    # L's diagonal: -4/h^2 inside, -5/h^2 beside a wall (the -3 ghost), 0 on wall rows
+    diag_u = np.full((nx + 1, ny), -4.0)
+    diag_u[:, [0, -1]] = -5.0
+    diag_u[[0, -1], :] = 0.0
+    diag_v = np.full((nx, ny + 1), -4.0)
+    diag_v[[0, -1], :] = -5.0
+    diag_v[:, [0, -1]] = 0.0
+    assert close(ops.L.diagonal(), diag_u / h ** 2, diag_v / h ** 2)
+
+
 def _dense_poisson_oracle(grid, rhs):
     # independent dense solve of the same Neumann operator, assembled as D @ G
     # and pseudo-inverted through its eigendecomposition (constant mode dropped)
