@@ -6,6 +6,11 @@ grid calculus, projector, eigenmodes), evolution (modal dynamics, energy,
 observability), spectral (damped generator spectra and mode diagnostics),
 lame (penalized-elasticity limit), schema (config tables and their validator),
 cli (config-driven experiment runner).
+
+The ray half (geometry, raytracer, schema, reporting, cli) needs only numpy;
+geometry and raytracer load with the package.  The grid half (stokes,
+evolution, spectral, lame) needs scipy and loads on first use of one of its
+names, or when the CLI resolves the config of a grid experiment.
 """
 
 from ._version import __version__
@@ -16,15 +21,26 @@ from .geometry import (BoundaryCollar, BoundaryRegime, DampingProfile, Disk, Dis
                        make_damping, make_domain)
 from .raytracer import (GccReport, GridSampler, PhasePoint, RandomSampler, RayPath,
                         advance_free, boundary_hit, check_gcc, glide, reflect, trace)
-from .stokes import (EigenPair, ModalSystem, PressureField, StaggeredField, StaggeredGrid,
-                     build_modal_system, damping_masses, damping_matrix, dirichlet_energy,
-                     divergence, gradient, leray_project, random_divergence_free,
-                     stokes_apply, stokes_eigenpairs, vector_laplacian)
-from .evolution import (DecayFit, EnergyTrace, ModalState, dissipation_check, energy,
-                        evolve, fit_decay, observability_gramian, random_state,
-                        undamped_modal_solution)
-from .spectral import (QuasimodeDiagnostics, SpectrumReport, quasimode_diagnostics,
-                       resolvent_sweep, semiclassical_constants, spectrum)
-from .lame import LameState, LameTrace, convergence_study, evolve_lame, lame_energy, modal_reference
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# grid-half module or public name -> its home module, imported by __getattr__ on first access
+_HOME = {name: module for module, names in {
+    "stokes": "EigenPair ModalSystem PressureField StaggeredField StaggeredGrid "
+              "build_modal_system damping_masses damping_matrix dirichlet_energy divergence "
+              "gradient leray_project random_divergence_free stokes_apply stokes_eigenpairs "
+              "vector_laplacian",
+    "evolution": "DecayFit EnergyTrace ModalState dissipation_check energy evolve fit_decay "
+                 "observability_gramian random_state undamped_modal_solution",
+    "spectral": "QuasimodeDiagnostics SpectrumReport quasimode_diagnostics resolvent_sweep "
+                "semiclassical_constants spectrum",
+    "lame": "LameState LameTrace convergence_study evolve_lame lame_energy modal_reference",
+}.items() for name in [module, *names.split()]}
+
+__all__ = sorted({name for name in dir() if not name.startswith("_")} | set(_HOME))
+
+
+def __getattr__(name):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+    module = import_module(f"{__name__}.{_HOME[name]}")
+    return module if name == _HOME[name] else getattr(module, name)

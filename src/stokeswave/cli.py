@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import evolution, lame, raytracer, reporting, spectral, stokes
+from . import raytracer, reporting
 from .errors import ConfigurationError, NumericsError, PreconditionError
 from .geometry import DAMPING, DOMAIN, make_damping, make_domain
 from .schema import POSITIVE, REQUIRED, Tagged, check_spec, fail
@@ -91,6 +91,8 @@ def _cross_checks(cfg: dict):
     if damping is not None and damping["shape"] == "side_strip" and not rectangle:
         fail("damping.shape", "side_strip requires a rectangle domain")
     if "nx" in p:
+        # a grid experiment loads the grid half (and scipy) here, during set-up
+        from . import evolution, lame, spectral, stokes  # noqa: F401
         if not rectangle:
             fail("domain.kind", f"experiment '{exp}' needs a rectangle domain "
                  "(the grid discretization is rectangle-only)")
@@ -146,11 +148,15 @@ def _setup(cfg: dict):
     domain = make_domain(cfg["domain"])
     damping = None if cfg["damping"] is None else make_damping(domain, cfg["damping"])
     out = Path(cfg["output_dir"])
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        fail("output_dir", f"cannot create directory {out}: {exc.strerror}")
     return domain, damping, out
 
 
 def _modal_system(cfg, domain, damping):
+    from . import stokes
     grid = stokes.StaggeredGrid.for_rectangle(domain, cfg["params"]["nx"])
     return stokes.build_modal_system(grid, cfg["params"]["n_modes"], damping)
 
@@ -204,6 +210,7 @@ def run_gcc(cfg: dict):
 
 
 def run_simulate(cfg: dict):
+    from . import evolution
     domain, damping, out = _setup(cfg)
     params = cfg["params"]
     ms = _modal_system(cfg, domain, damping)
@@ -225,6 +232,7 @@ def run_simulate(cfg: dict):
 
 
 def run_spectrum(cfg: dict):
+    from . import spectral
     domain, damping, out = _setup(cfg)
     ms = _modal_system(cfg, domain, damping)
     rep = spectral.spectrum(ms)
@@ -237,6 +245,7 @@ def run_spectrum(cfg: dict):
 
 
 def run_resolvent(cfg: dict):
+    from . import spectral
     domain, damping, out = _setup(cfg)
     params = cfg["params"]
     ms = _modal_system(cfg, domain, damping)
@@ -247,6 +256,7 @@ def run_resolvent(cfg: dict):
 
 
 def run_observability(cfg: dict):
+    from . import evolution
     domain, damping, out = _setup(cfg)
     params = cfg["params"]
     ms = _modal_system(cfg, domain, damping)
@@ -261,6 +271,7 @@ def run_observability(cfg: dict):
 
 
 def run_lame(cfg: dict):
+    from . import evolution, lame, stokes
     domain, damping, out = _setup(cfg)
     params = cfg["params"]
     ms = _modal_system(cfg, domain, None)
@@ -277,6 +288,7 @@ def run_lame(cfg: dict):
 
 
 def run_diagnostics(cfg: dict):
+    from . import spectral, stokes
     domain, damping, out = _setup(cfg)
     params = cfg["params"]
     grid = stokes.StaggeredGrid.for_rectangle(domain, params["nx"])

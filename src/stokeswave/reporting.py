@@ -19,12 +19,7 @@ from ._version import __version__
 
 
 def fmt_float(x: float) -> str:
-    x = float(x)
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
-    if math.isnan(x):
-        return "nan"
-    return f"{x:.17g}"
+    return f"{float(x):.17g}"
 
 
 def sanitize(obj):

@@ -4,7 +4,10 @@ import functools
 import io
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -15,6 +18,7 @@ from hypothesis import strategies as st
 
 from stokeswave import PhasePoint, PreconditionError, cli, make_domain, stokes, trace
 from stokeswave.cli import main
+from stokeswave.reporting import fmt_float
 
 SQUARE = {"kind": "rectangle", "width": 1.0, "height": 1.0}
 COLLAR = {"shape": "boundary_collar", "width": 0.1, "amplitude": 1.0, "smoothing_width": 0.02}
@@ -229,6 +233,22 @@ def test_disk_domain_rejected_for_grid_experiment(tmp_path, capsys):
     assert "rectangle" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("blocker", ["out", "out/sub"])
+def test_unusable_output_dir_exits_2(tmp_path, capsys, blocker):
+    (tmp_path / "out").write_text("a file, not a directory\n")
+    cfg = {**_cfg("gcc", _GCC, tmp_path), "output_dir": str(tmp_path / blocker)}
+    assert main(["gcc", _write(tmp_path, cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: output_dir: ") and "Traceback" not in err
+
+
+def test_fmt_float_strings():
+    cases = [(math.inf, "inf"), (-math.inf, "-inf"), (math.nan, "nan"), (-math.nan, "nan"),
+             (-0.0, "-0"), (5e-324, "4.9406564584124654e-324"),
+             (np.float32(0.1), "0.10000000149011612")]
+    assert [fmt_float(x) for x, _ in cases] == [text for _, text in cases]
+
+
 def test_gcc_rerun_is_byte_identical(tmp_path):
     cfg = _cfg("gcc", {"T": 1.0, "sampler": {"kind": "seeded_random", "n": 40}}, tmp_path, seed=5)
     path = _write(tmp_path, cfg)
@@ -364,3 +384,42 @@ def test_mutated_config_exits_2_with_its_path(case, neg):
         assert code == 2, (path, new)
         assert err.getvalue().startswith(f"config error: {'.'.join(path)}: "), err.getvalue()
         assert not (Path(tmp) / "out").exists()
+
+
+# Import guard: the ray half runs on numpy alone, and a grid config loads the
+# grid half while it is resolved, so that the scipy import stays in set-up.
+_GRID_HALF = {"scipy", "stokeswave.stokes", "stokeswave.evolution", "stokeswave.spectral",
+              "stokeswave.lame"}
+_PROBE = """
+import sys
+from stokeswave import cli
+for path in sys.argv[2:]:
+    if sys.argv[1] == "main":
+        assert cli.main([cli.load_config(path)["experiment"], path]) == 0
+    else:
+        cli.resolve_config(cli.load_config(path))
+print(*sys.modules)
+"""
+
+
+def _modules_after(tmp_path, how, cases) -> set:
+    """sys.modules of a fresh interpreter after `how` ("main" or "resolve") of _VALID[cases]."""
+    paths = [_write(tmp_path, _valid_config(i, tmp_path / f"out{i}"), f"cfg{i}.json")
+             for i in cases]
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    run = subprocess.run([sys.executable, "-c", _PROBE, how, *paths], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    return set(run.stdout.split())
+
+
+def test_ray_runs_load_neither_scipy_nor_the_grid_half(tmp_path):
+    ray = [i for i, v in enumerate(_VALID) if v[0] in ("trace", "gcc")]
+    assert len(ray) == 4
+    assert not _modules_after(tmp_path, "main", ray) & _GRID_HALF
+
+
+@pytest.mark.parametrize("i", [i for i, v in enumerate(_VALID) if "nx" in v[1]],
+                         ids=lambda i: _VALID[i][0])
+def test_grid_config_loads_the_grid_half_when_resolved(tmp_path, i):
+    assert _modules_after(tmp_path, "resolve", [i]) >= _GRID_HALF
