@@ -6,9 +6,27 @@ penalized energy adds (1/(2 eps)) ||div u||^2 to the usual kinetic plus
 gradient energy, and rearranging its conservation gives the a priori
 bound ||div u(t)|| <= sqrt(2 eps E(0)) that the study verifies.
 
-Time stepping is implicit midpoint with the penalty term inside the
-implicit solve (a direct sparse factorization per (eps, dt)); explicit
-treatment would force dt = O(sqrt(eps)) and break exact conservation.
+The dynamics are u'' = L_eps u with L_eps = L + (1/eps) G D, and time
+stepping is the implicit midpoint rule on the first-order system
+(u, w)' = (w, L_eps u), which conserves the penalized energy exactly;
+explicit treatment of the penalty would force dt = O(sqrt(eps)).  One step
+reads u1 - u0 = (dt/2)(w0 + w1) and w1 - w0 = (dt/2) L_eps (u0 + u1).  The
+first gives w1 = 2 (u1 - u0)/dt - w0, and putting it into the second gives,
+with c = dt^2/4,
+
+    (I - c L_eps) u1 = (I + c L_eps) u0 + dt w0,
+
+the average-acceleration Newmark scheme (N. M. Newmark, J. Eng. Mech. Div.
+ASCE 85, 1959).  So one sparse factorization per (eps, dt) of a matrix on
+the displacement alone replaces the solve on (u, w).  The rows of L and of G
+are zero on the wall faces (the no-penetration faces of the boundary), so
+there w' = 0 and the midpoint rule moves a wall face affinely,
+u_W(t) = u_W(0) + t w_W(0).  Only the interior faces are solved for, with
+the wall faces' pull c L_IW (u_W,k + u_W,k+1) on the right-hand side, and
+the interior block I - c L_eps,II is symmetric positive definite.
+StaggeredField zeroes the wall faces, but fields whose wall arrays are
+written afterwards are stepped the same way.
+
 eps = math.inf switches the penalty off, giving the plain componentwise
 wave dynamics used as an oracle.
 """
@@ -68,10 +86,31 @@ def _energy_and_div(grid: StaggeredGrid, eps: float, uf, wf) -> Tuple[float, np.
     return 0.5 * grid.h ** 2 * (float(wf @ wf) + grad_part + pen), div
 
 
+def _penalized_laplacian(grid: StaggeredGrid, eps: float) -> sp.csr_matrix:
+    """L_eps = L + (1/eps) G D on all faces (L for eps = inf); its wall rows are zero."""
+    ops = _ops(grid)
+    return ops.L if math.isinf(eps) else (ops.L + (1.0 / eps) * (ops.G @ ops.D)).tocsr()
+
+
+def _interior_faces(grid: StaggeredGrid) -> np.ndarray:
+    """Boolean mask, in flat face order, of the faces off the walls."""
+    u = np.zeros((grid.nx + 1, grid.ny), dtype=bool)
+    v = np.zeros((grid.nx, grid.ny + 1), dtype=bool)
+    u[1:-1] = True
+    v[:, 1:-1] = True
+    return np.concatenate([u.ravel(), v.ravel()])
+
+
 def evolve_lame(state0: LameState, T: float, dt: float,
                 reference: Optional[Callable[[float], StaggeredField]] = None,
                 sample_every: int = 1) -> LameTrace:
-    """Integrate the penalized system; samples every `sample_every` steps.
+    """Integrate the penalized system for n = round(T/dt) midpoint steps,
+    sampling the start, every `sample_every`-th step and the last one.
+
+    Each step is the Newmark form of the module docstring on the interior
+    faces: one factorization (SuperLU, MMD_AT_PLUS_A ordering) of the
+    symmetric I - (dt^2/4) L_eps restricted to them, and wall faces moved as
+    u_W + t w_W.  A failed factorization raises NumericsError.
 
     The reference, when given, is a callable t -> StaggeredField on the
     same grid (e.g. modal_reference); the trace then carries the deviation
@@ -82,35 +121,43 @@ def evolve_lame(state0: LameState, T: float, dt: float,
     if T < dt:
         raise ConfigurationError("T must be at least dt")
     grid = state0.u.grid
-    ops = _ops(grid)
-    lop = ops.L if math.isinf(state0.eps) else (ops.L + (1.0 / state0.eps) * (ops.G @ ops.D)).tocsr()
-    nf = grid.n_faces
-    eye = sp.identity(nf, format="csr")
-    m_big = sp.bmat([[None, eye], [lop, None]], format="csr")
-    a_minus = (sp.identity(2 * nf, format="csr") - 0.5 * dt * m_big).tocsc()
-    a_plus = (sp.identity(2 * nf, format="csr") + 0.5 * dt * m_big).tocsr()
+    inner = _interior_faces(grid)
+    wall = ~inner
+    rows = _penalized_laplacian(grid, state0.eps)[inner]
+    l_ii, l_iw = rows[:, inner], rows[:, wall]
+    c = 0.25 * dt * dt
+    eye = sp.identity(l_ii.shape[0], format="csr")
     try:
-        solver = splu(a_minus)
+        solver = splu((eye - c * l_ii).tocsc(), permc_spec="MMD_AT_PLUS_A")
     except RuntimeError as exc:
         raise NumericsError(
             f"sparse factorization failed (eps={state0.eps:g}, dt={dt:g}): {exc}") from exc
+    a_plus = eye + c * l_ii
 
-    def observe(x, t):
-        e, div = _energy_and_div(grid, state0.eps, x[:nf], x[nf:])
+    def observe(u, w, t):
+        e, div = _energy_and_div(grid, state0.eps, u, w)
         dn = grid.h * float(np.linalg.norm(div))
         if reference is None:
             err = math.nan
         else:
-            err = grid.h * float(np.linalg.norm(x[:nf] - reference(t).flat()))
+            err = grid.h * float(np.linalg.norm(u - reference(t).flat()))
         return t, e, dn, err
 
     steps = int(round(T / dt))
-    x = np.concatenate([state0.u.flat(), state0.w.flat()])
-    samples = [observe(x, state0.t)]
+    u, w = state0.u.flat(), state0.w.flat()
+    samples = [observe(u, w, state0.t)]
+    u_wall, w_wall = u[wall], w[wall]
+    # wall pull of step k: c L_IW (u_W,k-1 + u_W,k) = pull_u + (2k - 1) pull_w
+    pull_u, pull_w = 2.0 * c * (l_iw @ u_wall), c * dt * (l_iw @ w_wall)
+    ui, wi = u[inner], w[inner]
     for k in range(1, steps + 1):
-        x = solver.solve(a_plus @ x)
+        u1 = solver.solve(a_plus @ ui + dt * wi + pull_u + (2 * k - 1) * pull_w)
+        wi = 2.0 * (u1 - ui) / dt - wi
+        ui = u1
         if k % sample_every == 0 or k == steps:
-            samples.append(observe(x, state0.t + k * dt))
+            u[inner], w[inner] = ui, wi
+            u[wall] = u_wall + (k * dt) * w_wall
+            samples.append(observe(u, w, state0.t + k * dt))
     return LameTrace(*(np.array(column) for column in zip(*samples)))
 
 

@@ -474,10 +474,11 @@ def stokes_eigenpairs(grid: StaggeredGrid, count: int, dense: bool = False) -> L
     if dense:
         vals, vecs = scipy.linalg.eigh(ops.K.toarray(), ops.M.toarray(),
                                        subset_by_index=[0, count - 1])
-        vecs = vecs / grid.h        # M-orthonormal: unit L2 modes
+        # M-orthonormal, so unit L2 modes; C order fixes the roundoff of the gauge
+        vecs = np.divide(vecs, grid.h, order="C")
     else:
         vals, vecs = _class_eigenpairs(grid, count)
-    vecs = _canonical_gauge(vals, vecs)
+    _canonical_gauge(vals, vecs)
 
     phi = ops.C @ vecs
     proj, q = _project(grid, ops.L @ phi)
@@ -540,10 +541,10 @@ def _class_eigenpairs(grid: StaggeredGrid, count: int) -> tuple[np.ndarray, np.n
     return merged[order] / grid.h ** 2, psi.reshape(mx * my, count)
 
 
-def _canonical_gauge(vals: np.ndarray, vecs: np.ndarray) -> np.ndarray:
-    """Columns of vecs in the canonical gauge of stokes_eigenpairs (vals ascending)."""
+def _canonical_gauge(vals: np.ndarray, vecs: np.ndarray) -> None:
+    """Put the columns of vecs in the canonical gauge of stokes_eigenpairs
+    (vals ascending), in place."""
     generic = np.random.default_rng(0).standard_normal(vecs.shape[0])
-    vecs = vecs.copy()
     start = 0
     for k in range(1, len(vals) + 1):
         if k == len(vals) or vals[k] - vals[k - 1] > _CLUSTER_TOL * abs(vals[k]):
@@ -552,7 +553,7 @@ def _canonical_gauge(vals: np.ndarray, vecs: np.ndarray) -> np.ndarray:
                 rotation = np.linalg.eigh(block.T @ (generic[:, None] * block))[1]
                 vecs[:, start:k] = block @ rotation
             start = k
-    return vecs * np.where(generic @ vecs < 0.0, -1.0, 1.0)
+    vecs *= np.where(generic @ vecs < 0.0, -1.0, 1.0)
 
 
 def _damping_quadrature(pairs: List[EigenPair], profile: DampingProfile):

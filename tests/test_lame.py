@@ -2,10 +2,16 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from scipy.sparse.linalg import splu
 
-from stokeswave import (ConfigurationError, LameState, ModalState, StaggeredField, StaggeredGrid,
-                        build_modal_system, convergence_study, dirichlet_energy, evolve_lame,
-                        lame_energy, modal_reference)
+from stokeswave import (ConfigurationError, LameState, LameTrace, ModalState, NumericsError,
+                        StaggeredField, StaggeredGrid, build_modal_system, convergence_study,
+                        dirichlet_energy, evolve_lame, lame_energy, modal_reference)
+from stokeswave.lame import _energy_and_div, _interior_faces, _penalized_laplacian
+from stokeswave.stokes import _ops
 
 
 def _grid(n=16):
@@ -143,3 +149,102 @@ def test_penalty_pressure_mean_zero():
     d = divergence(u)
     assert np.abs(d.q).max() > 1.0          # genuinely non-divergence-free
     assert abs(d.q.mean()) <= 1e-10 * np.abs(d.q).max()
+
+
+def _first_order_midpoint(state0, T, dt, reference=None, sample_every=1):
+    """Oracle of evolve_lame: the implicit midpoint rule on the 2 n_faces
+    first-order system (u, w)' = (w, L_eps u), one LU of the whole matrix."""
+    grid = state0.u.grid
+    ops = _ops(grid)
+    lop = ops.L if math.isinf(state0.eps) else ops.L + (1.0 / state0.eps) * (ops.G @ ops.D)
+    nf = grid.n_faces
+    m_big = sp.bmat([[None, sp.identity(nf)], [lop, None]], format="csr")
+    eye = sp.identity(2 * nf, format="csr")
+    solver = splu((eye - 0.5 * dt * m_big).tocsc())
+    a_plus = (eye + 0.5 * dt * m_big).tocsr()
+
+    def observe(x, t):
+        e, div = _energy_and_div(grid, state0.eps, x[:nf], x[nf:])
+        err = math.nan if reference is None else \
+            grid.h * float(np.linalg.norm(x[:nf] - reference(t).flat()))
+        return t, e, grid.h * float(np.linalg.norm(div)), err
+
+    steps = int(round(T / dt))
+    x = np.concatenate([state0.u.flat(), state0.w.flat()])
+    samples = [observe(x, state0.t)]
+    for k in range(1, steps + 1):
+        x = solver.solve(a_plus @ x)
+        if k % sample_every == 0 or k == steps:
+            samples.append(observe(x, state0.t + k * dt))
+    return LameTrace(*(np.array(column) for column in zip(*samples)))
+
+
+def test_one_interior_factorization_and_its_failure(monkeypatch):
+    import stokeswave.lame as lame_module
+    grid = StaggeredGrid(9, 5, 0.3)
+    calls = []
+
+    def recording_splu(a, **kwargs):
+        calls.append((a.shape, kwargs))
+        return splu(a, **kwargs)
+
+    monkeypatch.setattr(lame_module, "splu", recording_splu)
+    state = LameState(StaggeredField.zeros(grid), StaggeredField.zeros(grid), 1e-2)
+    evolve_lame(state, 0.1, 1e-2)
+    n = int(_interior_faces(grid).sum())
+    assert calls == [((n, n), {"permc_spec": "MMD_AT_PLUS_A"})]
+
+    def failing_splu(a, **kwargs):
+        raise RuntimeError("Factor is exactly singular")
+
+    monkeypatch.setattr(lame_module, "splu", failing_splu)
+    with pytest.raises(NumericsError, match="sparse factorization failed"):
+        evolve_lame(state, 0.1, 1e-2)
+
+
+@pytest.mark.parametrize("nx, ny, h", [(8, 8, 1.0 / 8), (9, 5, 0.3)])
+@pytest.mark.parametrize("eps", [math.inf, 1e-3])
+def test_wall_rows_vanish_and_interior_block_is_symmetric(nx, ny, h, eps):
+    # the two facts the interior-face Newmark step rests on
+    grid = StaggeredGrid(nx, ny, h)
+    lop = _penalized_laplacian(grid, eps)
+    inner = _interior_faces(grid)
+    # the wall faces are the ones StaggeredField holds at zero
+    assert np.array_equal(StaggeredField.from_flat(grid, np.ones(grid.n_faces)).flat() == 1.0,
+                          inner)
+    assert lop[~inner].count_nonzero() == 0
+    assert np.all(lop.diagonal()[inner] != 0.0)
+    block = lop[inner][:, inner]
+    assert abs(block - block.T).max() <= 1e-14 * abs(block).max()
+
+
+# The ranges keep (dt^2/4) ||L_eps|| below about 1e4, where both paths agree
+# to 3e-13; at h = 0.05, dt = 0.1, eps = 1e-4 the oracle alone moves by 7e-12
+# when its LU column ordering changes.
+@settings(max_examples=40, deadline=None)
+@given(nx=st.integers(3, 12), ny=st.integers(3, 12), h=st.floats(0.1, 0.5),
+       eps=st.one_of(st.just(math.inf), st.floats(-4.0, 0.0).map(lambda e: 10.0 ** e)),
+       dt=st.floats(1e-3, 0.05), steps=st.integers(1, 12), sample_every=st.integers(1, 4),
+       t0=st.floats(0.0, 1.0), seed=st.integers(0, 2 ** 32 - 1))
+def test_newmark_step_matches_first_order_midpoint(nx, ny, h, eps, dt, steps, sample_every,
+                                                   t0, seed):
+    assume(not math.isclose(h, 1.0 / nx))
+    grid = StaggeredGrid(nx, ny, h)
+    rng = np.random.default_rng(seed)
+    u0, w0, target = (StaggeredField.zeros(grid) for _ in range(3))
+    for f in (u0, w0, target):
+        # written after construction, so the wall faces are nonzero too
+        f.u[:] = rng.standard_normal(f.u.shape)
+        f.v[:] = rng.standard_normal(f.v.shape)
+    assert np.abs(u0.flat()[~_interior_faces(grid)]).min() > 0.0
+
+    def reference(t):
+        return StaggeredField(math.cos(t) * target.u, math.sin(t) * target.v, grid)
+
+    state0 = LameState(u0, w0, eps, t0)
+    got = evolve_lame(state0, steps * dt, dt, reference=reference, sample_every=sample_every)
+    want = _first_order_midpoint(state0, steps * dt, dt, reference=reference,
+                                 sample_every=sample_every)
+    for a, b in zip(vars(got).values(), vars(want).values()):
+        assert a.shape == b.shape
+        assert np.abs(a - b).max() <= 1e-11 * np.abs(b).max()

@@ -520,12 +520,14 @@ def test_canonical_gauge_undoes_rotation_and_sign():
     split = np.diff(vals) / vals[1:]
     a = int(np.argmin(split))
     assert split[a] <= 1e-12            # modes a and a + 1 are a degenerate pair
-    canonical = _canonical_gauge(vals, vecs)
+    canonical = vecs.copy()
+    _canonical_gauge(vals, canonical)
     # any other basis of the pair, with any signs, lands on the same modes
     c, s = math.cos(0.7), math.sin(0.7)
     mixed = -vecs
     mixed[:, [a, a + 1]] = vecs[:, [a, a + 1]] @ np.array([[c, s], [-s, c]])
-    assert np.abs(_canonical_gauge(vals, mixed) - canonical).max() <= 1e-12
+    _canonical_gauge(vals, mixed)
+    assert np.abs(mixed - canonical).max() <= 1e-12
     # a mode outside any cluster is only sign-fixed
     assert np.abs(np.abs(canonical[:, 0]) - np.abs(vecs[:, 0])).max() == 0.0
 
