@@ -1,6 +1,6 @@
 """Laboratory for damped wave-type Stokes dynamics on planar domains.
 
-Submodules: geometry (domains, damping profiles, boundary classification),
+Submodules: geometry (domains and damping profiles),
 raytracer (generalized ray flow and coverage checking), stokes (staggered
 grid calculus, projector, eigenmodes), evolution (modal dynamics, energy,
 observability), spectral (damped generator spectra and mode diagnostics),
@@ -16,15 +16,14 @@ names, or when the CLI resolves the config of a grid experiment.
 from ._version import __version__
 from .errors import (ClassificationError, ConfigurationError, DomainError, NumericsError,
                      PreconditionError)
-from .geometry import (BoundaryCollar, BoundaryRegime, DampingProfile, Disk, DiskPatch,
-                       Rectangle, SideStrip, classify_boundary_point, eval_damping,
+from .geometry import (BoundaryCollar, DampingProfile, Disk, DiskPatch, Rectangle, SideStrip,
                        make_damping, make_domain)
 from .raytracer import (GccReport, GridSampler, PhasePoint, RandomSampler, RayPath,
                         advance_free, boundary_hit, check_gcc, glide, reflect, trace)
 
 # grid-half module or public name -> its home module, imported by __getattr__ on first access
 _HOME = {name: module for module, names in {
-    "stokes": "EigenPair ModalSystem PressureField StaggeredField StaggeredGrid "
+    "stokes": "EigenPair ModalSystem Modes PressureField StaggeredField StaggeredGrid "
               "build_modal_system damping_masses damping_matrix dirichlet_energy divergence "
               "gradient leray_project random_divergence_free stokes_apply stokes_eigenpairs "
               "vector_laplacian",

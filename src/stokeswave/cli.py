@@ -292,16 +292,14 @@ def run_diagnostics(cfg: dict):
     domain, damping, out = _setup(cfg)
     params = cfg["params"]
     grid = stokes.StaggeredGrid.for_rectangle(domain, params["nx"])
-    pairs = stokes.stokes_eigenpairs(grid, params["n_modes"])
-    masses = stokes.damping_masses(pairs, damping)
-    constants = spectral.semiclassical_constants(pairs, masses)
+    modes = stokes.stokes_eigenpairs(grid, params["n_modes"])
+    masses = stokes.damping_masses(modes, damping)
+    constants = spectral.semiclassical_constants(modes, masses)
     reporting.write_csv(out / "semiclassical_constants.csv", ["h", "obs_constant"],
                         constants, cfg)
-    rows = []
-    for k, (p, mass) in enumerate(zip(pairs, masses)):
-        d = spectral.quasimode_diagnostics(p, mass)
-        rows.append((k, p.lam, d.h, d.boundary_flux_norm, d.normal_component_defect,
-                     d.pressure_norms[0], d.pressure_norms[1], d.obs_constant))
+    d = spectral.quasimode_diagnostics(modes, masses)
+    rows = zip(range(len(modes)), modes.lambdas, d.h, d.boundary_flux_norm,
+               d.normal_component_defect, *d.pressure_norms, d.obs_constant)
     reporting.write_csv(out / "quasimode_diagnostics.csv",
                         ["mode", "lambda", "h", "boundary_flux_norm", "normal_component_defect",
                          "pressure_interior_norm", "pressure_boundary_norm", "obs_constant"],

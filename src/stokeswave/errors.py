@@ -14,7 +14,7 @@ class DomainError(ValueError):
 
 
 class ClassificationError(ValueError):
-    """Boundary-point classification requested where it is undefined (corners)."""
+    """A boundary quantity requested where it is undefined (the normal at a corner)."""
 
 
 class PreconditionError(ValueError):

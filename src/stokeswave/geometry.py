@@ -1,14 +1,10 @@
-"""Planar domains, damping profiles, and boundary phase-space classification.
+"""Planar domains and damping profiles.
 
 Two concrete domains are supported: an axis-aligned rectangle [0,W]x[0,H]
 and a disk of radius R centered at the origin.  Both are convex, so a
 straight segment with endpoints in the closed domain stays inside it.
-
-Boundary phase space is classified by r0 = 1 - |xi'|^2 (tangential energy
-of a unit-speed ray) and its normal derivative r1: r0 > 0 is hyperbolic
-(transversal crossing), r0 < 0 elliptic, r0 = 0 glancing.  On the disk a
-glancing point always glides (r1 = -2|xi'|^2/R < 0); on a flat rectangle
-side r1 = 0 and the point is flagged flat.
+Whether a ray reflects or glides at the boundary is decided in raytracer,
+by |xi . nu| against GLANCING_TOL.
 """
 
 from __future__ import annotations
@@ -22,8 +18,6 @@ import numpy as np
 from .errors import ClassificationError, ConfigurationError, DomainError
 from .schema import POSITIVE, REQUIRED, Tagged, check_value
 
-# |r0| below this counts as glancing; exact tangency never survives rounding.
-R0_TOL = 1e-9
 # Points closer than this to a rectangle corner are treated as the corner.
 CORNER_TOL = 1e-9
 
@@ -46,38 +40,8 @@ class Rectangle:
         if not (self.width > 0 and self.height > 0):
             raise ConfigurationError("non-positive rectangle dimension")
 
-    @property
-    def boundary_length(self) -> float:
-        return 2.0 * (self.width + self.height)
-
     def contains(self, x, tol: float = 1e-12) -> bool:
         return (-tol <= x[0] <= self.width + tol) and (-tol <= x[1] <= self.height + tol)
-
-    def boundary_point(self, s: float) -> np.ndarray:
-        """Arclength parametrization, counterclockwise from (0, 0)."""
-        w, h = self.width, self.height
-        s = s % self.boundary_length
-        if s < w:
-            return np.array([s, 0.0])
-        s -= w
-        if s < h:
-            return np.array([w, s])
-        s -= h
-        if s < w:
-            return np.array([w - s, h])
-        s -= w
-        return np.array([0.0, h - s])
-
-    def boundary_tangent(self, s: float) -> np.ndarray:
-        w, h = self.width, self.height
-        s = s % self.boundary_length
-        if s < w:
-            return np.array([1.0, 0.0])
-        if s < w + h:
-            return np.array([0.0, 1.0])
-        if s < 2 * w + h:
-            return np.array([-1.0, 0.0])
-        return np.array([0.0, -1.0])
 
     def side_of(self, x, tol: float = 1e-9) -> str:
         """Which side a boundary point lies on; 'corner' near a corner."""
@@ -114,20 +78,8 @@ class Disk:
         if not self.radius > 0:
             raise ConfigurationError("non-positive radius")
 
-    @property
-    def boundary_length(self) -> float:
-        return 2.0 * math.pi * self.radius
-
     def contains(self, x, tol: float = 1e-12) -> bool:
         return math.hypot(x[0], x[1]) <= self.radius + tol
-
-    def boundary_point(self, s: float) -> np.ndarray:
-        th = s / self.radius
-        return self.radius * np.array([math.cos(th), math.sin(th)])
-
-    def boundary_tangent(self, s: float) -> np.ndarray:
-        th = s / self.radius
-        return np.array([-math.sin(th), math.cos(th)])
 
     def outward_normal(self, x) -> np.ndarray:
         r = math.hypot(x[0], x[1])
@@ -328,51 +280,3 @@ def make_damping(domain: Domain, spec) -> DampingProfile:
              "side_strip": SideStrip}[spec.pop("shape")]
     amplitude, smoothing = spec.pop("amplitude"), spec.pop("smoothing_width")
     return DampingProfile(domain, shape(**spec), amplitude, smoothing)
-
-
-def eval_damping(profile: DampingProfile, x) -> float:
-    """a(x) at a single point of the closed domain."""
-    if not profile.domain.contains(x):
-        raise DomainError(f"point {tuple(np.asarray(x))} is outside the closed domain")
-    return float(profile.values(np.asarray(x, dtype=float))[0])
-
-
-# ---------------------------------------------------------------------------
-# Boundary classification
-
-
-@dataclass(frozen=True)
-class BoundaryRegime:
-    """Classification of a boundary phase point by (r0, r1).
-
-    glancing_sign is set only when tag == 'glancing': 'gliding' (r1 < 0,
-    ray hugs the boundary), 'transversal' (r1 > 0, ray passes through),
-    'flat' (r1 = 0 on a straight side), 'higher_order' otherwise.
-    """
-
-    tag: str
-    r0: float
-    r1: float
-    glancing_sign: str | None = None
-
-
-def classify_boundary_point(domain: Domain, x_boundary, xi_tangential: float) -> BoundaryRegime:
-    """Classify a boundary point with tangential momentum xi' of a unit-speed ray."""
-    xt2 = float(xi_tangential) ** 2
-    r0 = 1.0 - xt2
-    if isinstance(domain, Rectangle):
-        if domain.side_of(x_boundary) == "corner":
-            raise ClassificationError(f"corner point {tuple(x_boundary)} cannot be classified")
-        r1 = 0.0
-        sign = "flat"
-    else:
-        r = math.hypot(x_boundary[0], x_boundary[1])
-        if abs(r - domain.radius) > 1e-9 * max(1.0, domain.radius):
-            raise DomainError(f"point {tuple(x_boundary)} is not on the boundary")
-        r1 = -2.0 * xt2 / domain.radius
-        sign = "gliding" if r1 < 0 else ("transversal" if r1 > 0 else "higher_order")
-    if r0 > R0_TOL:
-        return BoundaryRegime("hyperbolic", r0, r1)
-    if r0 < -R0_TOL:
-        return BoundaryRegime("elliptic", r0, r1)
-    return BoundaryRegime("glancing", r0, r1, glancing_sign=sign)

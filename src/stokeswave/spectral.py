@@ -1,5 +1,5 @@
-"""Damped-generator spectra, energy-weighted resolvent sweeps, and per-mode
-semiclassical diagnostics.
+"""Damped-generator spectra, energy-weighted resolvent sweeps, and
+semiclassical diagnostics of the eigenmodes.
 
 The first-order generator of the damped modal system is the block matrix
 [[0, I], [-Lambda, -B]].  Its spectral abscissa predicts the energy decay
@@ -14,24 +14,25 @@ finite.  The sweep reduces A to complex Schur form T = Z^H A Z once; since Z
 is unitary, smin(A - i*sigma) = smin(T - i*sigma), and each sigma costs a
 few triangular solves of inverse Lanczos instead of a dense SVD.
 
-Per-eigenmode diagnostics operate at the semiclassical scale h = 1/sqrt(lambda):
-boundary flux of h * (normal derivative), the normal-trace identity defect,
-pressure norms of the h-scaled projection pressure, and the observability
-constant 1/||a^(1/2) phi||.
+The mode diagnostics operate at each mode's semiclassical scale
+h = 1/sqrt(lambda): boundary flux of h * (normal derivative), the
+normal-trace identity defect, pressure norms of the h-scaled projection
+pressure, and the observability constant 1/||a^(1/2) phi||.  They read the
+arrays of a stokes.Modes and return arrays over the modes.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import Tuple
 
 import numpy as np
 import scipy.linalg
 
 from .errors import ConfigurationError, NumericsError
 from .evolution import generator_matrix
-from .stokes import EigenPair, divergence
+from .stokes import Modes, _ops
 
 # Lanczos stops once the residual of its largest Ritz value is this share of it.
 _LANCZOS_TOL = 1e-12
@@ -50,13 +51,13 @@ class SpectrumReport:
 
 @dataclass
 class QuasimodeDiagnostics:
-    """Boundary-trace and observability diagnostics of one eigenmode."""
+    """Boundary-trace and observability diagnostics, one (k,) array entry per mode."""
 
-    h: float
-    boundary_flux_norm: float
-    normal_component_defect: float
-    pressure_norms: Tuple[float, float]
-    obs_constant: float
+    h: np.ndarray
+    boundary_flux_norm: np.ndarray
+    normal_component_defect: np.ndarray
+    pressure_norms: Tuple[np.ndarray, np.ndarray]   # interior, boundary
+    obs_constant: np.ndarray
 
 
 def spectrum(ms) -> SpectrumReport:
@@ -154,74 +155,78 @@ def _triangular_smin(t: np.ndarray, start: np.ndarray) -> float:
         q[j + 1] = w / beta
 
 
-def semiclassical_constants(pairs: List[EigenPair],
-                            damping_masses: np.ndarray) -> List[Tuple[float, float]]:
-    """Per-mode (h, C) with h = lambda^(-1/2), C = ||phi|| / ||a^(1/2) phi||.
+def semiclassical_constants(modes: Modes, damping_masses: np.ndarray) -> np.ndarray:
+    """Rows (h, C) of the modes with h = lambda^(-1/2), C = ||phi|| / ||a^(1/2) phi||.
 
     damping_masses[k] is ||a^(1/2) phi_k||^2 (stokes.damping_masses).  Modes
     invisible to the damping report C = inf, flagging a discrete
-    unique-continuation violation.  Sorted by ascending h.
+    unique-continuation violation.  Sorted by ascending h, ties in mode order.
     """
-    out = [(p.lam ** -0.5, _obs_constant(p, d)) for p, d in zip(pairs, damping_masses)]
-    return sorted(out, key=lambda hc: hc[0])
+    h = modes.lambdas ** -0.5
+    return np.column_stack([h, _obs_constant(modes, damping_masses)])[h.argsort(kind="stable")]
 
 
-def _obs_constant(pair: EigenPair, damping_mass: float) -> float:
-    return math.inf if damping_mass == 0.0 else pair.phi.l2_norm() / math.sqrt(damping_mass)
+def _obs_constant(modes: Modes, damping_masses: np.ndarray) -> np.ndarray:
+    norms = modes.grid.h * np.sqrt(_squares([modes.phi]))
+    return np.divide(norms, np.sqrt(damping_masses), out=np.full_like(norms, np.inf),
+                     where=damping_masses != 0.0)
 
 
-def quasimode_diagnostics(pair: EigenPair, damping_mass: float) -> QuasimodeDiagnostics:
-    """Boundary diagnostics of an eigenmode at its semiclassical scale.
+def _squares(arrays) -> np.ndarray:
+    """Per-mode sums of squares over a list of (n, k) arrays, one column per mode."""
+    return sum(np.einsum("ik,ik->k", a, a) for a in arrays)
 
-    damping_mass is ||a^(1/2) phi||^2 (stokes.damping_masses), from which
-    the observability constant ||phi|| / ||a^(1/2) phi|| is formed.
-    The projection pressure of the pair is rescaled by h so the reported
+
+def quasimode_diagnostics(modes: Modes, damping_masses: np.ndarray) -> QuasimodeDiagnostics:
+    """Boundary diagnostics of every mode at its semiclassical scale, as (k,) arrays.
+
+    damping_masses[k] is ||a^(1/2) phi_k||^2 (stokes.damping_masses), from
+    which the observability constant ||phi|| / ||a^(1/2) phi|| is formed.
+    The projection pressure of each mode is rescaled by h so the reported
     pressure norms refer to the pressure of the h-scaled mode equation.
     The normal-trace defect uses the divergence identity at boundary cells:
     the one-sided normal-derivative trace of the normal component plus the
     near-wall tangential difference is exactly the cell divergence, which
     vanishes for discrete divergence-free modes.  That identity is the
     discrete form of the vanishing normal trace forced by incompressibility
-    and no-slip.
+    and no-slip.  The wall stencils are slices of the mode matrix.
     """
-    grid = pair.phi.grid
-    h_sc = pair.lam ** -0.5
-    hg = grid.h
-    u, v = pair.phi.u, pair.phi.v
+    grid = modes.grid
+    nx, ny, hg = grid.nx, grid.ny, grid.h
+    h_sc = modes.lambdas ** -0.5
+    u = modes.phi[:grid.n_u].reshape(nx + 1, ny, -1)
+    v = modes.phi[grid.n_u:].reshape(nx, ny + 1, -1)
 
     # second-order one-sided normal derivatives on the four walls
     # normal component: wall value is an exact grid node (zero)
     dn_norm = [
-        (4.0 * u[1, :] - u[2, :]) / (2 * hg),          # left wall, d(u)/dx
-        (4.0 * u[-2, :] - u[-3, :]) / (2 * hg),        # right wall
+        (4.0 * u[1] - u[2]) / (2 * hg),                # left wall, d(u)/dx
+        (4.0 * u[-2] - u[-3]) / (2 * hg),              # right wall
         (4.0 * v[:, 1] - v[:, 2]) / (2 * hg),          # bottom wall, d(v)/dy
         (4.0 * v[:, -2] - v[:, -3]) / (2 * hg),        # top wall
     ]
     # tangential component: first values sit at hg/2 and 3hg/2 off the wall
     dn_tan = [
-        (9.0 * v[0, :] - v[1, :]) / (3 * hg),          # left wall, d(v)/dx
-        (9.0 * v[-1, :] - v[-2, :]) / (3 * hg),        # right wall
+        (9.0 * v[0] - v[1]) / (3 * hg),                # left wall, d(v)/dx
+        (9.0 * v[-1] - v[-2]) / (3 * hg),              # right wall
         (9.0 * u[:, 0] - u[:, 1]) / (3 * hg),          # bottom wall, d(u)/dy
         (9.0 * u[:, -1] - u[:, -2]) / (3 * hg),        # top wall
     ]
-    flux_sq = sum(float(arr @ arr) for arr in dn_norm) + \
-        sum(float(arr @ arr) for arr in dn_tan)
-    boundary_flux = h_sc * math.sqrt(hg * flux_sq)
+    boundary_flux = h_sc * np.sqrt(hg * _squares(dn_norm + dn_tan))
 
-    div_ring = divergence(pair.phi).q
-    ring = np.concatenate([div_ring[0, :], div_ring[-1, :], div_ring[:, 0], div_ring[:, -1]])
-    defect = h_sc * float(np.abs(ring).max())
+    div = (_ops(grid).D @ modes.phi).reshape(nx, ny, -1)
+    ring = np.concatenate([div[0], div[-1], div[:, 0], div[:, -1]])
+    defect = h_sc * np.abs(ring).max(axis=0)
 
-    q = pair.pressure
-    qq = q.q
-    q_interior = h_sc * q.l2_norm()
+    qq = modes.pressure
+    q_interior = h_sc * hg * np.sqrt(_squares([qq.reshape(nx * ny, -1)]))
     traces = [
-        (3.0 * qq[0, :] - qq[1, :]) / 2.0,
-        (3.0 * qq[-1, :] - qq[-2, :]) / 2.0,
+        (3.0 * qq[0] - qq[1]) / 2.0,
+        (3.0 * qq[-1] - qq[-2]) / 2.0,
         (3.0 * qq[:, 0] - qq[:, 1]) / 2.0,
         (3.0 * qq[:, -1] - qq[:, -2]) / 2.0,
     ]
-    q_boundary = h_sc * math.sqrt(hg * sum(float(tr @ tr) for tr in traces))
+    q_boundary = h_sc * np.sqrt(hg * _squares(traces))
 
     return QuasimodeDiagnostics(h_sc, boundary_flux, defect, (q_interior, q_boundary),
-                                _obs_constant(pair, damping_mass))
+                                _obs_constant(modes, damping_masses))

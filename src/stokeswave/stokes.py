@@ -50,7 +50,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import List, Optional
+from typing import Optional
 
 import numpy as np
 import scipy.fft
@@ -432,6 +432,32 @@ class EigenPair:
     residual: float
 
 
+@dataclass(frozen=True)
+class Modes:
+    """The modes of stokes_eigenpairs, one array per quantity: lambdas (k,) ascending,
+    phi (n_faces, k) with the unit-L2 flat face fields as columns, the projection
+    pressures (nx, ny, k) and the L2 residuals (k,).  Every consumer reads them in
+    place, so they are read-only.  modes[k] builds the k-th EigenPair, a copy."""
+
+    grid: StaggeredGrid
+    lambdas: np.ndarray
+    phi: np.ndarray
+    pressure: np.ndarray
+    residual: np.ndarray
+
+    def __post_init__(self):
+        for a in (self.lambdas, self.phi, self.pressure, self.residual):
+            a.flags.writeable = False
+
+    def __len__(self) -> int:
+        return self.lambdas.size
+
+    def __getitem__(self, k: int) -> EigenPair:
+        return EigenPair(float(self.lambdas[k]),
+                         StaggeredField.from_flat(self.grid, self.phi[:, k]),
+                         PressureField(self.pressure[:, :, k], self.grid), float(self.residual[k]))
+
+
 # A pair whose residual exceeds this share of its eigenvalue fails the eigensolve.
 _RESIDUAL_TOL = 1e-8
 # Eigenvalues within this relative distance of each other form one degenerate cluster.
@@ -440,8 +466,9 @@ _CLUSTER_TOL = 1e-9
 _CLASS_MARGIN = 8
 
 
-def stokes_eigenpairs(grid: StaggeredGrid, count: int, dense: bool = False) -> List[EigenPair]:
-    """Lowest `count` eigenpairs on the divergence-free subspace, ascending.
+def stokes_eigenpairs(grid: StaggeredGrid, count: int, dense: bool = False) -> Modes:
+    """Lowest `count` eigenpairs on the divergence-free subspace, ascending, as one
+    Modes; modes[k] is the per-mode view.
 
     By default each reflection class (module docstring) of size n_c is asked
     for k_c = min(n_c, count // 4 + _CLASS_MARGIN) pairs: by dense eigh when
@@ -461,10 +488,11 @@ def stokes_eigenpairs(grid: StaggeredGrid, count: int, dense: bool = False) -> L
     positive.  So the modes do not depend on the solver's roundoff, and the
     two paths agree.
 
-    Each pair carries the L2 residual of -P L phi = lambda phi, formed for all
-    modes at once; the worst one is recomputed through vector_laplacian and
-    leray_project as a cross-check.  A residual above 1e-8 * lambda raises
-    NumericsError, as does an ARPACK run that does not converge.
+    The L2 residuals of -P L phi = lambda phi and the projection pressures are
+    formed for all modes at once; the worst residual is recomputed through
+    vector_laplacian and leray_project as a cross-check.  A residual above
+    1e-8 * lambda raises NumericsError, as does an ARPACK run that does not
+    converge.
     """
     ops = _ops(grid)
     n_psi = (grid.nx - 1) * (grid.ny - 1)
@@ -489,20 +517,18 @@ def stokes_eigenpairs(grid: StaggeredGrid, count: int, dense: bool = False) -> L
         raise NumericsError(
             f"eigenpair {k}: residual {resid[k]:.3e} exceeds {_RESIDUAL_TOL:g} * lambda "
             f"(lambda = {vals[k]:.6g})")
-    phi = phi.T
-    pairs = [EigenPair(float(vals[k]), StaggeredField.from_flat(grid, phi[k]),
-                       PressureField(q[:, :, k], grid), float(resid[k])) for k in range(count)]
+    modes = Modes(grid, vals, phi, q, resid)
 
     # the worst pair once more, one mode at a time: the two evaluations differ
     # only in summation order, so they agree far inside the gate
     k = int(np.argmax(resid / vals))
-    proj, _ = leray_project(vector_laplacian(pairs[k].phi))
-    single = StaggeredField.from_flat(grid, -proj.flat() - vals[k] * phi[k]).l2_norm()
+    proj, _ = leray_project(vector_laplacian(modes[k].phi))
+    single = StaggeredField.from_flat(grid, -proj.flat() - vals[k] * phi[:, k]).l2_norm()
     if not math.isclose(single, resid[k], rel_tol=1e-6, abs_tol=1e-14 * vals[k]):
         raise NumericsError(
             f"eigenpair {k}: batched residual {resid[k]:.3e} disagrees with the "
             f"per-mode one {single:.3e}")
-    return pairs
+    return modes
 
 
 def _class_eigenpairs(grid: StaggeredGrid, count: int) -> tuple[np.ndarray, np.ndarray]:
@@ -556,65 +582,53 @@ def _canonical_gauge(vals: np.ndarray, vecs: np.ndarray) -> None:
     vecs *= np.where(generic @ vecs < 0.0, -1.0, 1.0)
 
 
-def _damping_quadrature(pairs: List[EigenPair], profile: DampingProfile):
-    """Modes as columns and the face weights h^2 * a of the cell quadrature.
-
-    The damping is evaluated once on the u faces and once on the v faces.
-    """
-    grid = pairs[0].phi.grid
-    a = np.concatenate([profile.values(grid.u_points()), profile.values(grid.v_points())])
-    phi = np.stack([p.phi.flat() for p in pairs], axis=1)
-    return phi, grid.h ** 2 * a
+def _face_weights(grid: StaggeredGrid, profile: DampingProfile) -> np.ndarray:
+    """h^2 * a on the faces, the weights of the cell quadrature of the damping:
+    a is evaluated once on the u faces and once on the v faces."""
+    return grid.h ** 2 * np.concatenate([profile.values(grid.u_points()),
+                                         profile.values(grid.v_points())])
 
 
-def damping_matrix(pairs: List[EigenPair], profile: Optional[DampingProfile]) -> np.ndarray:
+def damping_matrix(modes: Modes, profile: Optional[DampingProfile]) -> np.ndarray:
     """Coupling matrix B_jk = sum of a * phi_j . phi_k over faces (cell quadrature)."""
-    n = len(pairs)
-    if n == 0 or profile is None:
-        return np.zeros((n, n))
-    phi, weights = _damping_quadrature(pairs, profile)
-    b = phi.T @ (weights[:, None] * phi)
+    if profile is None:
+        return np.zeros((len(modes), len(modes)))
+    b = modes.phi.T @ (_face_weights(modes.grid, profile)[:, None] * modes.phi)
     return (b + b.T) * 0.5
 
 
-def damping_masses(pairs: List[EigenPair], profile: Optional[DampingProfile]) -> np.ndarray:
-    """||a^(1/2) phi_k||^2 of every pair: the diagonal of damping_matrix, without the rest."""
-    if not pairs or profile is None:
-        return np.zeros(len(pairs))
-    phi, weights = _damping_quadrature(pairs, profile)
-    return weights @ (phi * phi)
+def damping_masses(modes: Modes, profile: Optional[DampingProfile]) -> np.ndarray:
+    """||a^(1/2) phi_k||^2 of every mode: the diagonal of damping_matrix, without the rest."""
+    if profile is None:
+        return np.zeros(len(modes))
+    return _face_weights(modes.grid, profile) @ (modes.phi * modes.phi)
 
 
 @dataclass
 class ModalSystem:
     """Truncated eigenbasis with its damping coupling matrix."""
 
-    pairs: List[EigenPair]
+    modes: Modes
     B: np.ndarray
 
     @property
     def n_modes(self) -> int:
-        return len(self.pairs)
+        return len(self.modes)
 
     @property
     def lambdas(self) -> np.ndarray:
-        return np.array([p.lam for p in self.pairs])
+        return self.modes.lambdas
 
     @property
     def grid(self) -> StaggeredGrid:
-        return self.pairs[0].phi.grid
-
-    @cached_property
-    def _mode_matrix(self) -> np.ndarray:
-        """Mode vectors as columns, stacked on first use (pairs stay fixed)."""
-        return np.stack([p.phi.flat() for p in self.pairs], axis=1)
+        return self.modes.grid
 
     def reconstruct(self, coeffs: np.ndarray) -> StaggeredField:
         """Grid field of a modal coefficient vector."""
-        return StaggeredField.from_flat(self.grid, self._mode_matrix @ np.asarray(coeffs))
+        return StaggeredField.from_flat(self.grid, self.modes.phi @ np.asarray(coeffs))
 
 
 def build_modal_system(grid: StaggeredGrid, n_modes: int,
                        damping: Optional[DampingProfile] = None) -> ModalSystem:
-    pairs = stokes_eigenpairs(grid, n_modes)
-    return ModalSystem(pairs, damping_matrix(pairs, damping))
+    modes = stokes_eigenpairs(grid, n_modes)
+    return ModalSystem(modes, damping_matrix(modes, damping))

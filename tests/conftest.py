@@ -25,14 +25,8 @@ def grid64(square):
 
 
 @pytest.fixture(scope="session")
-def pairs64(grid64):
+def modes64(grid64):
     return stokes_eigenpairs(grid64, 100)
-
-
-@pytest.fixture(scope="session")
-def pairs128(square):
-    grid = StaggeredGrid.for_rectangle(square, 128)
-    return stokes_eigenpairs(grid, 100)
 
 
 @pytest.fixture(scope="session")
@@ -48,10 +42,10 @@ def strip01(square):
 
 
 @pytest.fixture(scope="session")
-def ms_collar(pairs64, collar):
-    return ModalSystem(pairs64, damping_matrix(pairs64, collar))
+def ms_collar(modes64, collar):
+    return ModalSystem(modes64, damping_matrix(modes64, collar))
 
 
 @pytest.fixture(scope="session")
-def ms_strip(pairs64, strip01):
-    return ModalSystem(pairs64, damping_matrix(pairs64, strip01))
+def ms_strip(modes64, strip01):
+    return ModalSystem(modes64, damping_matrix(modes64, strip01))

@@ -235,10 +235,12 @@ def test_undamped_modal_solution_matches_integrator():
     assert np.abs(final.w - exact.w).max() <= 1e-6
 
 
-def test_modal_energy_matches_grid_energy(pairs64, grid64):
+def test_modal_energy_matches_grid_energy(modes64, grid64):
     # modal energy equals the grid-space energy of the reconstruction
-    from stokeswave import ModalSystem, dirichlet_energy
-    ms = ModalSystem(pairs64[:25], np.zeros((25, 25)))
+    from stokeswave import ModalSystem, Modes, dirichlet_energy
+    m = modes64
+    first = Modes(grid64, m.lambdas[:25], m.phi[:, :25], m.pressure[:, :, :25], m.residual[:25])
+    ms = ModalSystem(first, np.zeros((25, 25)))
     rng = np.random.default_rng(0)
     state = ModalState(rng.standard_normal(25), rng.standard_normal(25))
     e_modal = energy(ms, state)

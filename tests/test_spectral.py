@@ -8,8 +8,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stokeswave import (BoundaryCollar, ConfigurationError, DampingProfile, Rectangle,
-                        StaggeredGrid, build_modal_system, damping_masses,
-                        quasimode_diagnostics, resolvent_sweep,
+                        SideStrip, StaggeredGrid, build_modal_system, damping_masses,
+                        divergence, quasimode_diagnostics, resolvent_sweep,
                         semiclassical_constants, spectrum, stokes_eigenpairs)
 from stokeswave.evolution import generator_matrix
 from stokeswave.geometry import DiskPatch
@@ -224,23 +224,23 @@ def test_collar_abscissa_negative_small_grid():
 def test_semiclassical_constants_uniform_damping():
     square = Rectangle(1.0, 1.0)
     grid = StaggeredGrid.for_rectangle(square, 16)
-    pairs = stokes_eigenpairs(grid, 6)
+    modes = stokes_eigenpairs(grid, 6)
     everywhere = DampingProfile(square, DiskPatch((0.5, 0.5), 5.0), 1.0, 0.0)
-    consts = semiclassical_constants(pairs, damping_masses(pairs, everywhere))
+    consts = semiclassical_constants(modes, damping_masses(modes, everywhere))
     assert all(abs(c - 1.0) <= 1e-10 for _, c in consts)
     hs = [h for h, _ in consts]
     assert hs == sorted(hs)
     # no damping at all: constants are flagged infinite
-    none = semiclassical_constants(pairs, damping_masses(pairs, None))
+    none = semiclassical_constants(modes, damping_masses(modes, None))
     assert all(math.isinf(c) for _, c in none)
 
 
 def test_semiclassical_lower_bound():
     square = Rectangle(1.0, 1.0)
     grid = StaggeredGrid.for_rectangle(square, 16)
-    pairs = stokes_eigenpairs(grid, 8)
+    modes = stokes_eigenpairs(grid, 8)
     collar = DampingProfile(square, BoundaryCollar(0.1), 2.0, 0.02)
-    consts = semiclassical_constants(pairs, damping_masses(pairs, collar))
+    consts = semiclassical_constants(modes, damping_masses(modes, collar))
     lower = 1.0 / math.sqrt(2.0)  # 1/sqrt(sup a)
     assert all(c >= lower - 1e-12 for _, c in consts)
 
@@ -248,12 +248,68 @@ def test_semiclassical_lower_bound():
 def test_quasimode_diagnostics_basic():
     square = Rectangle(1.0, 1.0)
     grid = StaggeredGrid.for_rectangle(square, 32)
-    pairs = stokes_eigenpairs(grid, 12)
+    modes = stokes_eigenpairs(grid, 12)
     collar = DampingProfile(square, BoundaryCollar(0.1), 1.0, 0.02)
-    for p, mass in zip(pairs, damping_masses(pairs, collar)):
-        d = quasimode_diagnostics(p, mass)
-        assert abs(d.h - p.lam ** -0.5) <= 1e-15
-        assert d.normal_component_defect <= 1e-6
-        assert d.boundary_flux_norm >= 0.0
-        assert d.pressure_norms[0] >= 0.0 and d.pressure_norms[1] >= 0.0
-        assert d.obs_constant >= 1.0 - 1e-12  # sup a = 1 here
+    d = quasimode_diagnostics(modes, damping_masses(modes, collar))
+    assert np.all(np.abs(d.h - modes.lambdas ** -0.5) <= 1e-15)
+    assert np.all(d.normal_component_defect <= 1e-6)
+    assert np.all(d.boundary_flux_norm >= 0.0)
+    assert np.all(d.pressure_norms[0] >= 0.0) and np.all(d.pressure_norms[1] >= 0.0)
+    assert np.all(d.obs_constant >= 1.0 - 1e-12)  # sup a = 1 here
+
+
+def _per_mode_diagnostics(pair, damping_mass):
+    """One mode's (h, boundary flux, normal-trace defect, interior and boundary
+    pressure norms, obs constant), computed field by field: the oracle of the
+    batched quasimode_diagnostics and semiclassical_constants."""
+    grid = pair.phi.grid
+    h_sc = pair.lam ** -0.5
+    hg = grid.h
+    u, v = pair.phi.u, pair.phi.v
+    dn_norm = [
+        (4.0 * u[1, :] - u[2, :]) / (2 * hg),
+        (4.0 * u[-2, :] - u[-3, :]) / (2 * hg),
+        (4.0 * v[:, 1] - v[:, 2]) / (2 * hg),
+        (4.0 * v[:, -2] - v[:, -3]) / (2 * hg),
+    ]
+    dn_tan = [
+        (9.0 * v[0, :] - v[1, :]) / (3 * hg),
+        (9.0 * v[-1, :] - v[-2, :]) / (3 * hg),
+        (9.0 * u[:, 0] - u[:, 1]) / (3 * hg),
+        (9.0 * u[:, -1] - u[:, -2]) / (3 * hg),
+    ]
+    flux_sq = sum(float(arr @ arr) for arr in dn_norm + dn_tan)
+    div_ring = divergence(pair.phi).q
+    ring = np.concatenate([div_ring[0, :], div_ring[-1, :], div_ring[:, 0], div_ring[:, -1]])
+    qq = pair.pressure.q
+    traces = [
+        (3.0 * qq[0, :] - qq[1, :]) / 2.0,
+        (3.0 * qq[-1, :] - qq[-2, :]) / 2.0,
+        (3.0 * qq[:, 0] - qq[:, 1]) / 2.0,
+        (3.0 * qq[:, -1] - qq[:, -2]) / 2.0,
+    ]
+    obs = math.inf if damping_mass == 0.0 else pair.phi.l2_norm() / math.sqrt(damping_mass)
+    return (h_sc, h_sc * math.sqrt(hg * flux_sq), h_sc * float(np.abs(ring).max()),
+            h_sc * pair.pressure.l2_norm(),
+            h_sc * math.sqrt(hg * sum(float(tr @ tr) for tr in traces)), obs)
+
+
+@pytest.mark.parametrize("shape", [BoundaryCollar(0.1), SideStrip("left", 0.1), None],
+                         ids=["collar", "strip", "none"])
+def test_batched_diagnostics_match_the_per_mode_oracle(shape):
+    rect = Rectangle(1.5, 1.0)
+    profile = None if shape is None else DampingProfile(rect, shape, 1.0, 0.02)
+    modes = stokes_eigenpairs(StaggeredGrid.for_rectangle(rect, 12), 20)
+    masses = damping_masses(modes, profile)
+    d = quasimode_diagnostics(modes, masses)
+    got = np.stack([d.h, d.boundary_flux_norm, d.normal_component_defect, *d.pressure_norms,
+                    d.obs_constant])
+    want = np.array([_per_mode_diagnostics(modes[k], masses[k]) for k in range(len(modes))]).T
+    # no damping means zero masses, so every obs constant is inf; otherwise none is
+    assert np.isinf(want[-1]).all() if shape is None else np.isfinite(want[-1]).all()
+    consts = semiclassical_constants(modes, masses)
+    sorted_want = want[[0, -1]][:, np.argsort(want[0], kind="stable")]
+    for g, w in [*zip(got, want), *zip(consts.T, sorted_want)]:
+        assert np.array_equal(np.isinf(g), np.isinf(w))
+        fin = np.isfinite(w)
+        assert np.abs(g[fin] - w[fin]).max(initial=0.0) <= 1e-12 * np.abs(w[fin]).max(initial=0.0)

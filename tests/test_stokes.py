@@ -7,7 +7,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stokeswave import (BoundaryCollar, ConfigurationError, DampingProfile, DiskPatch,
+from stokeswave import (BoundaryCollar, ConfigurationError, DampingProfile, DiskPatch, Modes,
                         PreconditionError, PressureField, Rectangle, StaggeredField,
                         StaggeredGrid, build_modal_system, damping_masses, damping_matrix,
                         dirichlet_energy, divergence, gradient, leray_project,
@@ -246,16 +246,16 @@ def test_discrete_integration_by_parts():
 
 def test_eigenpairs_sanity_small_grid():
     g = _grid(16)
-    pairs = stokes_eigenpairs(g, 12)
-    lams = np.array([p.lam for p in pairs])
+    modes = stokes_eigenpairs(g, 12)
+    lams = modes.lambdas
     assert np.all(np.diff(lams) >= -1e-12)
     assert lams[0] > 2 * math.pi ** 2
-    assert all(p.residual <= 1e-8 for p in pairs)
+    assert all(p.residual <= 1e-8 for p in modes)
     # unit norms, orthogonality, discrete divergence-freeness
-    phi = np.stack([p.phi.flat() for p in pairs], axis=1)
+    phi = modes.phi
     gram = phi.T @ phi * g.h ** 2
     assert np.abs(gram - np.eye(12)).max() <= 1e-10
-    assert all(divergence(p.phi).l2_norm() <= 1e-10 for p in pairs)
+    assert all(divergence(p.phi).l2_norm() <= 1e-10 for p in modes)
 
 
 def test_eigenpairs_dense_oracle_agreement():
@@ -264,12 +264,8 @@ def test_eigenpairs_dense_oracle_agreement():
     g = _grid(16)
     dense = stokes_eigenpairs(g, 12, dense=True)
     sparse = stokes_eigenpairs(g, 12, dense=False)
-    lam_dense = [p.lam for p in dense]
-    lam_sparse = [p.lam for p in sparse]
-    assert np.abs(np.array(lam_dense) - np.array(lam_sparse)).max() <= 1e-9
-    phi_dense = np.stack([p.phi.flat() for p in dense], axis=1)
-    phi_sparse = np.stack([p.phi.flat() for p in sparse], axis=1)
-    assert np.abs(phi_dense - phi_sparse).max() <= 1e-8
+    assert np.abs(dense.lambdas - sparse.lambdas).max() <= 1e-9
+    assert np.abs(dense.phi - sparse.phi).max() <= 1e-8
 
 
 def test_eigenpairs_count_guard():
@@ -283,25 +279,25 @@ def test_class_eigensolve_full_count_matches_oracle():
     g = _grid(4)
     dense = stokes_eigenpairs(g, 9, dense=True)
     classes = stokes_eigenpairs(g, 9)
-    lam_d = np.array([p.lam for p in dense])
-    assert np.abs(lam_d - [p.lam for p in classes]).max() <= 1e-10 * lam_d.max()
-    phi_d = np.stack([p.phi.flat() for p in dense], axis=1)
-    phi_c = np.stack([p.phi.flat() for p in classes], axis=1)
-    assert np.abs(phi_d - phi_c).max() <= 1e-8
+    lam_d = dense.lambdas
+    assert np.abs(lam_d - classes.lambdas).max() <= 1e-10 * lam_d.max()
+    assert np.abs(dense.phi - classes.phi).max() <= 1e-8
 
 
 def test_eigenpairs_full_count_above_the_dense_size():
     # the whole divergence-free dimension, (25 - 1) * (3 - 1), on a grid past the dense rule
-    pairs = stokes_eigenpairs(StaggeredGrid(25, 3, 0.04), 48)
-    assert len(pairs) == 48
-    assert all(a.lam <= b.lam for a, b in zip(pairs, pairs[1:]))
+    modes = stokes_eigenpairs(StaggeredGrid(25, 3, 0.04), 48)
+    assert len(modes) == 48
+    assert np.all(modes.lambdas[:-1] <= modes.lambdas[1:])
 
 
 def test_quasimode_residual_identity():
     # with h = lambda^(-1/2) and the projection pressure, the h-scaled mode
     # equation is satisfied to solver precision
     g = _grid(32)
-    for p in stokes_eigenpairs(g, 20)[::3]:
+    modes = stokes_eigenpairs(g, 20)
+    for k in range(0, 20, 3):
+        p = modes[k]
         h2 = 1.0 / p.lam
         r = (-h2 * vector_laplacian(p.phi).flat() - p.phi.flat()
              + h2 * gradient(p.pressure).flat())
@@ -310,14 +306,14 @@ def test_quasimode_residual_identity():
 
 def test_damping_matrix_examples():
     g = _grid(16)
-    pairs = stokes_eigenpairs(g, 6)
-    assert np.all(damping_matrix(pairs, None) == 0.0)
+    modes = stokes_eigenpairs(g, 6)
+    assert np.all(damping_matrix(modes, None) == 0.0)
     # constant damping: orthonormality makes B = c * I up to quadrature roundoff
     const = DampingProfile(SQ, DiskPatch((0.5, 0.5), 5.0), 0.7, 0.0)
-    b = damping_matrix(pairs, const)
+    b = damping_matrix(modes, const)
     assert np.abs(b - 0.7 * np.eye(6)).max() <= 1e-10
     collar = DampingProfile(SQ, BoundaryCollar(0.1), 1.0, 0.02)
-    bc = damping_matrix(pairs, collar)
+    bc = damping_matrix(modes, collar)
     assert np.abs(bc - bc.T).max() <= 1e-12
     assert np.linalg.eigvalsh(bc).min() >= -1e-10
     assert np.all(np.diag(bc) >= 0.0)
@@ -328,8 +324,34 @@ def test_modal_system_reconstruct_roundtrip():
     ms = build_modal_system(g, 5)
     coeffs = np.array([1.0, 0.0, -0.5, 0.0, 0.25])
     f = ms.reconstruct(coeffs)
-    recovered = np.array([f.inner(p.phi) for p in ms.pairs])
+    recovered = np.array([f.inner(p.phi) for p in ms.modes])
     assert np.abs(recovered - coeffs).max() <= 1e-10
+
+
+def test_modes_are_one_matrix_with_per_mode_views():
+    g = StaggeredGrid(9, 6, 1.0 / 9)
+    modes = stokes_eigenpairs(g, 10)
+    assert len(modes) == 10
+    for k in range(10):
+        p = modes[k]
+        assert p.lam == modes.lambdas[k] and p.residual == modes.residual[k]
+        assert np.array_equal(p.phi.flat(), modes.phi[:, k])
+        assert np.array_equal(p.pressure.q, modes.pressure[:, :, k])
+    with pytest.raises(IndexError):
+        modes[10]
+    pairs = list(modes)
+    assert len(pairs) == 10 and all(type(p.residual) is float for p in pairs)
+    for array in (modes.lambdas, modes.phi, modes.pressure, modes.residual):
+        with pytest.raises(ValueError):
+            array[0] = 1.0
+    # the damping matrix against a per-mode loop, and reconstruct as phi @ c
+    collar = DampingProfile(Rectangle(g.width, g.height), BoundaryCollar(0.1), 1.0, 0.02)
+    a = np.concatenate([collar.values(g.u_points()), collar.values(g.v_points())])
+    loop = [[g.h ** 2 * float((a * p.phi.flat()) @ q.phi.flat()) for q in pairs] for p in pairs]
+    b = damping_matrix(modes, collar)
+    assert np.abs(b - np.array(loop)).max() <= 1e-13
+    c = np.random.default_rng(0).standard_normal(10)
+    assert np.array_equal(stokes.ModalSystem(modes, b).reconstruct(c).flat(), modes.phi @ c)
 
 
 def test_grid_construction_guards():
@@ -344,10 +366,10 @@ def test_grid_construction_guards():
 def test_eigen_grid_convergence_small():
     # coarse-grid proxy of the refinement stability claim; the 2% bound at
     # nx = 64 vs 128 is asserted in the acceptance suite
-    lam_a = np.array([p.lam for p in stokes_eigenpairs(_grid(16), 5)])
-    lam_b = np.array([p.lam for p in stokes_eigenpairs(_grid(32), 5)])
+    lam_a = stokes_eigenpairs(_grid(16), 5).lambdas
+    lam_b = stokes_eigenpairs(_grid(32), 5).lambdas
     assert np.all(np.abs(lam_a - lam_b) / lam_b <= 0.05)
-    lam_c = np.array([p.lam for p in stokes_eigenpairs(_grid(64), 5)])
+    lam_c = stokes_eigenpairs(_grid(64), 5).lambdas
     # second-order convergence: the 16->32 gap shrinks by about 4x at 32->64
     assert np.abs(lam_b - lam_c).max() <= 0.5 * np.abs(lam_a - lam_b).max()
 
@@ -433,10 +455,9 @@ def test_class_eigensolve_matches_dense_oracle(nx, ny, data):
     count = data.draw(st.integers(1, n_psi), label="count")
     dense = stokes_eigenpairs(g, count, dense=True)
     classes = stokes_eigenpairs(g, count)
-    lam_d = np.array([p.lam for p in dense])
-    lam_c = np.array([p.lam for p in classes])
-    assert np.all(np.abs(lam_d - lam_c) <= 1e-10 * lam_d)
-    phi_c = np.stack([p.phi.flat() for p in classes], axis=1)
+    lam_d = dense.lambdas
+    assert np.all(np.abs(lam_d - classes.lambdas) <= 1e-10 * lam_d)
+    phi_c = classes.phi
     assert np.abs(phi_c.T @ phi_c * g.h ** 2 - np.eye(count)).max() <= 1e-12
     # a count that splits a degenerate cluster leaves its kept modes to each
     # path's own rule, so the modes are compared below that cluster only
@@ -448,7 +469,7 @@ def test_class_eigensolve_matches_dense_oracle(nx, ny, data):
     # modes within a relative 1e-6 of a neighbour are fixed by either solver
     # only up to a rotation among them (differences of 6e-9 at gaps of 1e-7 on
     # 28 x 28), so such a group is compared as a span; a lone mode directly
-    phi_d = np.stack([p.phi.flat() for p in dense], axis=1)[:, :keep]
+    phi_d = dense.phi[:, :keep]
     lam_d = lam_d[:keep]
     for group in np.split(np.arange(keep), np.flatnonzero(np.diff(lam_d) > 1e-6 * lam_d[1:]) + 1):
         want, got = phi_d[:, group], phi_c[:, group]
@@ -475,7 +496,7 @@ def test_split_pair_keeps_the_earlier_class_and_partners_are_bit_identical():
     u = stokes_eigenpairs(g, 2)[1].phi.u
     assert np.abs(u[::-1, :] - u).max() <= 1e-12 * np.abs(u).max()
     assert np.abs(u[:, ::-1] - u).max() <= 1e-12 * np.abs(u).max()
-    lam = np.array([p.lam for p in stokes_eigenpairs(g, 100)])
+    lam = stokes_eigenpairs(g, 100).lambdas
     # the partner pairs are exactly equal, and nothing else is within the cluster tolerance
     equal = np.flatnonzero(lam[1:] == lam[:-1])
     close = np.flatnonzero(lam[1:] - lam[:-1] <= stokes._CLUSTER_TOL * lam[1:])
@@ -497,8 +518,8 @@ def test_truncated_class_doubles_its_count(monkeypatch):
     assert asked == [(50, first), (50, first), (49, first), (49, first),
                      (50, 2 * first), (49, 2 * first)]
     dense = stokes_eigenpairs(g, count, dense=True)
-    lam_d = np.array([p.lam for p in dense])
-    assert np.all(np.abs(lam_d - [p.lam for p in classes]) <= 1e-10 * lam_d)
+    lam_d = dense.lambdas
+    assert np.all(np.abs(lam_d - classes.lambdas) <= 1e-10 * lam_d)
 
 
 def test_eigenpairs_sparse_matches_dense_on_rectangle():
@@ -506,12 +527,9 @@ def test_eigenpairs_sparse_matches_dense_on_rectangle():
     g = StaggeredGrid.for_rectangle(Rectangle(2.0, 1.0), 20)
     dense = stokes_eigenpairs(g, 30, dense=True)
     sparse = stokes_eigenpairs(g, 30, dense=False)
-    lam_d = np.array([p.lam for p in dense])
-    lam_s = np.array([p.lam for p in sparse])
-    assert np.abs(lam_d - lam_s).max() <= 1e-10 * lam_d.max()
-    phi_d = np.stack([p.phi.flat() for p in dense], axis=1)
-    phi_s = np.stack([p.phi.flat() for p in sparse], axis=1)
-    assert np.abs(phi_d - phi_s).max() <= 1e-8
+    lam_d = dense.lambdas
+    assert np.abs(lam_d - sparse.lambdas).max() <= 1e-10 * lam_d.max()
+    assert np.abs(dense.phi - sparse.phi).max() <= 1e-8
 
 
 def test_canonical_gauge_undoes_rotation_and_sign():
@@ -534,13 +552,15 @@ def test_canonical_gauge_undoes_rotation_and_sign():
 
 def test_damping_masses_are_the_diagonal_of_the_damping_matrix():
     g = _grid(16)
-    pairs = stokes_eigenpairs(g, 8)
+    modes = stokes_eigenpairs(g, 8)
     collar = DampingProfile(SQ, BoundaryCollar(0.1), 1.0, 0.02)
-    masses = damping_masses(pairs, collar)
-    assert np.abs(masses - np.diag(damping_matrix(pairs, collar))).max() <= 1e-13
+    masses = damping_masses(modes, collar)
+    assert np.abs(masses - np.diag(damping_matrix(modes, collar))).max() <= 1e-13
     # per-mode face quadrature as the oracle
     a = np.concatenate([collar.values(g.u_points()), collar.values(g.v_points())])
-    loop = [g.h ** 2 * float((a * p.phi.flat()) @ p.phi.flat()) for p in pairs]
+    loop = [g.h ** 2 * float((a * p.phi.flat()) @ p.phi.flat()) for p in modes]
     assert np.abs(masses - loop).max() <= 1e-13
-    assert np.all(damping_masses(pairs, None) == 0.0)
-    assert damping_masses([], collar).shape == (0,)
+    assert np.all(damping_masses(modes, None) == 0.0)
+    empty = Modes(g, np.zeros(0), np.zeros((g.n_faces, 0)), np.zeros((g.nx, g.ny, 0)),
+                  np.zeros(0))
+    assert damping_masses(empty, collar).shape == (0,)
