@@ -6,6 +6,12 @@ CSV/JSON files in the configured output directory; every file embeds the
 resolved configuration, defaults filled in, and fixed seeds make reruns
 byte-identical.
 
+A runner run_<exp>(cfg, domain, damping) computes and returns its artifacts:
+a dict from file name to a JSON payload (a dict) for a .json name, or to
+(columns, rows) for a .csv name.  main alone creates the output directory
+and writes the artifacts once the runner has returned, so a run that exits 3
+writes none.
+
 The config schema is one set of tables in the format of stokeswave.schema:
 CONFIG, PARAMS (one table per experiment) and SAMPLERS here, DOMAINS and
 DAMPINGS in stokeswave.geometry.  They drive validation, defaults and the help
@@ -141,18 +147,7 @@ def _unit_direction(xi) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Experiment runners
-
-
-def _setup(cfg: dict):
-    domain = make_domain(cfg["domain"])
-    damping = None if cfg["damping"] is None else make_damping(domain, cfg["damping"])
-    out = Path(cfg["output_dir"])
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        fail("output_dir", f"cannot create directory {out}: {exc.strerror}")
-    return domain, damping, out
+# Experiment runners (contract in the module docstring)
 
 
 def _modal_system(cfg, domain, damping):
@@ -161,8 +156,7 @@ def _modal_system(cfg, domain, damping):
     return stokes.build_modal_system(grid, cfg["params"]["n_modes"], damping)
 
 
-def run_trace(cfg: dict):
-    domain, damping, out = _setup(cfg)
+def run_trace(cfg: dict, domain, damping) -> dict:
     params = cfg["params"]
     xi0 = _unit_direction(params["xi0"])
     path = raytracer.trace(domain, damping, raytracer.PhasePoint(params["x0"], xi0),
@@ -176,27 +170,27 @@ def run_trace(cfg: dict):
         else:   # point events; a damped entry carries its own time
             rows.append((ev.kind, getattr(ev, "time", t), 0.0,
                          ev.point[0], ev.point[1], ev.point[0], ev.point[1]))
-    reporting.write_csv(out / "ray_path.csv",
-                        ["kind", "t_start", "duration", "x_start", "y_start", "x_end", "y_end"],
-                        rows, cfg)
-    reporting.write_json(out / "trace_summary.json", {
-        "terminated": path.terminated,
-        "total_time": path.total_time,
-        "first_entry_time": path.first_entry_time,
-        "n_events": len(path.events),
-        "final_x": list(path.final.x),
-        "final_xi": list(path.final.xi),
-    }, cfg)
+    return {
+        "ray_path.csv": (["kind", "t_start", "duration", "x_start", "y_start", "x_end", "y_end"],
+                         rows),
+        "trace_summary.json": {
+            "terminated": path.terminated,
+            "total_time": path.total_time,
+            "first_entry_time": path.first_entry_time,
+            "n_events": len(path.events),
+            "final_x": list(path.final.x),
+            "final_xi": list(path.final.xi),
+        },
+    }
 
 
-def run_gcc(cfg: dict):
-    domain, damping, out = _setup(cfg)
+def run_gcc(cfg: dict, domain, damping) -> dict:
     params = cfg["params"]
     spec = params["sampler"]
     sampler = (raytracer.GridSampler(spec["nx"], spec["ndir"]) if spec["kind"] == "grid"
                else raytracer.RandomSampler(spec["n"], cfg["seed"]))
     report = raytracer.check_gcc(domain, damping, params["T"], sampler)
-    reporting.write_json(out / "gcc_report.json", {
+    return {"gcc_report.json": {
         "horizon": report.horizon,
         "n_samples": report.n_samples,
         "covered_fraction": report.covered_fraction,
@@ -206,18 +200,15 @@ def run_gcc(cfg: dict):
         "sampler": spec,
         "worst_rays": [{"x": list(p.x), "xi": list(p.xi), "first_entry_time": t}
                        for p, t in zip(report.worst_rays, report.worst_entry_times)],
-    }, cfg)
+    }}
 
 
-def run_simulate(cfg: dict):
+def run_simulate(cfg: dict, domain, damping) -> dict:
     from . import evolution
-    domain, damping, out = _setup(cfg)
     params = cfg["params"]
     ms = _modal_system(cfg, domain, damping)
     state0 = evolution.random_state(ms, cfg["seed"])
     final, trace = evolution.evolve(ms, state0, params["T"], params["dt"], damped=True)
-    reporting.write_csv(out / "energy_trace.csv", ["t", "E", "D_cum"],
-                        zip(trace.t, trace.E, trace.D_cum), cfg)
     payload = {
         "n_modes": ms.n_modes,
         "E0": float(trace.E[0]),
@@ -228,51 +219,46 @@ def run_simulate(cfg: dict):
         fit = evolution.fit_decay(trace, params["window"])
         payload["decay_fit"] = {"C0": fit.C0, "alpha": fit.alpha,
                                 "r_squared": fit.r_squared, "window": list(fit.window)}
-    reporting.write_json(out / "simulate_summary.json", payload, cfg)
+    return {"energy_trace.csv": (["t", "E", "D_cum"], zip(trace.t, trace.E, trace.D_cum)),
+            "simulate_summary.json": payload}
 
 
-def run_spectrum(cfg: dict):
+def run_spectrum(cfg: dict, domain, damping) -> dict:
     from . import spectral
-    domain, damping, out = _setup(cfg)
     ms = _modal_system(cfg, domain, damping)
     rep = spectral.spectrum(ms)
-    reporting.write_json(out / "spectrum_report.json", {
+    return {"spectrum_report.json": {
         "n_modes": ms.n_modes,
         "eigenvalues": [[float(z.real), float(z.imag)] for z in rep.eigenvalues],
         "spectral_abscissa": rep.spectral_abscissa,
         "predicted_decay_rate": rep.predicted_decay_rate,
-    }, cfg)
+    }}
 
 
-def run_resolvent(cfg: dict):
+def run_resolvent(cfg: dict, domain, damping) -> dict:
     from . import spectral
-    domain, damping, out = _setup(cfg)
-    params = cfg["params"]
     ms = _modal_system(cfg, domain, damping)
-    sig = params["sigma"]
+    sig = cfg["params"]["sigma"]
     grid = np.linspace(sig["min"], sig["max"], sig["count"])
-    curve = spectral.resolvent_sweep(ms, grid)
-    reporting.write_csv(out / "resolvent_curve.csv", ["sigma", "smin"], curve, cfg)
+    return {"resolvent_curve.csv": (["sigma", "smin"], spectral.resolvent_sweep(ms, grid))}
 
 
-def run_observability(cfg: dict):
+def run_observability(cfg: dict, domain, damping) -> dict:
     from . import evolution
-    domain, damping, out = _setup(cfg)
     params = cfg["params"]
     ms = _modal_system(cfg, domain, damping)
     gram, c_obs = evolution.observability_gramian(ms, params["T"], params["dt"])
-    reporting.write_json(out / "observability.json", {
+    return {"observability.json": {
         "n_modes": ms.n_modes,
         "T": params["T"],
         "dt": params["dt"],
         "c_obs": c_obs,
         "gramian_frobenius_norm": float(np.linalg.norm(gram)),
-    }, cfg)
+    }}
 
 
-def run_lame(cfg: dict):
+def run_lame(cfg: dict, domain, damping) -> dict:
     from . import evolution, lame, stokes
-    domain, damping, out = _setup(cfg)
     params = cfg["params"]
     ms = _modal_system(cfg, domain, None)
     n_init = params["n_init_modes"]
@@ -284,38 +270,26 @@ def run_lame(cfg: dict):
     rows = lame.convergence_study(u0, w0, params["eps_list"], params["T"], params["dt"],
                                   lame.modal_reference(ms, state0),
                                   sample_every=params["sample_every"])
-    reporting.write_csv(out / "lame_study.csv", ["eps", "max_div", "max_err"], rows, cfg)
+    return {"lame_study.csv": (["eps", "max_div", "max_err"], rows)}
 
 
-def run_diagnostics(cfg: dict):
+def run_diagnostics(cfg: dict, domain, damping) -> dict:
     from . import spectral, stokes
-    domain, damping, out = _setup(cfg)
     params = cfg["params"]
     grid = stokes.StaggeredGrid.for_rectangle(domain, params["nx"])
     modes = stokes.stokes_eigenpairs(grid, params["n_modes"])
     masses = stokes.damping_masses(modes, damping)
     constants = spectral.semiclassical_constants(modes, masses)
-    reporting.write_csv(out / "semiclassical_constants.csv", ["h", "obs_constant"],
-                        constants, cfg)
     d = spectral.quasimode_diagnostics(modes, masses)
     rows = zip(range(len(modes)), modes.lambdas, d.h, d.boundary_flux_norm,
                d.normal_component_defect, *d.pressure_norms, d.obs_constant)
-    reporting.write_csv(out / "quasimode_diagnostics.csv",
-                        ["mode", "lambda", "h", "boundary_flux_norm", "normal_component_defect",
-                         "pressure_interior_norm", "pressure_boundary_norm", "obs_constant"],
-                        rows, cfg)
+    return {"semiclassical_constants.csv": (["h", "obs_constant"], constants),
+            "quasimode_diagnostics.csv": (
+                ["mode", "lambda", "h", "boundary_flux_norm", "normal_component_defect",
+                 "pressure_interior_norm", "pressure_boundary_norm", "obs_constant"], rows)}
 
 
-_RUNNERS = {
-    "trace": run_trace,
-    "gcc": run_gcc,
-    "simulate": run_simulate,
-    "spectrum": run_spectrum,
-    "resolvent": run_resolvent,
-    "observability": run_observability,
-    "lame": run_lame,
-    "diagnostics": run_diagnostics,
-}
+_RUNNERS = {name: globals()[f"run_{name}"] for name in EXPERIMENTS}
 
 
 def main(argv=None) -> int:
@@ -336,7 +310,20 @@ def main(argv=None) -> int:
         if resolved["experiment"] != args.command:
             fail("experiment", f"config declares {resolved['experiment']!r} "
                  f"but subcommand is {args.command!r}")
-        _RUNNERS[resolved["experiment"]](resolved)
+        domain = make_domain(resolved["domain"])
+        damping = (None if resolved["damping"] is None
+                   else make_damping(domain, resolved["damping"]))
+        out = Path(resolved["output_dir"])
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            fail("output_dir", f"cannot create directory {out}: {exc.strerror}")
+        artifacts = _RUNNERS[resolved["experiment"]](resolved, domain, damping)
+        for name, artifact in artifacts.items():
+            if name.endswith(".csv"):
+                reporting.write_csv(out / name, *artifact, resolved)
+            else:
+                reporting.write_json(out / name, artifact, resolved)
     except ConfigurationError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

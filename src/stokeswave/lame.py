@@ -92,17 +92,8 @@ def _penalized_laplacian(grid: StaggeredGrid, eps: float) -> sp.csr_matrix:
     return ops.L if math.isinf(eps) else (ops.L + (1.0 / eps) * (ops.G @ ops.D)).tocsr()
 
 
-def _interior_faces(grid: StaggeredGrid) -> np.ndarray:
-    """Boolean mask, in flat face order, of the faces off the walls."""
-    u = np.zeros((grid.nx + 1, grid.ny), dtype=bool)
-    v = np.zeros((grid.nx, grid.ny + 1), dtype=bool)
-    u[1:-1] = True
-    v[:, 1:-1] = True
-    return np.concatenate([u.ravel(), v.ravel()])
-
-
 def evolve_lame(state0: LameState, T: float, dt: float,
-                reference: Optional[Callable[[float], StaggeredField]] = None,
+                reference: Optional[Callable[[float], np.ndarray]] = None,
                 sample_every: int = 1) -> LameTrace:
     """Integrate the penalized system for n = round(T/dt) midpoint steps,
     sampling the start, every `sample_every`-th step and the last one.
@@ -112,16 +103,16 @@ def evolve_lame(state0: LameState, T: float, dt: float,
     symmetric I - (dt^2/4) L_eps restricted to them, and wall faces moved as
     u_W + t w_W.  A failed factorization raises NumericsError.
 
-    The reference, when given, is a callable t -> StaggeredField on the
-    same grid (e.g. modal_reference); the trace then carries the deviation
-    from it.
+    The reference, when given, is a callable t -> flat face vector
+    (n_faces,) on the same grid (e.g. modal_reference); the trace then
+    carries the deviation from it.
     """
     if dt <= 0:
         raise ConfigurationError("dt must be positive")
     if T < dt:
         raise ConfigurationError("T must be at least dt")
     grid = state0.u.grid
-    inner = _interior_faces(grid)
+    inner = _ops(grid).interior
     wall = ~inner
     rows = _penalized_laplacian(grid, state0.eps)[inner]
     l_ii, l_iw = rows[:, inner], rows[:, wall]
@@ -140,7 +131,7 @@ def evolve_lame(state0: LameState, T: float, dt: float,
         if reference is None:
             err = math.nan
         else:
-            err = grid.h * float(np.linalg.norm(u - reference(t).flat()))
+            err = grid.h * float(np.linalg.norm(u - reference(t)))
         return t, e, dn, err
 
     steps = int(round(T / dt))
@@ -161,14 +152,14 @@ def evolve_lame(state0: LameState, T: float, dt: float,
     return LameTrace(*(np.array(column) for column in zip(*samples)))
 
 
-def modal_reference(ms: ModalSystem, state0: ModalState) -> Callable[[float], StaggeredField]:
-    """Grid-reconstructed closed-form modal solution of the constrained system."""
+def modal_reference(ms: ModalSystem, state0: ModalState) -> Callable[[float], np.ndarray]:
+    """Closed-form modal solution of the constrained system, t -> flat face vector."""
     sol = undamped_modal_solution(ms, state0)
-    return lambda t: ms.reconstruct(sol(t).u)
+    return lambda t: ms.modes.phi @ sol(t).u
 
 
 def convergence_study(u0: StaggeredField, w0: StaggeredField, eps_list, T: float, dt: float,
-                      reference: Callable[[float], StaggeredField],
+                      reference: Callable[[float], np.ndarray],
                       sample_every: int = 1) -> List[Tuple[float, float, float]]:
     """Rows (eps, max_t ||div u_eps||, max_t ||u_eps - reference||), eps descending."""
     eps_list = [float(e) for e in eps_list]
@@ -176,11 +167,11 @@ def convergence_study(u0: StaggeredField, w0: StaggeredField, eps_list, T: float
         raise ConfigurationError("eps_list must be strictly descending")
     if u0.grid != w0.grid:
         raise ConfigurationError("initial data grids differ")
-    if reference(0.0).grid != u0.grid:
+    if np.shape(reference(0.0)) != (u0.grid.n_faces,):
         raise ConfigurationError("reference solution lives on a different grid")
     rows = []
     for eps in eps_list:
-        trace = evolve_lame(LameState(u0.copy(), w0.copy(), eps), T, dt,
+        trace = evolve_lame(LameState(u0, w0, eps), T, dt,
                             reference=reference, sample_every=sample_every)
         rows.append((eps, float(trace.div_norm.max()), float(trace.err_norm.max())))
     return rows

@@ -220,11 +220,12 @@ class _Operators:
 
     Faces are ordered u faces (nx+1, ny), then v faces (nx, ny+1), both in C
     order, and so are cells (nx, ny) and interior vertices (nx-1, ny-1).  So
-    each operator, and the interior-face mask, is a Kronecker product of
-    three 1-D stencils: the forward difference (n, n+1)/h, the interior-node
-    embedding (n+1, n-1) and the second difference, whose end value is -2
-    along a component (wall nodes, rows masked) and -3 across it (the
-    reflected ghost of a wall half a cell away).
+    each operator is a Kronecker product of three 1-D stencils: the forward
+    difference (n, n+1)/h, the interior-node embedding (n+1, n-1) and the
+    second difference, whose end value is -2 along a component (wall nodes,
+    rows masked) and -3 across it (the reflected ghost of a wall half a cell
+    away).  `interior` is the read-only boolean vector, in face order, of the
+    faces off the walls; G and L are masked to its rows.
     """
 
     def __init__(self, grid: StaggeredGrid):
@@ -234,7 +235,11 @@ class _Operators:
         ix, iy = sp.identity(nx), sp.identity(ny)
 
         self.D = sp.hstack([_kron(dx, iy), _kron(ix, dy)], format="csr")
-        mask = sp.block_diag([_kron(ex @ ex.T, iy), _kron(ix, ey @ ey.T)], format="csr")
+        inner_u, inner_v = np.zeros((nx + 1, ny), dtype=bool), np.zeros((nx, ny + 1), dtype=bool)
+        inner_u[1:-1], inner_v[:, 1:-1] = True, True
+        self.interior = np.concatenate([inner_u.ravel(), inner_v.ravel()])
+        self.interior.flags.writeable = False
+        mask = sp.diags(self.interior.astype(float), format="csr")
         self.G = mask @ (-self.D.T)
         lu = _kron(_second_difference(nx + 1, h, -2.0), iy) + \
             _kron(sp.identity(nx + 1), _second_difference(ny, h, -3.0))

@@ -16,7 +16,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stokeswave import PhasePoint, PreconditionError, cli, make_domain, stokes, trace
+import stokeswave
+from stokeswave import (NumericsError, PhasePoint, PreconditionError, cli, make_domain, stokes,
+                        trace)
 from stokeswave.cli import main
 from stokeswave.reporting import fmt_float
 
@@ -384,6 +386,52 @@ def test_mutated_config_exits_2_with_its_path(case, neg):
         assert code == 2, (path, new)
         assert err.getvalue().startswith(f"config error: {'.'.join(path)}: "), err.getvalue()
         assert not (Path(tmp) / "out").exists()
+
+
+# The files each subcommand writes, as documented for its experiment.
+_ARTIFACTS = {
+    "trace": {"ray_path.csv", "trace_summary.json"},
+    "gcc": {"gcc_report.json"},
+    "simulate": {"energy_trace.csv", "simulate_summary.json"},
+    "spectrum": {"spectrum_report.json"},
+    "resolvent": {"resolvent_curve.csv"},
+    "observability": {"observability.json"},
+    "lame": {"lame_study.csv"},
+    "diagnostics": {"quasimode_diagnostics.csv", "semiclassical_constants.csv"},
+}
+
+
+@pytest.mark.parametrize("experiment", list(_ARTIFACTS))
+def test_each_subcommand_writes_exactly_its_artifacts(tmp_path, experiment):
+    i = next(i for i, v in enumerate(_VALID) if v[0] == experiment)
+    cfg = _valid_config(i, tmp_path / "out")
+    assert main([experiment, _write(tmp_path, cfg)]) == 0
+    files = {f.name: f for f in (tmp_path / "out").iterdir()}
+    assert set(files) == _ARTIFACTS[experiment]
+    resolved = json.loads(json.dumps(cli.resolve_config(cfg)))
+    for name, f in files.items():
+        if name.endswith(".csv"):
+            head = f.read_text().splitlines()[:2]
+            assert head[0].startswith("# stokeswave ") and head[1].startswith("# config: ")
+            assert json.loads(head[1][len("# config: "):]) == resolved
+        else:
+            assert json.loads(f.read_text())["config"] == resolved
+
+
+@pytest.mark.parametrize("experiment, module, function", [
+    ("simulate", "evolution", "fit_decay"),
+    ("diagnostics", "spectral", "quasimode_diagnostics"),
+])
+def test_numeric_failure_writes_no_artifact(tmp_path, capsys, monkeypatch, experiment, module,
+                                            function):
+    def failing(*args, **kwargs):
+        raise NumericsError(f"forced failure of {function}")
+
+    monkeypatch.setattr(getattr(stokeswave, module), function, failing)
+    i = next(i for i, v in enumerate(_VALID) if v[0] == experiment)
+    assert main([experiment, _write(tmp_path, _valid_config(i, tmp_path / "out"))]) == 3
+    assert capsys.readouterr().err.startswith("numeric failure: ")
+    assert not (tmp_path / "out").exists() or not any((tmp_path / "out").iterdir())
 
 
 # Import guard: the ray half runs on numpy alone, and a grid config loads the

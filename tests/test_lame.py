@@ -10,7 +10,7 @@ from scipy.sparse.linalg import splu
 from stokeswave import (ConfigurationError, LameState, LameTrace, ModalState, NumericsError,
                         StaggeredField, StaggeredGrid, build_modal_system, convergence_study,
                         dirichlet_energy, evolve_lame, lame_energy, modal_reference)
-from stokeswave.lame import _energy_and_div, _interior_faces, _penalized_laplacian
+from stokeswave.lame import _energy_and_div, _penalized_laplacian
 from stokeswave.stokes import _ops
 
 
@@ -89,7 +89,7 @@ def test_pure_wave_oracle():
     tr = evolve_lame(LameState(f, StaggeredField.zeros(grid), math.inf), steps * dt, dt,
                      reference=lambda t: StaggeredField(
                          math.cos(theta * round(t / dt)) * f.u,
-                         math.cos(theta * round(t / dt)) * f.v, grid),
+                         math.cos(theta * round(t / dt)) * f.v, grid).flat(),
                      sample_every=50)
     assert tr.err_norm.max() <= 1e-9
     # continuum frequency check: omega ~ sqrt(2) pi at O(h^2)
@@ -119,6 +119,8 @@ def test_convergence_study_validation():
     other = StaggeredField.zeros(_grid(8))
     with pytest.raises(ConfigurationError):
         convergence_study(u0, other, [1e-2], 0.5, 1e-2, ref)
+    with pytest.raises(ConfigurationError, match="reference"):
+        convergence_study(u0, w0, [1e-2], 0.5, 1e-2, lambda t: np.zeros(other.grid.n_faces))
 
 
 def test_time_step_refinement_is_second_order():
@@ -166,7 +168,7 @@ def _first_order_midpoint(state0, T, dt, reference=None, sample_every=1):
     def observe(x, t):
         e, div = _energy_and_div(grid, state0.eps, x[:nf], x[nf:])
         err = math.nan if reference is None else \
-            grid.h * float(np.linalg.norm(x[:nf] - reference(t).flat()))
+            grid.h * float(np.linalg.norm(x[:nf] - reference(t)))
         return t, e, grid.h * float(np.linalg.norm(div)), err
 
     steps = int(round(T / dt))
@@ -191,7 +193,7 @@ def test_one_interior_factorization_and_its_failure(monkeypatch):
     monkeypatch.setattr(lame_module, "splu", recording_splu)
     state = LameState(StaggeredField.zeros(grid), StaggeredField.zeros(grid), 1e-2)
     evolve_lame(state, 0.1, 1e-2)
-    n = int(_interior_faces(grid).sum())
+    n = int(_ops(grid).interior.sum())
     assert calls == [((n, n), {"permc_spec": "MMD_AT_PLUS_A"})]
 
     def failing_splu(a, **kwargs):
@@ -208,7 +210,7 @@ def test_wall_rows_vanish_and_interior_block_is_symmetric(nx, ny, h, eps):
     # the two facts the interior-face Newmark step rests on
     grid = StaggeredGrid(nx, ny, h)
     lop = _penalized_laplacian(grid, eps)
-    inner = _interior_faces(grid)
+    inner = _ops(grid).interior
     # the wall faces are the ones StaggeredField holds at zero
     assert np.array_equal(StaggeredField.from_flat(grid, np.ones(grid.n_faces)).flat() == 1.0,
                           inner)
@@ -236,10 +238,10 @@ def test_newmark_step_matches_first_order_midpoint(nx, ny, h, eps, dt, steps, sa
         # written after construction, so the wall faces are nonzero too
         f.u[:] = rng.standard_normal(f.u.shape)
         f.v[:] = rng.standard_normal(f.v.shape)
-    assert np.abs(u0.flat()[~_interior_faces(grid)]).min() > 0.0
+    assert np.abs(u0.flat()[~_ops(grid).interior]).min() > 0.0
 
     def reference(t):
-        return StaggeredField(math.cos(t) * target.u, math.sin(t) * target.v, grid)
+        return StaggeredField(math.cos(t) * target.u, math.sin(t) * target.v, grid).flat()
 
     state0 = LameState(u0, w0, eps, t0)
     got = evolve_lame(state0, steps * dt, dt, reference=reference, sample_every=sample_every)
