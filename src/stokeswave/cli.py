@@ -161,15 +161,7 @@ def run_trace(cfg: dict, domain, damping) -> dict:
     xi0 = _unit_direction(params["xi0"])
     path = raytracer.trace(domain, damping, raytracer.PhasePoint(params["x0"], xi0),
                            params["T"])
-    rows = []
-    t = 0.0
-    for ev in path.events:
-        if isinstance(ev, (raytracer.FreeSegment, raytracer.GlideArc)):
-            rows.append((ev.kind, t, ev.duration, ev.start[0], ev.start[1], ev.end[0], ev.end[1]))
-            t += ev.duration
-        else:   # point events; a damped entry carries its own time
-            rows.append((ev.kind, getattr(ev, "time", t), 0.0,
-                         ev.point[0], ev.point[1], ev.point[0], ev.point[1]))
+    rows = [(ev.kind, ev.t, ev.duration, *ev.start, *ev.end) for ev in path.events]
     return {
         "ray_path.csv": (["kind", "t_start", "duration", "x_start", "y_start", "x_end", "y_end"],
                          rows),

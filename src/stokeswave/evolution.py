@@ -216,13 +216,13 @@ def undamped_modal_solution(ms, state0: ModalState) -> Callable[[float], ModalSt
     return at
 
 
-def random_state(ms, seed: int = 0, target_energy: float = 1.0) -> ModalState:
-    """Seeded random modal state scaled to a prescribed energy."""
+def random_state(ms, seed: int = 0) -> ModalState:
+    """Seeded random modal state scaled to unit energy."""
     lam = np.asarray(ms.lambdas, dtype=float)
     rng = np.random.default_rng(seed)
     u = rng.standard_normal(lam.size)
     w = rng.standard_normal(lam.size)
     state = ModalState(u, w)
     e = energy(ms, state)
-    scale = math.sqrt(target_energy / e) if e > 0 else 0.0
+    scale = math.sqrt(1.0 / e) if e > 0 else 0.0
     return ModalState(u * scale, w * scale)

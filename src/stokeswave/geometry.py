@@ -99,8 +99,6 @@ DOMAIN = (Tagged("kind", DOMAINS), None, REQUIRED)
 
 def make_domain(spec) -> Domain:
     """Build a domain from a spec mapping like {'kind': 'disk', 'radius': 1.0}; see DOMAINS."""
-    if isinstance(spec, (Rectangle, Disk)):
-        return spec
     spec = check_value(spec, DOMAIN, "domain")
     return {"rectangle": Rectangle, "disk": Disk}[spec.pop("kind")](**spec)
 
@@ -273,8 +271,6 @@ DAMPING = (Tagged("shape", DAMPINGS), None, None)
 
 def make_damping(domain: Domain, spec) -> DampingProfile:
     """Build a DampingProfile from a spec mapping; see DAMPINGS."""
-    if isinstance(spec, DampingProfile):
-        return spec
     spec = check_value(spec, DAMPING, "damping")
     shape = {"boundary_collar": BoundaryCollar, "disk_patch": DiskPatch,
              "side_strip": SideStrip}[spec.pop("shape")]

@@ -9,7 +9,8 @@ reflection law is invented for them, they are simply counted.
 
 trace and the public moves share one array kernel per move (_hit_raw,
 _reflected, _arc; a flat glide is straight flight) and one start rule,
-_start_kind, which the CLI's config check calls too.
+_start_kind, which the CLI's config check calls too.  trace reports a ray as
+RayEvent records, one record for all five kinds of event, timed by its own clock.
 
 The coverage checker samples phase points, traces each ray up to a time
 horizon, and records the first time it meets the damped set {a > 0}.
@@ -22,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Union
+from typing import List, NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -50,52 +51,28 @@ class PhasePoint:
         object.__setattr__(self, "xi", np.asarray(self.xi, dtype=float))
 
 
-@dataclass(frozen=True)
-class FreeSegment:
+class RayEvent(NamedTuple):
+    """One event of a traced ray: its kind ('free_segment', 'glide_arc', 'reflection',
+    'corner_stop' or 'damped_entry'), the flow time t at which it starts, and a move
+    from start to end over duration; a point event has end = start and duration 0.
+    Only a reflection sets xi_in and xi_out."""
+
+    kind: str
+    t: float
     start: np.ndarray
     end: np.ndarray
-    duration: float
-    kind = "free_segment"
-
-
-@dataclass(frozen=True)
-class Reflection:
-    point: np.ndarray
-    xi_in: np.ndarray
-    xi_out: np.ndarray
-    kind = "reflection"
-
-
-@dataclass(frozen=True)
-class GlideArc:
-    start: np.ndarray
-    end: np.ndarray
-    duration: float
-    kind = "glide_arc"
-
-
-@dataclass(frozen=True)
-class CornerStop:
-    point: np.ndarray
-    kind = "corner_stop"
-
-
-@dataclass(frozen=True)
-class DampedEntry:
-    point: np.ndarray
-    time: float
-    kind = "damped_entry"
-
-
-RayEvent = Union[FreeSegment, Reflection, GlideArc, CornerStop, DampedEntry]
+    duration: float = 0.0
+    xi_in: Optional[np.ndarray] = None
+    xi_out: Optional[np.ndarray] = None
 
 
 @dataclass
 class RayPath:
-    """Chronological event list of one traced ray.
+    """Chronological event list of one traced ray, timed by trace's one clock.
 
-    terminated is 'horizon', 'corner' or 'error'; tracing with
-    stop_at_entry=True may additionally end with 'entry'.
+    A reflection or corner stop has the t at which the move reaching it ends, and
+    the last move ends at total_time.  terminated is 'horizon', 'corner' or
+    'error'; tracing with stop_at_entry=True may additionally end with 'entry'.
     """
 
     events: List[RayEvent]
@@ -106,8 +83,8 @@ class RayPath:
     @property
     def first_entry_time(self) -> float:
         for ev in self.events:
-            if isinstance(ev, DampedEntry):
-                return ev.time
+            if ev.kind == "damped_entry":
+                return ev.t
         return math.inf
 
 
@@ -248,32 +225,32 @@ def trace(domain: Domain, damping: Optional[DampingProfile], rho0: PhasePoint, T
     terminated = "horizon"
 
     if seeking and damping.values(x)[0] > 0.0:
-        events.append(DampedEntry(x.copy(), 0.0))
+        events.append(_point("damped_entry", 0.0, x))
         seeking = False
         if stop_at_entry:
             return RayPath(events, 0.0, "entry", PhasePoint(x, xi, rho0.s))
 
     if start == "corner":
-        events.append(CornerStop(x.copy()))
+        events.append(_point("corner_stop", 0.0, x))
         return RayPath(events, 0.0, "corner", PhasePoint(x, xi, rho0.s))
     gliding = start == "glide"
 
     while t < T - 1e-15 and len(events) < _MAX_EVENTS:
         if gliding and isinstance(domain, Disk):
             th0, orient, state = _arc(domain, x, xi)
-            seg_cls, dur = GlideArc, T - t
+            kind, dur = "glide_arc", T - t
             entry = damping.arc_entry_time(th0, orient, dur) if seeking else None
         else:
             if gliding:
                 # flat side: straight glide until the corner or the horizon
                 s_corner = _distance_to_corner_along(domain, x, xi)
-                seg_cls, dur = GlideArc, min(T - t, s_corner)
+                kind, dur = "glide_arc", min(T - t, s_corner)
             else:
                 s_hit, hit = _hit_raw(domain, x, xi)
-                seg_cls, dur = FreeSegment, min(s_hit, T - t)
+                kind, dur = "free_segment", min(s_hit, T - t)
             state = _line(x, xi)
             entry = damping.entry_time(x, xi, dur) if seeking else None
-        t, stop = _emit(events, seg_cls, x, state, t, dur, entry, stop_at_entry)
+        t, stop = _emit(events, kind, x, state, t, dur, entry, stop_at_entry)
         if stop:
             return RayPath(events, t, "entry", PhasePoint(*state(entry), rho0.s + t))
         seeking = seeking and entry is None
@@ -286,7 +263,7 @@ def trace(domain: Domain, damping: Optional[DampingProfile], rho0: PhasePoint, T
             x = hit
             corner = isinstance(domain, Rectangle) and domain._near_corner(x)
         if corner:
-            events.append(CornerStop(x.copy()))
+            events.append(_point("corner_stop", t, x))
             terminated = "corner"
             break
         if gliding:
@@ -295,7 +272,7 @@ def trace(domain: Domain, damping: Optional[DampingProfile], rho0: PhasePoint, T
         if xi_out is None:
             gliding = True
             continue
-        events.append(Reflection(x.copy(), xi.copy(), xi_out.copy()))
+        events.append(_point("reflection", t, x, xi.copy(), xi_out.copy()))
         xi = xi_out
 
     if len(events) >= _MAX_EVENTS:
@@ -303,22 +280,28 @@ def trace(domain: Domain, damping: Optional[DampingProfile], rho0: PhasePoint, T
     return RayPath(events, t, terminated, PhasePoint(x, xi, rho0.s + t))
 
 
-def _emit(events, seg_cls, x, state, t, dur, entry, stop_at_entry):
-    """Append the move from x along state(s), 0 <= s <= dur, split at the entry time;
-    return the flow time after it and whether tracing stops at the entry."""
+def _emit(events, kind, x, state, t, dur, entry, stop_at_entry):
+    """Append the move from x along state(s), 0 <= s <= dur, from flow time t, split at
+    the entry time; return the flow time after it and whether tracing stops at the entry."""
     if entry is None:
         if dur > 0:
-            events.append(seg_cls(x.copy(), state(dur)[0], dur))
+            events.append(RayEvent(kind, t, x.copy(), state(dur)[0], dur))
         return t + dur, False
     pt = state(entry)[0]
     if entry > 0:
-        events.append(seg_cls(x.copy(), pt.copy(), entry))
-    events.append(DampedEntry(pt.copy(), t + entry))
+        events.append(RayEvent(kind, t, x.copy(), pt, entry))
+    events.append(_point("damped_entry", t + entry, pt))
     if stop_at_entry:
         return t + entry, True
     if dur - entry > 0:
-        events.append(seg_cls(pt.copy(), state(dur)[0], dur - entry))
+        events.append(RayEvent(kind, t + entry, pt.copy(), state(dur)[0], dur - entry))
     return t + dur, False
+
+
+def _point(kind, t, x, xi_in=None, xi_out=None) -> RayEvent:
+    """The point event of that kind at x and flow time t; start and end share one copy."""
+    p = x.copy()
+    return RayEvent(kind, t, p, p, 0.0, xi_in, xi_out)
 
 
 def _start_kind(domain: Domain, x, xi) -> str:

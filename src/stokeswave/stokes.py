@@ -412,15 +412,13 @@ def dirichlet_energy(f: StaggeredField) -> float:
     return f.grid.h ** 2 * float(flat @ (-(_ops(f.grid).L) @ flat))
 
 
-def random_divergence_free(grid: StaggeredGrid, seed: int = 0, unit: bool = True) -> StaggeredField:
-    """Random field in the discrete divergence-free subspace (curl of random psi)."""
+def random_divergence_free(grid: StaggeredGrid, seed: int = 0) -> StaggeredField:
+    """Random unit-norm field in the discrete divergence-free subspace (curl of random psi)."""
     rng = np.random.default_rng(seed)
     psi = rng.standard_normal((grid.nx - 1) * (grid.ny - 1))
     f = StaggeredField.from_flat(grid, _ops(grid).C @ psi)
-    if unit:
-        nrm = f.l2_norm()
-        f = StaggeredField(f.u / nrm, f.v / nrm, grid)
-    return f
+    nrm = f.l2_norm()
+    return StaggeredField(f.u / nrm, f.v / nrm, grid)
 
 
 # ---------------------------------------------------------------------------

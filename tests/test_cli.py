@@ -17,8 +17,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import stokeswave
-from stokeswave import (NumericsError, PhasePoint, PreconditionError, cli, make_domain, stokes,
-                        trace)
+from stokeswave import (NumericsError, PhasePoint, PreconditionError, cli, make_damping,
+                        make_domain, stokes, trace)
 from stokeswave.cli import main
 from stokeswave.reporting import fmt_float
 
@@ -47,6 +47,10 @@ def test_trace_subcommand(tmp_path):
     summary = json.loads((tmp_path / "out" / "trace_summary.json").read_text())
     assert summary["terminated"] == "horizon"
     assert summary["config"]["experiment"] == "trace"
+    # t_start is the tracer's own event time, not a sum of durations
+    square = make_domain(SQUARE)
+    path = trace(square, make_damping(square, COLLAR), PhasePoint((0.5, 0.5), (1.0, 0.0)), 2.0)
+    assert [row.split(",")[1] for row in csv[3:]] == [fmt_float(ev.t) for ev in path.events]
 
 
 def test_gcc_subcommand(tmp_path):
@@ -173,6 +177,21 @@ _GCC = {"T": 1.0, "sampler": {"kind": "seeded_random", "n": 4}}
                                   "window": [2.0, 3.0]}, "params.window"),
     ("simulate", SQUARE, COLLAR, {"nx": 12, "n_modes": 4, "T": 1.0, "dt": 0.1,
                                   "window": [0.1, 0.15]}, "params.window"),
+    # one row per rule of cli._cross_checks that no other test reaches
+    ("gcc", _DISK, {"shape": "side_strip", "side": "left", "depth": 0.1}, _GCC, "damping.shape"),
+    ("observability", SQUARE, COLLAR, {"nx": 12, "n_modes": 4, "T": 0.005, "dt": 0.01},
+     "params.T"),
+    ("observability", SQUARE, COLLAR, {"nx": 12, "n_modes": 4, "T": 0.105, "dt": 0.01},
+     "params.dt"),
+    ("trace", SQUARE, COLLAR, {"x0": [1.5, 0.5], "xi0": [1.0, 0.0], "T": 1.0}, "params.x0"),
+    ("trace", SQUARE, COLLAR, {"x0": [0.5, 0.5], "xi0": [0.0, 0.0], "T": 1.0}, "params.xi0"),
+    ("resolvent", SQUARE, COLLAR, {"nx": 12, "n_modes": 4,
+                                   "sigma": {"min": 5.0, "max": 1.0, "count": 3}},
+     "params.sigma.max"),
+    ("lame", SQUARE, None, {"nx": 12, "n_modes": 4, "T": 0.1, "dt": 0.01,
+                            "eps_list": [0.01, 0.1]}, "params.eps_list"),
+    ("lame", SQUARE, None, {"nx": 12, "n_modes": 4, "T": 0.1, "dt": 0.01,
+                            "eps_list": [0.1, 0.01], "n_init_modes": 5}, "params.n_init_modes"),
 ])
 def test_malformed_value_names_its_path(tmp_path, capsys, experiment, domain, damping, params,
                                         path):

@@ -10,7 +10,6 @@ from stokeswave import (BoundaryCollar, ConfigurationError, DampingProfile, Disk
                         DiskPatch, GridSampler, PhasePoint, PreconditionError, RandomSampler,
                         Rectangle, SideStrip, advance_free, boundary_hit, check_gcc, glide,
                         reflect, trace)
-from stokeswave.raytracer import (CornerStop, DampedEntry, FreeSegment, GlideArc, Reflection)
 
 SQ = Rectangle(1.0, 1.0)
 DK = Disk(1.0)
@@ -64,10 +63,10 @@ def test_glide_examples():
 
 def test_trace_square_example():
     path = trace(SQ, None, PhasePoint((0.5, 0.5), (1.0, 0.0)), 2.0)
-    refl = [e for e in path.events if isinstance(e, Reflection)]
+    refl = [e for e in path.events if e.kind == "reflection"]
     assert len(refl) == 2
-    assert np.allclose(refl[0].point, [1.0, 0.5]) and np.allclose(refl[1].point, [0.0, 0.5])
-    durations = [e.duration for e in path.events if isinstance(e, FreeSegment)]
+    assert np.allclose(refl[0].start, [1.0, 0.5]) and np.allclose(refl[1].start, [0.0, 0.5])
+    durations = [e.duration for e in path.events if e.kind == "free_segment"]
     assert np.allclose(durations, [0.5, 1.0, 0.5])
     assert abs(path.total_time - 2.0) <= 1e-12
     assert np.allclose(path.final.x, [0.5, 0.5], atol=1e-12)
@@ -75,17 +74,17 @@ def test_trace_square_example():
 
 def test_trace_disk_diameter_orbit():
     path = trace(DK, None, PhasePoint((0.0, 0.0), (1.0, 0.0)), 4.0)
-    refl = [e for e in path.events if isinstance(e, Reflection)]
+    refl = [e for e in path.events if e.kind == "reflection"]
     assert len(refl) == 2
-    assert np.allclose(refl[0].point, [1.0, 0.0]) and np.allclose(refl[1].point, [-1.0, 0.0])
+    assert np.allclose(refl[0].start, [1.0, 0.0]) and np.allclose(refl[1].start, [-1.0, 0.0])
     assert np.allclose(path.final.x, [0.0, 0.0], atol=1e-12)
-    durs = np.cumsum([e.duration for e in path.events if isinstance(e, FreeSegment)])
+    durs = np.cumsum([e.duration for e in path.events if e.kind == "free_segment"])
     assert np.allclose(durs, [1.0, 3.0, 4.0])
 
 
 def test_trace_tangential_start_glides_forever():
     path = trace(DK, None, PhasePoint((1.0, 0.0), (0.0, 1.0)), 7.5)
-    assert all(isinstance(e, GlideArc) for e in path.events)
+    assert all(e.kind == "glide_arc" for e in path.events)
     assert abs(sum(e.duration for e in path.events) - 7.5) <= 1e-12
     assert abs(np.hypot(*path.final.x) - 1.0) <= 1e-12
 
@@ -93,8 +92,8 @@ def test_trace_tangential_start_glides_forever():
 def test_trace_corner_stop():
     path = trace(SQ, None, PhasePoint((0.5, 0.5), (1 / math.sqrt(2), 1 / math.sqrt(2))), 2.0)
     assert path.terminated == "corner"
-    assert isinstance(path.events[-1], CornerStop)
-    assert np.allclose(path.events[-1].point, [1.0, 1.0], atol=1e-12)
+    assert path.events[-1].kind == "corner_stop"
+    assert np.allclose(path.events[-1].start, [1.0, 1.0], atol=1e-12)
     assert abs(path.total_time - math.hypot(0.5, 0.5)) <= 1e-12
 
 
@@ -105,7 +104,7 @@ def test_corner_start_in_damped_set_keeps_its_entry():
     start = PhasePoint((1.0, 1.0), (-0.6, -0.8))
     path = trace(SQ, collar, start, 2.0)
     assert path.terminated == "corner"
-    assert [type(e) for e in path.events] == [DampedEntry, CornerStop]
+    assert [e.kind for e in path.events] == ["damped_entry", "corner_stop"]
     assert path.first_entry_time == 0.0
     stopped = trace(SQ, collar, start, 2.0, stop_at_entry=True)
     assert stopped.terminated == "entry"
@@ -115,11 +114,11 @@ def test_corner_start_in_damped_set_keeps_its_entry():
 def test_trace_records_damped_entry_with_split_segment():
     collar = DampingProfile(SQ, BoundaryCollar(0.1), 1.0, 0.02)
     path = trace(SQ, collar, PhasePoint((0.5, 0.5), (1.0, 0.0)), 1.0)
-    entries = [e for e in path.events if isinstance(e, DampedEntry)]
+    entries = [e for e in path.events if e.kind == "damped_entry"]
     assert len(entries) == 1
     # support starts where distance to boundary is 0.12, i.e. at x = 0.88
-    assert abs(entries[0].time - 0.38) <= 1e-9
-    assert abs(entries[0].point[0] - 0.88) <= 1e-9
+    assert abs(entries[0].t - 0.38) <= 1e-9
+    assert abs(entries[0].start[0] - 0.88) <= 1e-9
     # segment durations still sum to the total time
     total = sum(e.duration for e in path.events if hasattr(e, "duration"))
     assert abs(total - path.total_time) <= 1e-10
@@ -128,7 +127,7 @@ def test_trace_records_damped_entry_with_split_segment():
 def test_speed_preserved_across_many_reflections():
     theta = 0.37
     path = trace(SQ, None, PhasePoint((0.3, 0.4), (math.cos(theta), math.sin(theta))), 100.0)
-    drifts = [abs(np.hypot(*e.xi_out) - 1.0) for e in path.events if isinstance(e, Reflection)]
+    drifts = [abs(np.hypot(*e.xi_out) - 1.0) for e in path.events if e.kind == "reflection"]
     assert len(drifts) > 100
     assert max(drifts) <= 1e-12
 
@@ -154,8 +153,8 @@ def test_disk_chord_invariant():
     path = trace(DK, None, PhasePoint((0.3, -0.2), (math.cos(theta), math.sin(theta))), 120.0)
     vals = []
     for e in path.events:
-        if isinstance(e, Reflection):
-            vals.append(abs(e.point[0] * e.xi_out[1] - e.point[1] * e.xi_out[0]))
+        if e.kind == "reflection":
+            vals.append(abs(e.start[0] * e.xi_out[1] - e.start[1] * e.xi_out[0]))
     assert len(vals) > 50
     assert max(vals) - min(vals) <= 1e-10
 
@@ -247,6 +246,23 @@ def test_random_sampler_deterministic():
     assert not np.array_equal(a[0], c[0])
 
 
+@pytest.mark.parametrize("domain", [Rectangle(2.0, 0.7), Disk(1.5)])
+def test_random_sampler_draws_interior_unit_samples(domain):
+    pos, dirs = RandomSampler(300, seed=11).samples(domain)
+    assert pos.shape == dirs.shape == (300, 2)
+    if isinstance(domain, Rectangle):
+        assert np.all((pos > 0) & (pos < [domain.width, domain.height]))
+    else:
+        assert np.all(np.hypot(pos[:, 0], pos[:, 1]) < domain.radius)
+    assert np.abs(np.hypot(dirs[:, 0], dirs[:, 1]) - 1.0).max() <= 1e-15
+    again = RandomSampler(300, seed=11).samples(domain)
+    assert np.array_equal(pos, again[0]) and np.array_equal(dirs, again[1])
+    other = RandomSampler(300, seed=12).samples(domain)
+    assert not np.array_equal(pos, other[0]) and not np.array_equal(dirs, other[1])
+    with pytest.raises(ConfigurationError):
+        RandomSampler(0).samples(domain)
+
+
 def test_trace_rejects_bad_inputs():
     with pytest.raises(ConfigurationError):
         trace(SQ, None, PhasePoint((0.5, 0.5), (1.0, 0.0)), 0.0)
@@ -260,8 +276,9 @@ RECT = Rectangle(2.0, 0.7)
 
 
 def _walk_reflections(domain, p, T):
-    """(point, xi_in, xi_out) of each reflection reached within flow time T by walking
-    boundary_hit -> reflect from p, up to the first corner or glancing hit."""
+    """(time, point, xi_in, xi_out) of each reflection reached within flow time T by walking
+    boundary_hit -> reflect from p, up to the first corner or glancing hit; time is the
+    walk's sum of hit times."""
     out, t = [], 0.0
     while t < T - 1e-15:
         s, hit = boundary_hit(domain, p)
@@ -274,7 +291,7 @@ def _walk_reflections(domain, p, T):
             q = reflect(domain, PhasePoint(hit, p.xi, t))
         except PreconditionError:
             break
-        out.append((hit, p.xi, q.xi))
+        out.append((t, hit, p.xi, q.xi))
         p = q
     return out
 
@@ -289,13 +306,19 @@ def test_trace_reflections_are_the_public_moves(disk, u, v, angle):
     domain = DK if disk else RECT
     start = PhasePoint(x0, (math.cos(angle), math.sin(angle)))
     path = trace(domain, None, start, 20.0)
-    refl = [e for e in path.events if isinstance(e, Reflection)]
+    refl = [e for e in path.events if e.kind == "reflection"]
     walked = _walk_reflections(domain, start, 20.0)
     assert len(refl) == len(walked)
-    for ev, (point, xi_in, xi_out) in zip(refl, walked):
-        assert np.array_equal(ev.point, point)
+    for ev, (t, point, xi_in, xi_out) in zip(refl, walked):
+        assert ev.t == t
+        assert np.array_equal(ev.start, point)
         assert np.array_equal(ev.xi_in, xi_in)
         assert np.array_equal(ev.xi_out, xi_out)
+    # one clock: event times never decrease from 0, and the last move ends at total_time
+    times = [0.0] + [e.t for e in path.events]
+    assert all(a <= b for a, b in zip(times, times[1:]))
+    last = [e for e in path.events if e.duration > 0][-1]
+    assert abs(last.t + last.duration - path.total_time) <= 1e-12 * 20.0
 
 
 @settings(max_examples=100, deadline=None)
@@ -306,5 +329,5 @@ def test_trace_boundary_glide_is_glide(theta, ccw, T):
                        (-orient * math.sin(theta), orient * math.cos(theta)))
     path = trace(DK, None, start, T)
     moved = glide(DK, start, T)
-    assert all(isinstance(e, GlideArc) for e in path.events)
+    assert all(e.kind == "glide_arc" for e in path.events)
     assert np.array_equal(path.final.x, moved.x) and np.array_equal(path.final.xi, moved.xi)
