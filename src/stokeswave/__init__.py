@@ -14,8 +14,7 @@ names, or when the CLI resolves the config of a grid experiment.
 """
 
 from ._version import __version__
-from .errors import (ClassificationError, ConfigurationError, DomainError, NumericsError,
-                     PreconditionError)
+from .errors import ConfigurationError, NumericsError, PreconditionError
 from .geometry import (BoundaryCollar, DampingProfile, Disk, DiskPatch, Rectangle, SideStrip,
                        make_damping, make_domain)
 from .raytracer import (GccReport, GridSampler, PhasePoint, RandomSampler, RayPath,

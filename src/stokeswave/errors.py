@@ -1,20 +1,14 @@
 """Exception taxonomy shared across the package.
 
 The CLI maps ConfigurationError to exit code 2 and NumericsError to exit
-code 3; everything else is a bug.
+code 3; everything else is a bug.  PreconditionError covers every call
+outside an operation's stated precondition, among them a boundary quantity
+requested off the boundary or at a rectangle corner.
 """
 
 
 class ConfigurationError(ValueError):
     """Invalid experiment or object configuration (bad key, bad range)."""
-
-
-class DomainError(ValueError):
-    """A point is outside the domain where a value was requested."""
-
-
-class ClassificationError(ValueError):
-    """A boundary quantity requested where it is undefined (the normal at a corner)."""
 
 
 class PreconditionError(ValueError):

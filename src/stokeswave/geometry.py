@@ -15,16 +15,16 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .errors import ClassificationError, ConfigurationError, DomainError
+from .errors import ConfigurationError, PreconditionError
 from .schema import POSITIVE, REQUIRED, Tagged, check_value
 
 # Points closer than this to a rectangle corner are treated as the corner.
 CORNER_TOL = 1e-9
 
 _SIDES = ("bottom", "right", "top", "left")
-# outward unit normal of each rectangle side
-_NORMALS = {"bottom": np.array([0.0, -1.0]), "right": np.array([1.0, 0.0]),
-            "top": np.array([0.0, 1.0]), "left": np.array([-1.0, 0.0])}
+# outward unit normal of each rectangle side, in the order of _SIDES
+_NORMALS = (np.array([0.0, -1.0]), np.array([1.0, 0.0]), np.array([0.0, 1.0]),
+            np.array([-1.0, 0.0]))
 
 
 @dataclass(frozen=True)
@@ -34,25 +34,12 @@ class Rectangle:
     width: float
     height: float
 
-    kind = "rectangle"
-
     def __post_init__(self):
         if not (self.width > 0 and self.height > 0):
             raise ConfigurationError("non-positive rectangle dimension")
 
-    def contains(self, x, tol: float = 1e-12) -> bool:
-        return (-tol <= x[0] <= self.width + tol) and (-tol <= x[1] <= self.height + tol)
-
-    def side_of(self, x, tol: float = 1e-9) -> str:
-        """Which side a boundary point lies on; 'corner' near a corner."""
-        px, py = float(x[0]), float(x[1])
-        on = (abs(py) <= tol, abs(px - self.width) <= tol,
-              abs(py - self.height) <= tol, abs(px) <= tol)
-        if not any(on):
-            raise DomainError(f"point {tuple(x)} is not on the boundary")
-        if sum(on) > 1 or self._near_corner(x):
-            return "corner"
-        return _SIDES[on.index(True)]
+    def contains(self, x) -> bool:
+        return (-1e-12 <= x[0] <= self.width + 1e-12) and (-1e-12 <= x[1] <= self.height + 1e-12)
 
     def _near_corner(self, x) -> bool:
         px, py = float(x[0]), float(x[1])
@@ -60,10 +47,13 @@ class Rectangle:
                 and min(abs(py), abs(py - self.height)) <= CORNER_TOL)
 
     def outward_normal(self, x) -> np.ndarray:
-        side = self.side_of(x)
-        if side == "corner":
-            raise ClassificationError(f"outward normal undefined at corner {tuple(x)}")
-        return _NORMALS[side].copy()
+        """Outward unit normal at a boundary point within 1e-9 of a side, off the corners."""
+        px, py = float(x[0]), float(x[1])
+        on = (abs(py) <= 1e-9, abs(px - self.width) <= 1e-9,
+              abs(py - self.height) <= 1e-9, abs(px) <= 1e-9)
+        if not any(on) or self._near_corner(x):
+            raise PreconditionError(f"no outward normal at {tuple(x)} (corner or off boundary)")
+        return _NORMALS[on.index(True)].copy()
 
 
 @dataclass(frozen=True)
@@ -72,19 +62,17 @@ class Disk:
 
     radius: float
 
-    kind = "disk"
-
     def __post_init__(self):
         if not self.radius > 0:
             raise ConfigurationError("non-positive radius")
 
-    def contains(self, x, tol: float = 1e-12) -> bool:
-        return math.hypot(x[0], x[1]) <= self.radius + tol
+    def contains(self, x) -> bool:
+        return math.hypot(x[0], x[1]) <= self.radius + 1e-12
 
     def outward_normal(self, x) -> np.ndarray:
         r = math.hypot(x[0], x[1])
         if abs(r - self.radius) > 1e-9 * max(1.0, self.radius):
-            raise DomainError(f"point {tuple(x)} is not on the boundary")
+            raise PreconditionError(f"point {tuple(x)} is not on the boundary")
         return np.asarray(x, dtype=float) / r
 
 

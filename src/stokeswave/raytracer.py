@@ -2,15 +2,17 @@
 
 Rays move at unit speed along straight lines in the interior, reflect
 specularly at transversal boundary hits, and glide along the boundary at
-tangential (glancing) hits: on the disk they follow the circle forever
-(the boundary is strictly convex), on a flat rectangle side they run
-straight until the corner.  Rectangle corners terminate a ray: no
-reflection law is invented for them, they are simply counted.
+tangential (glancing) hits along the unit tangent xi - (xi . nu) nu: on the
+disk round the circle forever (it is strictly convex), on a flat rectangle
+side by tangent flight that ends exactly at the corner.  Rectangle corners
+terminate a ray: no reflection law is invented for them, they are counted.
 
-trace and the public moves share one array kernel per move (_hit_raw,
-_reflected, _arc; a flat glide is straight flight) and one start rule,
-_start_kind, which the CLI's config check calls too.  trace reports a ray as
-RayEvent records, one record for all five kinds of event, timed by its own clock.
+trace and the public moves share the kernels _hit_raw, _reflected, _tangent
+and _arc, and one start rule, _start_kind, which the CLI's config check calls
+too.  trace has two moves (the disk's arc glide; a straight move to _hit_raw,
+a chord or a flat glide) and one boundary rule (corner: stop; glancing:
+glide; otherwise reflect).  It reports a ray as RayEvent records, one record
+for all five kinds of event, timed by its one clock.
 
 The coverage checker samples phase points, traces each ray up to a time
 horizon, and records the first time it meets the damped set {a > 0}.
@@ -40,11 +42,10 @@ _N_WORST = 5
 
 @dataclass(frozen=True)
 class PhasePoint:
-    """Unit-speed ray state: position, direction, elapsed flow time."""
+    """Unit-speed ray state: position and direction; trace's events carry the clock."""
 
     x: np.ndarray
     xi: np.ndarray
-    s: float = 0.0
 
     def __post_init__(self):
         object.__setattr__(self, "x", np.asarray(self.x, dtype=float))
@@ -101,7 +102,7 @@ def advance_free(domain: Domain, p: PhasePoint, s: float) -> PhasePoint:
     if not domain.contains(end):
         raise PreconditionError(
             f"segment exits the domain (endpoint {tuple(end)}); compute the boundary hit first")
-    return PhasePoint(end, p.xi.copy(), p.s + s)
+    return PhasePoint(end, p.xi.copy())
 
 
 def boundary_hit(domain: Domain, p: PhasePoint) -> tuple[float, np.ndarray]:
@@ -151,7 +152,7 @@ def reflect(domain: Domain, p: PhasePoint) -> PhasePoint:
     xi_out = _reflected(domain, p.x, p.xi)
     if xi_out is None:
         raise PreconditionError("glancing incidence; route to glide handling")
-    return PhasePoint(p.x.copy(), xi_out, p.s)
+    return PhasePoint(p.x.copy(), xi_out)
 
 
 def _reflected(domain: Domain, x, xi) -> Optional[np.ndarray]:
@@ -165,16 +166,23 @@ def _reflected(domain: Domain, x, xi) -> Optional[np.ndarray]:
 
 
 def glide(domain: Domain, p: PhasePoint, s: float) -> PhasePoint:
-    """Boundary glide of duration s from a glancing point: along the circle on the
-    disk, straight flight up to the corner on a rectangle side."""
-    if isinstance(domain, Rectangle):
-        return advance_free(domain, p, s)
-    if s == 0.0:
-        return p
+    """Boundary glide of duration s from a glancing boundary point along the unit tangent
+    of p.xi: round the circle on the disk, tangent flight up to the corner on a side."""
     if s < 0:
         raise PreconditionError("glide duration must be nonnegative")
-    x1, xi1 = _arc(domain, p.x, p.xi)[2](s)
-    return PhasePoint(x1, xi1, p.s + s)
+    xi = _tangent(domain, p.x, p.xi)
+    if isinstance(domain, Rectangle):
+        return advance_free(domain, PhasePoint(p.x, xi), s)
+    if s == 0.0:
+        return p
+    return PhasePoint(*_arc(domain, p.x, xi)[2](s))
+
+
+def _tangent(domain: Domain, x, xi) -> np.ndarray:
+    """Unit tangent xi - (xi . nu) nu at the boundary point x; axis-parallel on a side."""
+    nu = domain.outward_normal(x)
+    tan = xi - float(xi @ nu) * nu
+    return tan / math.hypot(tan[0], tan[1])
 
 
 def _arc(domain: Disk, x, xi):
@@ -228,56 +236,49 @@ def trace(domain: Domain, damping: Optional[DampingProfile], rho0: PhasePoint, T
         events.append(_point("damped_entry", 0.0, x))
         seeking = False
         if stop_at_entry:
-            return RayPath(events, 0.0, "entry", PhasePoint(x, xi, rho0.s))
+            return RayPath(events, 0.0, "entry", PhasePoint(x, xi))
 
     if start == "corner":
         events.append(_point("corner_stop", 0.0, x))
-        return RayPath(events, 0.0, "corner", PhasePoint(x, xi, rho0.s))
+        return RayPath(events, 0.0, "corner", PhasePoint(x, xi))
     gliding = start == "glide"
+    if gliding:
+        xi = _tangent(domain, x, xi)
 
     while t < T - 1e-15 and len(events) < _MAX_EVENTS:
         if gliding and isinstance(domain, Disk):
             th0, orient, state = _arc(domain, x, xi)
-            kind, dur = "glide_arc", T - t
+            kind, dur, s_hit = "glide_arc", T - t, math.inf    # the circle has no end
             entry = damping.arc_entry_time(th0, orient, dur) if seeking else None
         else:
-            if gliding:
-                # flat side: straight glide until the corner or the horizon
-                s_corner = _distance_to_corner_along(domain, x, xi)
-                kind, dur = "glide_arc", min(T - t, s_corner)
-            else:
-                s_hit, hit = _hit_raw(domain, x, xi)
-                kind, dur = "free_segment", min(s_hit, T - t)
+            # a chord, or a flat glide: tangent flight that ends at the corner
+            s_hit, hit = _hit_raw(domain, x, xi)
+            kind, dur = "glide_arc" if gliding else "free_segment", min(s_hit, T - t)
             state = _line(x, xi)
             entry = damping.entry_time(x, xi, dur) if seeking else None
         t, stop = _emit(events, kind, x, state, t, dur, entry, stop_at_entry)
         if stop:
-            return RayPath(events, t, "entry", PhasePoint(*state(entry), rho0.s + t))
+            return RayPath(events, t, "entry", PhasePoint(*state(entry)))
         seeking = seeking and entry is None
         x, xi = state(dur)
-        if gliding:
-            corner = isinstance(domain, Rectangle) and s_corner <= dur + 1e-15
-        elif dur < s_hit:          # horizon reached mid-flight
+        if dur < s_hit:          # horizon reached mid-move
             break
-        else:
-            x = hit
-            corner = isinstance(domain, Rectangle) and domain._near_corner(x)
-        if corner:
+        x = hit
+        if isinstance(domain, Rectangle) and domain._near_corner(x):
             events.append(_point("corner_stop", t, x))
             terminated = "corner"
             break
-        if gliding:
-            continue
         xi_out = _reflected(domain, x, xi)
         if xi_out is None:
             gliding = True
+            xi = _tangent(domain, x, xi)
             continue
         events.append(_point("reflection", t, x, xi.copy(), xi_out.copy()))
         xi = xi_out
 
     if len(events) >= _MAX_EVENTS:
         terminated = "error"
-    return RayPath(events, t, terminated, PhasePoint(x, xi, rho0.s + t))
+    return RayPath(events, t, terminated, PhasePoint(x, xi))
 
 
 def _emit(events, kind, x, state, t, dur, entry, stop_at_entry):
@@ -318,13 +319,6 @@ def _start_kind(domain: Domain, x, xi) -> str:
     if d > GLANCING_TOL:
         raise PreconditionError("ray on the boundary must not point outward")
     return "glide" if abs(d) <= GLANCING_TOL else "wall"
-
-
-def _distance_to_corner_along(domain: Rectangle, x, xi) -> float:
-    """Distance to the end of the current flat side in the direction xi."""
-    if abs(xi[0]) > abs(xi[1]):
-        return (domain.width - x[0]) / xi[0] if xi[0] > 0 else -x[0] / xi[0]
-    return (domain.height - x[1]) / xi[1] if xi[1] > 0 else -x[1] / xi[1]
 
 
 # ---------------------------------------------------------------------------

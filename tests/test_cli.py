@@ -233,11 +233,18 @@ def test_gcc_without_damping_leaves_no_output(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
-def test_malformed_json_reports_line(tmp_path, capsys):
+@pytest.mark.parametrize("text, message", [
+    ('{"experiment": "gcc",\n  "oops"\n}', "config syntax error at line 3"),
+    (None, "cannot read config file"),
+    ("[]", "config root must be a JSON object"),
+], ids=["syntax", "missing_file", "array_root"])
+def test_malformed_json_reports_line(tmp_path, capsys, text, message):
     p = tmp_path / "bad.json"
-    p.write_text('{"experiment": "gcc",\n  "oops"\n}', encoding="utf-8")
+    if text is not None:
+        p.write_text(text, encoding="utf-8")
     assert main(["gcc", str(p)]) == 2
-    assert "line" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {message}") and "Traceback" not in err
 
 
 def test_subcommand_experiment_mismatch(tmp_path, capsys):

@@ -47,6 +47,7 @@ def test_evolve_zero_state():
     ms = _system([4.0, 9.0], np.diag([0.1, 0.2]))
     final, trace = evolve(ms, ModalState(np.zeros(2), np.zeros(2)), 1.0, 1e-2)
     assert np.all(trace.E == 0.0) and np.all(final.u == 0.0) and np.all(final.w == 0.0)
+    assert dissipation_check(trace) == 0.0
 
 
 def test_evolve_input_validation():

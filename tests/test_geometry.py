@@ -5,8 +5,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from stokeswave import (BoundaryCollar, ClassificationError, ConfigurationError, DampingProfile,
-                        Disk, DiskPatch, Rectangle, SideStrip, make_damping, make_domain)
+from stokeswave import (BoundaryCollar, ConfigurationError, DampingProfile, Disk, DiskPatch,
+                        PreconditionError, Rectangle, SideStrip, make_damping, make_domain)
 
 
 def test_make_domain_examples():
@@ -31,15 +31,19 @@ def test_outward_normal_points_outward(domain):
         points = (np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])[k]
                   + s[:, None] * np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])[k])
         points = points[(s > 1e-7) & (s < 1.0 - 1e-7)]    # corners have no normal
-        with pytest.raises(ClassificationError):
+        with pytest.raises(PreconditionError):
             domain.outward_normal((0.0, 0.0))
     else:
         points = np.stack([np.cos(t), np.sin(t)], axis=1)
     for x in points:
         nu = domain.outward_normal(x)
         assert abs(np.hypot(nu[0], nu[1]) - 1.0) <= 1e-12
-        assert not domain.contains(x + 1e-6 * nu, tol=1e-9)
-        assert domain.contains(x - 1e-6 * nu, tol=1e-9)
+        assert not domain.contains(x + 1e-6 * nu)
+        assert domain.contains(x - 1e-6 * nu)
+        # off the boundary, inside and outside, there is no normal
+        for off in (x - 1e-6 * nu, x + 1e-6 * nu):
+            with pytest.raises(PreconditionError):
+                domain.outward_normal(off)
 
 
 def _at(profile, x):

@@ -7,9 +7,9 @@ import stokeswave
 
 # The package's public names, those that load with it and those loaded on first use.
 _PUBLIC = [
-    "BoundaryCollar", "ClassificationError", "ConfigurationError", "DampingProfile",
-    "DecayFit", "Disk", "DiskPatch", "DomainError", "EigenPair", "EnergyTrace", "GccReport",
-    "GridSampler", "LameState", "LameTrace", "ModalState", "ModalSystem", "Modes",
+    "BoundaryCollar", "ConfigurationError", "DampingProfile", "DecayFit", "Disk", "DiskPatch",
+    "EigenPair", "EnergyTrace", "GccReport", "GridSampler", "LameState", "LameTrace",
+    "ModalState", "ModalSystem", "Modes",
     "NumericsError", "PhasePoint", "PreconditionError", "PressureField",
     "QuasimodeDiagnostics", "RandomSampler", "RayPath", "Rectangle", "SideStrip",
     "SpectrumReport", "StaggeredField", "StaggeredGrid", "advance_free", "boundary_hit",

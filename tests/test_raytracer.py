@@ -17,10 +17,10 @@ DK = Disk(1.0)
 
 def test_advance_free_examples():
     p = advance_free(SQ, PhasePoint((0.5, 0.5), (1.0, 0.0)), 0.25)
-    assert np.allclose(p.x, [0.75, 0.5]) and np.allclose(p.xi, [1.0, 0.0]) and p.s == 0.25
-    q = PhasePoint((0.3, 0.4), (0.0, 1.0), s=1.5)
+    assert np.allclose(p.x, [0.75, 0.5]) and np.allclose(p.xi, [1.0, 0.0])
+    q = PhasePoint((0.3, 0.4), (0.0, 1.0))
     same = advance_free(SQ, q, 0.0)
-    assert np.all(same.x == q.x) and same.s == q.s
+    assert np.all(same.x == q.x) and np.all(same.xi == q.xi)
     # boundary-hit time from (0.5, 0.5) along +x is (1 - 0.5)/1 = 0.5 < 1
     with pytest.raises(PreconditionError):
         advance_free(SQ, PhasePoint((0.5, 0.5), (1.0, 0.0)), 1.0)
@@ -270,6 +270,23 @@ def test_trace_rejects_bad_inputs():
         trace(SQ, None, PhasePoint((0.5, 0.5), (2.0, 0.0)), 1.0)
     with pytest.raises(PreconditionError):
         trace(SQ, None, PhasePoint((0.0, 0.5), (-1.0, 0.0)), 1.0)
+    for domain in (SQ, DK):
+        with pytest.raises(PreconditionError, match="closed domain"):
+            trace(domain, None, PhasePoint((1.5, 0.5), (1.0, 0.0)), 1.0)
+
+
+@pytest.mark.parametrize("x0, xi0, corner", [
+    ((0.5, 1e-11), (1.0, -1e-10), (1.0, 0.0)),     # glancing hit on the bottom mid-flight
+    ((0.3, 0.0), (1.0, -5e-10), (1.0, 0.0)),       # glancing start pointing slightly out
+    ((1e-11, 0.5), (-1e-10, 1.0), (0.0, 1.0)),     # glancing hit on the left wall
+], ids=["bottom_hit", "outward_start", "left_hit"])
+def test_trace_flat_glide_is_tangent_flight_to_the_corner(x0, xi0, corner):
+    path = trace(SQ, None, PhasePoint(x0, np.array(xi0) / math.hypot(*xi0)), 2.0)
+    assert [e.kind for e in path.events][-2:] == ["glide_arc", "corner_stop"]
+    assert all(SQ.contains(e.start) and SQ.contains(e.end) for e in path.events)
+    assert path.terminated == "corner"
+    assert np.array_equal(path.events[-1].start, corner)
+    assert np.array_equal(path.final.x, corner)
 
 
 RECT = Rectangle(2.0, 0.7)
@@ -285,10 +302,10 @@ def _walk_reflections(domain, p, T):
         if not s <= T - t:
             break
         t += s
-        if isinstance(domain, Rectangle) and domain.side_of(hit) == "corner":
+        if isinstance(domain, Rectangle) and domain._near_corner(hit):
             break
         try:
-            q = reflect(domain, PhasePoint(hit, p.xi, t))
+            q = reflect(domain, PhasePoint(hit, p.xi))
         except PreconditionError:
             break
         out.append((t, hit, p.xi, q.xi))
