@@ -115,7 +115,7 @@ def _cross_checks(cfg: dict):
         if abs(round(p["T"] / p["dt"]) * p["dt"] - p["T"]) > 1e-9 * p["T"]:
             fail("params.dt", "T must be an integer multiple of dt")
     if exp == "trace":
-        x0 = np.array(p["x0"])
+        x0 = p["x0"]
         if not domain.contains(x0):
             fail("params.x0", "must lie in the closed domain")
         xi0 = _unit_direction(p["xi0"])
@@ -140,10 +140,10 @@ def _cross_checks(cfg: dict):
             fail("params.n_init_modes", "must not exceed n_modes")
 
 
-def _unit_direction(xi) -> np.ndarray:
-    """The trace direction xi / |xi|, or zeros for the zero vector."""
+def _unit_direction(xi) -> tuple:
+    """The trace direction xi / |xi| as a float pair, or zeros for the zero vector."""
     norm = math.hypot(*xi)
-    return np.array(xi, dtype=float) / norm if norm > 0 else np.zeros(2)
+    return (xi[0] / norm, xi[1] / norm) if norm > 0 else (0.0, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -170,8 +170,8 @@ def run_trace(cfg: dict, domain, damping) -> dict:
             "total_time": path.total_time,
             "first_entry_time": path.first_entry_time,
             "n_events": len(path.events),
-            "final_x": list(path.final.x),
-            "final_xi": list(path.final.xi),
+            "final_x": path.final.x.tolist(),
+            "final_xi": path.final.xi.tolist(),
         },
     }
 

@@ -23,8 +23,7 @@ CORNER_TOL = 1e-9
 
 _SIDES = ("bottom", "right", "top", "left")
 # outward unit normal of each rectangle side, in the order of _SIDES
-_NORMALS = (np.array([0.0, -1.0]), np.array([1.0, 0.0]), np.array([0.0, 1.0]),
-            np.array([-1.0, 0.0]))
+_NORMALS = ((0.0, -1.0), (1.0, 0.0), (0.0, 1.0), (-1.0, 0.0))
 
 
 @dataclass(frozen=True)
@@ -42,18 +41,22 @@ class Rectangle:
         return (-1e-12 <= x[0] <= self.width + 1e-12) and (-1e-12 <= x[1] <= self.height + 1e-12)
 
     def _near_corner(self, x) -> bool:
-        px, py = float(x[0]), float(x[1])
+        px, py = x
         return (min(abs(px), abs(px - self.width)) <= CORNER_TOL
                 and min(abs(py), abs(py - self.height)) <= CORNER_TOL)
 
     def outward_normal(self, x) -> np.ndarray:
         """Outward unit normal at a boundary point within 1e-9 of a side, off the corners."""
-        px, py = float(x[0]), float(x[1])
+        return np.array(self._normal(x))
+
+    def _normal(self, x) -> tuple:
+        """outward_normal on floats: x = (px, py) in, the normal as a float pair out."""
+        px, py = x
         on = (abs(py) <= 1e-9, abs(px - self.width) <= 1e-9,
               abs(py - self.height) <= 1e-9, abs(px) <= 1e-9)
         if not any(on) or self._near_corner(x):
             raise PreconditionError(f"no outward normal at {tuple(x)} (corner or off boundary)")
-        return _NORMALS[on.index(True)].copy()
+        return _NORMALS[on.index(True)]
 
 
 @dataclass(frozen=True)
@@ -70,10 +73,13 @@ class Disk:
         return math.hypot(x[0], x[1]) <= self.radius + 1e-12
 
     def outward_normal(self, x) -> np.ndarray:
+        return np.array(self._normal(x))
+
+    def _normal(self, x) -> tuple:
         r = math.hypot(x[0], x[1])
         if abs(r - self.radius) > 1e-9 * max(1.0, self.radius):
             raise PreconditionError(f"point {tuple(x)} is not on the boundary")
-        return np.asarray(x, dtype=float) / r
+        return x[0] / r, x[1] / r
 
 
 Domain = Union[Rectangle, Disk]

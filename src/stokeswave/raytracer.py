@@ -7,12 +7,14 @@ disk round the circle forever (it is strictly convex), on a flat rectangle
 side by tangent flight that ends exactly at the corner.  Rectangle corners
 terminate a ray: no reflection law is invented for them, they are counted.
 
-trace and the public moves share the kernels _hit_raw, _reflected, _tangent
-and _arc, and one start rule, _start_kind, which the CLI's config check calls
-too.  trace has two moves (the disk's arc glide; a straight move to _hit_raw,
-a chord or a flat glide) and one boundary rule (corner: stop; glancing:
-glide; otherwise reflect).  It reports a ray as RayEvent records, one record
-for all five kinds of event, timed by its one clock.
+trace and the public moves share the kernels _hit_raw, _reflected, _tangent,
+_arc and _line, and one start rule, _start_kind, which the CLI's config check
+calls too.  The kernels compute on (x, y) pairs of Python floats; numpy stays
+at the edges (PhasePoint in, PhasePoint and RayPath out).  trace has two moves
+(the disk's arc glide; a straight move to _hit_raw, a chord or a flat glide)
+and one boundary rule (corner: stop; glancing: glide; otherwise reflect).  It
+reports a ray as RayEvent records of float pairs, one record for all five
+kinds of event, timed by its one clock.
 
 The coverage checker samples phase points, traces each ray up to a time
 horizon, and records the first time it meets the damped set {a > 0}.
@@ -25,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, NamedTuple, Optional, Union
+from typing import List, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
@@ -56,15 +58,15 @@ class RayEvent(NamedTuple):
     """One event of a traced ray: its kind ('free_segment', 'glide_arc', 'reflection',
     'corner_stop' or 'damped_entry'), the flow time t at which it starts, and a move
     from start to end over duration; a point event has end = start and duration 0.
-    Only a reflection sets xi_in and xi_out."""
+    Only a reflection sets xi_in and xi_out.  Points and directions are float pairs."""
 
     kind: str
     t: float
-    start: np.ndarray
-    end: np.ndarray
+    start: Tuple[float, float]
+    end: Tuple[float, float]
     duration: float = 0.0
-    xi_in: Optional[np.ndarray] = None
-    xi_out: Optional[np.ndarray] = None
+    xi_in: Optional[Tuple[float, float]] = None
+    xi_out: Optional[Tuple[float, float]] = None
 
 
 @dataclass
@@ -97,72 +99,68 @@ def advance_free(domain: Domain, p: PhasePoint, s: float) -> PhasePoint:
     """Straight flight x -> x + s*xi; the segment must stay in the closed domain."""
     if s < 0:
         raise PreconditionError("flight time must be nonnegative")
-    end = p.x + s * p.xi
+    end = _line(_xy(p.x), _xy(p.xi))(s)[0]
     # both domains are convex: endpoint membership implies segment membership
     if not domain.contains(end):
         raise PreconditionError(
-            f"segment exits the domain (endpoint {tuple(end)}); compute the boundary hit first")
+            f"segment exits the domain (endpoint {end}); compute the boundary hit first")
     return PhasePoint(end, p.xi.copy())
 
 
 def boundary_hit(domain: Domain, p: PhasePoint) -> tuple[float, np.ndarray]:
     """Smallest s > 0 with x + s*xi on the boundary, by closed-form intersection."""
-    return _hit_raw(domain, p.x, p.xi)
+    s, hit = _hit_raw(domain, _xy(p.x), _xy(p.xi))
+    return s, np.array(hit)
 
 
-def _hit_raw(domain: Domain, x: np.ndarray, xi: np.ndarray) -> tuple[float, np.ndarray]:
+def _xy(v) -> tuple:
+    return float(v[0]), float(v[1])
+
+
+def _hit_raw(domain: Domain, x, xi) -> tuple:
+    (px, py), (dx, dy) = x, xi
     if isinstance(domain, Rectangle):
         w, h = domain.width, domain.height
-        sx = math.inf
-        if xi[0] > 1e-15:
-            sx = (w - x[0]) / xi[0]
-        elif xi[0] < -1e-15:
-            sx = -x[0] / xi[0]
-        sy = math.inf
-        if xi[1] > 1e-15:
-            sy = (h - x[1]) / xi[1]
-        elif xi[1] < -1e-15:
-            sy = -x[1] / xi[1]
+        # time to the wall ahead on each axis; none along a (nearly) parallel axis
+        sx = (w - px) / dx if dx > 1e-15 else -px / dx if dx < -1e-15 else math.inf
+        sy = (h - py) / dy if dy > 1e-15 else -py / dy if dy < -1e-15 else math.inf
         s = min(sx, sy)
         if not (0 < s < math.inf):
             raise NumericsError("no forward boundary intersection (outward or degenerate ray)")
-        hit = x + s * xi
+        hx, hy = px + s * dx, py + s * dy
         # snap the struck coordinate(s) exactly onto the wall
         if sx <= sy + 1e-15:
-            hit[0] = w if xi[0] > 0 else 0.0
+            hx = w if dx > 0 else 0.0
         if sy <= sx + 1e-15:
-            hit[1] = h if xi[1] > 0 else 0.0
-        hit[0] = min(max(hit[0], 0.0), w)
-        hit[1] = min(max(hit[1], 0.0), h)
-        return s, hit
-    r2 = domain.radius ** 2
-    b = float(x @ xi)
-    c = float(x @ x) - r2
-    disc = b * b - c
-    s = -b + math.sqrt(max(disc, 0.0))
+            hy = h if dy > 0 else 0.0
+        return s, (min(max(hx, 0.0), w), min(max(hy, 0.0), h))
+    r = domain.radius
+    b = px * dx + py * dy
+    c = (px * px + py * py) - r * r
+    s = -b + math.sqrt(max(b * b - c, 0.0))
     if s <= 1e-12:
         raise NumericsError("no forward boundary intersection (ray leaves the disk)")
-    hit = x + s * xi
-    hit *= domain.radius / math.hypot(hit[0], hit[1])
-    return s, hit
+    hx, hy = px + s * dx, py + s * dy
+    k = r / math.hypot(hx, hy)
+    return s, (hx * k, hy * k)
 
 
 def reflect(domain: Domain, p: PhasePoint) -> PhasePoint:
     """Specular reflection at a hyperbolic boundary point."""
-    xi_out = _reflected(domain, p.x, p.xi)
+    xi_out = _reflected(domain, _xy(p.x), _xy(p.xi))
     if xi_out is None:
         raise PreconditionError("glancing incidence; route to glide handling")
     return PhasePoint(p.x.copy(), xi_out)
 
 
-def _reflected(domain: Domain, x, xi) -> Optional[np.ndarray]:
+def _reflected(domain: Domain, x, xi) -> Optional[tuple]:
     """Direction xi - 2 (xi . nu) nu after reflection at the boundary point x, or
     None at glancing incidence |xi . nu| <= GLANCING_TOL."""
-    nu = domain.outward_normal(x)
-    d = float(xi @ nu)
+    nx, ny = domain._normal(x)
+    d = xi[0] * nx + xi[1] * ny
     if abs(d) <= GLANCING_TOL:
         return None
-    return xi - 2.0 * d * nu
+    return xi[0] - 2.0 * d * nx, xi[1] - 2.0 * d * ny
 
 
 def glide(domain: Domain, p: PhasePoint, s: float) -> PhasePoint:
@@ -170,19 +168,25 @@ def glide(domain: Domain, p: PhasePoint, s: float) -> PhasePoint:
     of p.xi: round the circle on the disk, tangent flight up to the corner on a side."""
     if s < 0:
         raise PreconditionError("glide duration must be nonnegative")
-    xi = _tangent(domain, p.x, p.xi)
+    x = _xy(p.x)
+    xi = _tangent(domain, x, _xy(p.xi))
     if isinstance(domain, Rectangle):
-        return advance_free(domain, PhasePoint(p.x, xi), s)
+        return advance_free(domain, PhasePoint(x, xi), s)
     if s == 0.0:
         return p
-    return PhasePoint(*_arc(domain, p.x, xi)[2](s))
+    return PhasePoint(*_arc(domain, x, xi)[2](s))
 
 
-def _tangent(domain: Domain, x, xi) -> np.ndarray:
-    """Unit tangent xi - (xi . nu) nu at the boundary point x; axis-parallel on a side."""
-    nu = domain.outward_normal(x)
-    tan = xi - float(xi @ nu) * nu
-    return tan / math.hypot(tan[0], tan[1])
+def _tangent(domain: Domain, x, xi) -> tuple:
+    """Unit tangent xi - (xi . nu) nu at the boundary point x, where xi is glancing:
+    |xi . nu| <= GLANCING_TOL, the rule by which trace glides.  Axis-parallel on a side."""
+    nx, ny = domain._normal(x)
+    d = xi[0] * nx + xi[1] * ny
+    if abs(d) > GLANCING_TOL:
+        raise PreconditionError("a glide needs a glancing direction, |xi . nu| <= GLANCING_TOL")
+    tx, ty = xi[0] - d * nx, xi[1] - d * ny
+    n = math.hypot(tx, ty)
+    return tx / n, ty / n
 
 
 def _arc(domain: Disk, x, xi):
@@ -190,19 +194,19 @@ def _arc(domain: Disk, x, xi):
     direction) after flow time s of the glide along the circle from x along xi."""
     r = domain.radius
     th0 = math.atan2(x[1], x[0])
-    orient = 1.0 if float(xi @ np.array([-math.sin(th0), math.cos(th0)])) >= 0 else -1.0
+    orient = 1.0 if -xi[0] * math.sin(th0) + xi[1] * math.cos(th0) >= 0 else -1.0
 
     def state(s):
         th = th0 + orient * s / r
-        return (r * np.array([math.cos(th), math.sin(th)]),
-                orient * np.array([-math.sin(th), math.cos(th)]))
+        return ((r * math.cos(th), r * math.sin(th)),
+                (-orient * math.sin(th), orient * math.cos(th)))
 
     return th0, orient, state
 
 
 def _line(x, xi):
     """state(s) = (position, direction) after flow time s on the line from x along xi."""
-    return lambda s: (x + s * xi, xi)
+    return lambda s: ((x[0] + s * xi[0], x[1] + s * xi[1]), xi)
 
 
 # ---------------------------------------------------------------------------
@@ -218,9 +222,8 @@ def trace(domain: Domain, damping: Optional[DampingProfile], rho0: PhasePoint, T
     """
     if T <= 0:
         raise ConfigurationError("horizon T must be positive")
-    x = np.array(rho0.x, dtype=float)
-    xi = np.array(rho0.xi, dtype=float)
-    if abs(math.hypot(xi[0], xi[1]) - 1.0) > 1e-12:
+    x, xi = _xy(rho0.x), _xy(rho0.xi)
+    if abs(math.hypot(*xi) - 1.0) > 1e-12:
         raise PreconditionError("ray direction must be unit length")
     if not domain.contains(x):
         raise PreconditionError("ray start must lie in the closed domain")
@@ -273,7 +276,7 @@ def trace(domain: Domain, damping: Optional[DampingProfile], rho0: PhasePoint, T
             gliding = True
             xi = _tangent(domain, x, xi)
             continue
-        events.append(_point("reflection", t, x, xi.copy(), xi_out.copy()))
+        events.append(_point("reflection", t, x, xi, xi_out))
         xi = xi_out
 
     if len(events) >= _MAX_EVENTS:
@@ -286,23 +289,22 @@ def _emit(events, kind, x, state, t, dur, entry, stop_at_entry):
     the entry time; return the flow time after it and whether tracing stops at the entry."""
     if entry is None:
         if dur > 0:
-            events.append(RayEvent(kind, t, x.copy(), state(dur)[0], dur))
+            events.append(RayEvent(kind, t, x, state(dur)[0], dur))
         return t + dur, False
     pt = state(entry)[0]
     if entry > 0:
-        events.append(RayEvent(kind, t, x.copy(), pt, entry))
+        events.append(RayEvent(kind, t, x, pt, entry))
     events.append(_point("damped_entry", t + entry, pt))
     if stop_at_entry:
         return t + entry, True
     if dur - entry > 0:
-        events.append(RayEvent(kind, t + entry, pt.copy(), state(dur)[0], dur - entry))
+        events.append(RayEvent(kind, t + entry, pt, state(dur)[0], dur - entry))
     return t + dur, False
 
 
 def _point(kind, t, x, xi_in=None, xi_out=None) -> RayEvent:
-    """The point event of that kind at x and flow time t; start and end share one copy."""
-    p = x.copy()
-    return RayEvent(kind, t, p, p, 0.0, xi_in, xi_out)
+    """The point event of that kind at x and flow time t: start and end are both x."""
+    return RayEvent(kind, t, x, x, 0.0, xi_in, xi_out)
 
 
 def _start_kind(domain: Domain, x, xi) -> str:
@@ -315,7 +317,8 @@ def _start_kind(domain: Domain, x, xi) -> str:
             return "corner"
     elif abs(math.hypot(x[0], x[1]) - domain.radius) > 1e-12 * max(1.0, domain.radius):
         return "interior"
-    d = float(xi @ domain.outward_normal(x))
+    nx, ny = domain._normal(x)
+    d = xi[0] * nx + xi[1] * ny
     if d > GLANCING_TOL:
         raise PreconditionError("ray on the boundary must not point outward")
     return "glide" if abs(d) <= GLANCING_TOL else "wall"

@@ -4,6 +4,8 @@ Every output embeds the resolved experiment configuration and the package
 version.  Floats are written with 17 significant digits and JSON keys are
 sorted, so identical configurations produce byte-identical files.
 Non-finite values serialize as the strings "inf", "-inf", "nan".
+write_csv formats a row with one %-format string, cached per tuple of cell
+types, that writes the bytes of fmt_float, str(int(x)) or str(x) in each cell.
 """
 
 from __future__ import annotations
@@ -49,18 +51,21 @@ def write_json(path, payload: dict, config: dict) -> None:
     Path(path).write_text(text, encoding="utf-8")
 
 
-def _cell(x) -> str:
-    if isinstance(x, (float, np.floating)):
-        return fmt_float(x)
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    return str(x)
+def _row_format(types) -> str:
+    """The %-format of a row of cells of these types: %.17g for floats, %d for ints, %s
+    otherwise, which write the bytes of fmt_float, str(int(x)) and str(x)."""
+    return ",".join("%.17g" if issubclass(c, (float, np.floating)) else
+                    "%d" if issubclass(c, (int, np.integer)) else "%s" for c in types)
 
 
 def write_csv(path, columns: Sequence[str], rows: Iterable[Sequence], config: dict) -> None:
     lines = [f"# stokeswave {__version__}",
              "# config: " + json.dumps(sanitize(config), sort_keys=True),
              ",".join(columns)]
-    for row in rows:
-        lines.append(",".join(_cell(x) for x in row))
+    formats = {}    # tuple of cell types -> its _row_format
+    for row in map(tuple, rows):
+        key = tuple(map(type, row))
+        if key not in formats:
+            formats[key] = _row_format(key)
+        lines.append(formats[key] % row)
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")

@@ -277,6 +277,36 @@ def test_fmt_float_strings():
     assert [fmt_float(x) for x, _ in cases] == [text for _, text in cases]
 
 
+def _cell(x) -> str:
+    """A CSV cell by type: fmt_float for floats, str(int(x)) for ints, str(x) otherwise."""
+    if isinstance(x, (float, np.floating)):
+        return fmt_float(x)
+    if isinstance(x, (int, np.integer)):
+        return str(int(x))
+    return str(x)
+
+
+def test_write_csv_cells_follow_their_type(tmp_path):
+    # the last column changes type from row to row, so that a format cached per
+    # column instead of per row type signature writes 0.1 as "0.1" or "0"
+    rows = [(1.5, np.float64(0.1), np.float32(0.1), 7, np.int64(-3), 2 ** 70, True,
+             np.bool_(True), "glide_arc", None, "text"),
+            (math.inf, -math.inf, math.nan, -0.0, 5e-324, 1e300, -math.nan, False,
+             np.bool_(False), "", 0.1),
+            (1.5, np.float64(0.1), np.float32(0.1), 7, np.int64(-3), 2 ** 70, True,
+             np.bool_(True), "glide_arc", None, 7),
+            (0.25, np.float64(-2.0), np.float32(1e30), -1, np.int64(2 ** 62), -2 ** 70,
+             False, np.bool_(False), "reflection", None, np.bool_(True)),
+            (1.5, np.float64(0.1), np.float32(0.1), 7, np.int64(-3), 2 ** 70, True,
+             np.bool_(True), "glide_arc", None, 0.1)]
+    columns = [f"c{i}" for i in range(len(rows[0]))]
+    stokeswave.reporting.write_csv(tmp_path / "cells.csv", columns, iter(rows), {"k": 1})
+    lines = (tmp_path / "cells.csv").read_text(encoding="utf-8").splitlines()
+    assert lines[2] == ",".join(columns)
+    assert [line.split(",") for line in lines[3:]] == [[_cell(x) for x in row] for row in rows]
+    assert lines[4].split(",")[-1] == "0.10000000000000001" and lines[5].endswith(",7")
+
+
 def test_gcc_rerun_is_byte_identical(tmp_path):
     cfg = _cfg("gcc", {"T": 1.0, "sampler": {"kind": "seeded_random", "n": 40}}, tmp_path, seed=5)
     path = _write(tmp_path, cfg)

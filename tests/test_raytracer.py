@@ -59,6 +59,15 @@ def test_glide_examples():
     assert np.allclose(q.x, [0.5, 0.0], atol=1e-15)
     r0 = PhasePoint((1.0, 0.0), (0.0, 1.0))
     assert glide(DK, r0, 0.0) is r0
+    # along the normal the tangent xi - (xi . nu) nu vanishes: no glide, by trace's rule
+    for domain, x, xi in ((DK, (1.0, 0.0), (1.0, 0.0)), (DK, (0.0, -1.0), (0.0, 1.0)),
+                          (SQ, (0.5, 0.0), (0.0, -1.0)), (SQ, (1.0, 0.4), (-1.0, 0.0))):
+        with pytest.raises(PreconditionError, match="glancing"):
+            glide(domain, PhasePoint(x, xi), 0.1)
+    # just past GLANCING_TOL off the tangent is not glancing either
+    tilt = 2 * raytracer.GLANCING_TOL
+    with pytest.raises(PreconditionError, match="glancing"):
+        glide(SQ, PhasePoint((0.2, 0.0), (math.sqrt(1 - tilt ** 2), -tilt)), 0.3)
 
 
 def test_trace_square_example():
@@ -348,3 +357,41 @@ def test_trace_boundary_glide_is_glide(theta, ccw, T):
     moved = glide(DK, start, T)
     assert all(e.kind == "glide_arc" for e in path.events)
     assert np.array_equal(path.final.x, moved.x) and np.array_equal(path.final.xi, moved.xi)
+
+
+STRIP_RECT = DampingProfile(RECT, SideStrip("left", 0.1), 1.0, 0.02)
+# the sharp patch of the disk coverage benchmark
+SHARP_PATCH = DampingProfile(DK, DiskPatch((0.3, 0.2), 0.2), 1.0, 0.0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(disk=st.booleans(), u=st.floats(0.01, 0.99), v=st.floats(0.01, 0.99),
+       angle=st.floats(0.0, 2 * math.pi), T=st.floats(0.1, 20.0))
+def test_stopped_trace_enters_where_the_full_trace_does(disk, u, v, angle, T):
+    # interior starts as in test_trace_reflections_are_the_public_moves
+    x0 = (u * math.cos(2 * math.pi * v), u * math.sin(2 * math.pi * v)) if disk \
+        else (u * RECT.width, v * RECT.height)
+    domain, damping = (DK, SHARP_PATCH) if disk else (RECT, STRIP_RECT)
+    xi0 = (math.cos(angle), math.sin(angle))
+    full = trace(domain, damping, PhasePoint(x0, xi0), T)
+    stopped = trace(domain, damping, PhasePoint(x0, xi0), T, stop_at_entry=True)
+    assert stopped.first_entry_time == full.first_entry_time
+    # the stopped path is the full one cut just after its damped_entry event
+    assert stopped.events == full.events[:len(stopped.events)]
+    if math.isfinite(full.first_entry_time):
+        assert stopped.terminated == "entry" and stopped.events[-1].kind == "damped_entry"
+        assert stopped.total_time == stopped.first_entry_time
+    else:
+        assert stopped.events == full.events and stopped.terminated == full.terminated
+
+
+@settings(max_examples=20, deadline=None)
+@given(disk=st.booleans(), seed=st.integers(0, 2 ** 32 - 1), T=st.floats(0.5, 10.0))
+def test_check_gcc_covers_the_rays_whose_full_trace_enters_before_T(disk, seed, T):
+    domain, damping = (DK, SHARP_PATCH) if disk else (RECT, STRIP_RECT)
+    sampler = RandomSampler(25, seed)
+    rep = check_gcc(domain, damping, T, sampler)
+    entries = [trace(domain, damping, PhasePoint(x, xi), T).first_entry_time
+               for x, xi in zip(*sampler.samples(domain))]
+    assert rep.covered_fraction == sum(e < T for e in entries) / len(entries)
+    assert rep.worst_entry_times == sorted(entries, reverse=True)[:len(rep.worst_entry_times)]
