@@ -4,7 +4,8 @@ Two concrete domains are supported: an axis-aligned rectangle [0,W]x[0,H]
 and a disk of radius R centered at the origin.  Both are convex, so a
 straight segment with endpoints in the closed domain stays inside it.
 Whether a ray reflects or glides at the boundary is decided in raytracer,
-by |xi . nu| against GLANCING_TOL.
+by |xi . nu| against GLANCING_TOL.  DampingProfile.values evaluates a single
+point given as a pair of floats on Python floats, bit for bit as on an array.
 """
 
 from __future__ import annotations
@@ -17,9 +18,6 @@ import numpy as np
 
 from .errors import ConfigurationError, PreconditionError
 from .schema import POSITIVE, REQUIRED, Tagged, check_value
-
-# Points closer than this to a rectangle corner are treated as the corner.
-CORNER_TOL = 1e-9
 
 _SIDES = ("bottom", "right", "top", "left")
 # outward unit normal of each rectangle side, in the order of _SIDES
@@ -40,23 +38,21 @@ class Rectangle:
     def contains(self, x) -> bool:
         return (-1e-12 <= x[0] <= self.width + 1e-12) and (-1e-12 <= x[1] <= self.height + 1e-12)
 
-    def _near_corner(self, x) -> bool:
-        px, py = x
-        return (min(abs(px), abs(px - self.width)) <= CORNER_TOL
-                and min(abs(py), abs(py - self.height)) <= CORNER_TOL)
-
     def outward_normal(self, x) -> np.ndarray:
         """Outward unit normal at a boundary point within 1e-9 of a side, off the corners."""
-        return np.array(self._normal(x))
+        if (nu := self._normal(x)) is None:
+            raise PreconditionError(f"no outward normal at {tuple(x)} (corner)")
+        return np.array(nu)
 
-    def _normal(self, x) -> tuple:
-        """outward_normal on floats: x = (px, py) in, the normal as a float pair out."""
+    def _normal(self, x) -> Optional[tuple]:
+        """outward_normal on floats: x = (px, py) in, the normal as a float pair out, or
+        None at a corner, a point within 1e-9 of two sides."""
         px, py = x
         on = (abs(py) <= 1e-9, abs(px - self.width) <= 1e-9,
               abs(py - self.height) <= 1e-9, abs(px) <= 1e-9)
-        if not any(on) or self._near_corner(x):
-            raise PreconditionError(f"no outward normal at {tuple(x)} (corner or off boundary)")
-        return _NORMALS[on.index(True)]
+        if not any(on):
+            raise PreconditionError(f"no outward normal at {tuple(x)} (off boundary)")
+        return None if (on[0] or on[2]) and (on[1] or on[3]) else _NORMALS[on.index(True)]
 
 
 @dataclass(frozen=True)
@@ -156,16 +152,19 @@ class DampingProfile:
     def support_distance(self, pts: np.ndarray) -> np.ndarray:
         """Signed distance to the nominal support (<= 0 on the plateau)."""
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
+        return self._distance(pts[:, 0], pts[:, 1], np.minimum.reduce)
+
+    def _distance(self, px, py, least=min):
+        """support_distance at coordinates px, py: two arrays, or two floats with least=min."""
         sh = self.shape
         if isinstance(sh, DiskPatch):
-            c = np.asarray(sh.center, dtype=float)
-            return np.hypot(pts[:, 0] - c[0], pts[:, 1] - c[1]) - sh.radius
+            return np.hypot(px - sh.center[0], py - sh.center[1]) - sh.radius
         if isinstance(self.domain, Disk):
-            return self.domain.radius - np.hypot(pts[:, 0], pts[:, 1]) - sh.width
-        walls = _walls(pts[:, 0], pts[:, 1], self.domain.width, self.domain.height)
+            return self.domain.radius - np.hypot(px, py) - sh.width
+        walls = _walls(px, py, self.domain.width, self.domain.height)
         if isinstance(sh, BoundaryCollar):
-            return np.minimum.reduce(list(walls.values())) - sh.width
-        return walls[sh.side] - sh.depth
+            return least(walls) - sh.width
+        return walls[_SIDES.index(sh.side)] - sh.depth
 
     def entry_time(self, x, xi, s_max: float) -> Optional[float]:
         """First time s in [0, s_max] at which x + s*xi enters {a > 0}, or None.
@@ -180,7 +179,9 @@ class DampingProfile:
             return None
         sh, grow = self.shape, self.smoothing_width
         x, xi = (float(x[0]), float(x[1])), (float(xi[0]), float(xi[1]))
-        if isinstance(sh, DiskPatch) or isinstance(self.domain, Disk):
+        if self._value_at(*x) > 0.0:
+            s = 0.0     # membership by the rule of values, which trace's start check uses
+        elif isinstance(sh, DiskPatch) or isinstance(self.domain, Disk):
             # damped inside the circle |p - c| = rho (sign +1) or outside it (sign -1)
             c, rho, sign = ((sh.center, sh.radius + grow, 1.0) if isinstance(sh, DiskPatch)
                             else ((0.0, 0.0), self.domain.radius - sh.width - grow, -1.0))
@@ -188,23 +189,22 @@ class DampingProfile:
             b = y[0] * xi[0] + y[1] * xi[1]
             h = abs(y[0] * xi[1] - y[1] * xi[0])
             half_chord = math.sqrt(max((rho - h) * (rho + h), 0.0))
-            if self._reaches(sign * math.hypot(y[0], y[1]), sign * rho):
-                s = 0.0
-            elif sign < 0:
-                s = -b + half_chord
+            if sign < 0:
+                s = max(-b + half_chord, 0.0)
             elif self._reaches(h, rho) and -b + half_chord > 0:
                 s = max(-b - half_chord, 0.0)
             else:
                 return None
         else:
-            # damped where some wall distance f0 + s*rate falls to level + grow
+            # undamped until some wall distance f0 + s*rate falls to level + grow
             f0 = _walls(x[0], x[1], self.domain.width, self.domain.height)
             rate = _walls(xi[0], xi[1], 0.0, 0.0)
-            sides, level = ((_SIDES, sh.width) if isinstance(sh, BoundaryCollar)
-                            else ((sh.side,), sh.depth))
-            s = min(0.0 if self._reaches(f0[k], level + grow)
-                    else ((f0[k] - level - grow) / -rate[k] if rate[k] < 0 else math.inf)
-                    for k in sides)
+            sides, level = (((0, 1, 2, 3), sh.width) if isinstance(sh, BoundaryCollar)
+                            else ((_SIDES.index(sh.side),), sh.depth))
+            s = math.inf
+            for k in sides:
+                if rate[k] < 0:
+                    s = min(s, (f0[k] - level - grow) / -rate[k])
         return s if s <= s_max else None
 
     def arc_entry_time(self, theta0: float, orient: float, s_max: float) -> Optional[float]:
@@ -241,17 +241,24 @@ class DampingProfile:
         return q < level or (self.smoothing_width == 0 and q == level)
 
     def values(self, pts: np.ndarray) -> np.ndarray:
-        """Vectorized a(x) over an (n, 2) array of points (no domain check)."""
+        """Vectorized a(x) over an (n, 2) array of points, or one float pair (no domain check)."""
+        if type(pts) is tuple and len(pts) == 2 and isinstance(pts[0], float):
+            return np.array([self._value_at(*pts)])
         d = self.support_distance(pts)
         if self.smoothing_width == 0.0:
             return np.where(d <= 0.0, self.amplitude, 0.0)
         ramp = np.clip(1.0 - d / self.smoothing_width, 0.0, 1.0)
         return self.amplitude * ramp
 
+    def _value_at(self, px: float, py: float) -> float:
+        """a(x) at the point (px, py) on floats, bit for bit the value on an array."""
+        d, grow = float(self._distance(px, py)), self.smoothing_width
+        return self.amplitude * (min(max(1.0 - d / grow, 0.0), 1.0) if grow else float(d <= 0.0))
 
-def _walls(px, py, w, h) -> dict:
-    """Distances of (px, py) to the sides of [0, w] x [0, h]; with w = h = 0, their rates."""
-    return {"bottom": py, "right": w - px, "top": h - py, "left": px}
+
+def _walls(px, py, w, h) -> tuple:
+    """Distances of (px, py) to the sides of [0, w] x [0, h] in _SIDES order; w = h = 0: rates."""
+    return py, w - px, h - py, px
 
 
 _PROFILE = {"amplitude": (float, 0, 1.0), "smoothing_width": (float, 0, 0.0)}

@@ -12,9 +12,10 @@ _arc and _line, and one start rule, _start_kind, which the CLI's config check
 calls too.  The kernels compute on (x, y) pairs of Python floats; numpy stays
 at the edges (PhasePoint in, PhasePoint and RayPath out).  trace has two moves
 (the disk's arc glide; a straight move to _hit_raw, a chord or a flat glide)
-and one boundary rule (corner: stop; glancing: glide; otherwise reflect).  It
-reports a ray as RayEvent records of float pairs, one record for all five
-kinds of event, timed by its one clock.
+and one boundary rule on the normal of the hit (None at a corner: stop;
+glancing: glide; otherwise reflect).  Its start check evaluates the damping
+at the start point on floats.  It reports a ray as RayEvent records of float
+pairs, one record for all five kinds of event, timed by its one clock.
 
 The coverage checker samples phase points, traces each ray up to a time
 horizon, and records the first time it meets the damped set {a > 0}.
@@ -147,16 +148,16 @@ def _hit_raw(domain: Domain, x, xi) -> tuple:
 
 def reflect(domain: Domain, p: PhasePoint) -> PhasePoint:
     """Specular reflection at a hyperbolic boundary point."""
-    xi_out = _reflected(domain, _xy(p.x), _xy(p.xi))
+    xi_out = _reflected(_xy(domain.outward_normal(p.x)), _xy(p.xi))
     if xi_out is None:
         raise PreconditionError("glancing incidence; route to glide handling")
     return PhasePoint(p.x.copy(), xi_out)
 
 
-def _reflected(domain: Domain, x, xi) -> Optional[tuple]:
-    """Direction xi - 2 (xi . nu) nu after reflection at the boundary point x, or
-    None at glancing incidence |xi . nu| <= GLANCING_TOL."""
-    nx, ny = domain._normal(x)
+def _reflected(nu, xi) -> Optional[tuple]:
+    """Direction xi - 2 (xi . nu) nu after reflection off a wall with outward normal nu,
+    or None at glancing incidence |xi . nu| <= GLANCING_TOL."""
+    nx, ny = nu
     d = xi[0] * nx + xi[1] * ny
     if abs(d) <= GLANCING_TOL:
         return None
@@ -169,7 +170,7 @@ def glide(domain: Domain, p: PhasePoint, s: float) -> PhasePoint:
     if s < 0:
         raise PreconditionError("glide duration must be nonnegative")
     x = _xy(p.x)
-    xi = _tangent(domain, x, _xy(p.xi))
+    xi = _tangent(_xy(domain.outward_normal(x)), _xy(p.xi))
     if isinstance(domain, Rectangle):
         return advance_free(domain, PhasePoint(x, xi), s)
     if s == 0.0:
@@ -177,10 +178,11 @@ def glide(domain: Domain, p: PhasePoint, s: float) -> PhasePoint:
     return PhasePoint(*_arc(domain, x, xi)[2](s))
 
 
-def _tangent(domain: Domain, x, xi) -> tuple:
-    """Unit tangent xi - (xi . nu) nu at the boundary point x, where xi is glancing:
-    |xi . nu| <= GLANCING_TOL, the rule by which trace glides.  Axis-parallel on a side."""
-    nx, ny = domain._normal(x)
+def _tangent(nu, xi) -> tuple:
+    """Unit tangent xi - (xi . nu) nu on a wall with outward normal nu, where xi is
+    glancing: |xi . nu| <= GLANCING_TOL, the rule by which trace glides.  Axis-parallel
+    on a side."""
+    nx, ny = nu
     d = xi[0] * nx + xi[1] * ny
     if abs(d) > GLANCING_TOL:
         raise PreconditionError("a glide needs a glancing direction, |xi . nu| <= GLANCING_TOL")
@@ -246,7 +248,7 @@ def trace(domain: Domain, damping: Optional[DampingProfile], rho0: PhasePoint, T
         return RayPath(events, 0.0, "corner", PhasePoint(x, xi))
     gliding = start == "glide"
     if gliding:
-        xi = _tangent(domain, x, xi)
+        xi = _tangent(domain._normal(x), xi)
 
     while t < T - 1e-15 and len(events) < _MAX_EVENTS:
         if gliding and isinstance(domain, Disk):
@@ -267,14 +269,14 @@ def trace(domain: Domain, damping: Optional[DampingProfile], rho0: PhasePoint, T
         if dur < s_hit:          # horizon reached mid-move
             break
         x = hit
-        if isinstance(domain, Rectangle) and domain._near_corner(x):
+        if (nu := domain._normal(x)) is None:        # a rectangle corner
             events.append(_point("corner_stop", t, x))
             terminated = "corner"
             break
-        xi_out = _reflected(domain, x, xi)
+        xi_out = _reflected(nu, xi)
         if xi_out is None:
             gliding = True
-            xi = _tangent(domain, x, xi)
+            xi = _tangent(nu, xi)
             continue
         events.append(_point("reflection", t, x, xi, xi_out))
         xi = xi_out
@@ -313,12 +315,11 @@ def _start_kind(domain: Domain, x, xi) -> str:
     if isinstance(domain, Rectangle):
         if min(x[0], domain.width - x[0], x[1], domain.height - x[1]) > 1e-12:
             return "interior"
-        if domain._near_corner(x):
-            return "corner"
     elif abs(math.hypot(x[0], x[1]) - domain.radius) > 1e-12 * max(1.0, domain.radius):
         return "interior"
-    nx, ny = domain._normal(x)
-    d = xi[0] * nx + xi[1] * ny
+    if (nu := domain._normal(x)) is None:
+        return "corner"
+    d = xi[0] * nu[0] + xi[1] * nu[1]
     if d > GLANCING_TOL:
         raise PreconditionError("ray on the boundary must not point outward")
     return "glide" if abs(d) <= GLANCING_TOL else "wall"
@@ -425,9 +426,8 @@ def check_gcc(domain: Domain, damping: DampingProfile, T: float, sampler: Sample
     n = positions.shape[0]
     entry = np.full(n, math.inf)
     ends = []
-    for i in range(n):
-        path = trace(domain, damping, PhasePoint(positions[i], directions[i]), T,
-                     stop_at_entry=True)
+    for i, (x, xi) in enumerate(zip(positions.tolist(), directions.tolist())):
+        path = trace(domain, damping, PhasePoint(x, xi), T, stop_at_entry=True)
         entry[i] = path.first_entry_time
         ends.append(path.terminated)
     covered = float(np.count_nonzero(entry < T)) / n

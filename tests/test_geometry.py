@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from stokeswave import (BoundaryCollar, ConfigurationError, DampingProfile, Disk, DiskPatch,
@@ -107,7 +107,7 @@ def test_make_damping_validation():
 _RECT = Rectangle(1.3, 0.8)
 _DISK = Disk(1.0)
 _SHAPES = ([(_RECT, BoundaryCollar(0.15)), (_DISK, BoundaryCollar(0.2)),
-            (_DISK, DiskPatch((0.3, -0.2), 0.25))]
+            (_DISK, DiskPatch((0.3, -0.2), 0.25)), (_RECT, DiskPatch((0.5, 0.35), 0.2))]
            + [(_RECT, SideStrip(side, 0.2)) for side in ("left", "right", "bottom", "top")])
 _PROFILES = [DampingProfile(dom, sh, 1.0, g) for dom, sh in _SHAPES for g in (0.0, 0.05)]
 _SPACING = 1e-3
@@ -163,3 +163,50 @@ def test_arc_entry_time_examples(smoothing):
         theta0, 1.0, 50.0) is None
     assert DampingProfile(dk, DiskPatch((0.5, 0.0), 0.5), 1.0, smoothing).arc_entry_time(
         theta0, 1.0, 50.0) is None
+
+
+def _near_edge(prof, q, t):
+    """A point whose signed distance to the nominal support is about q, at parameter t
+    in [0, 1) along the edge: round the circle for a patch or a disk collar, along the
+    struck side for a strip, along side int(4 t) for a rectangle collar."""
+    sh, dom = prof.shape, prof.domain
+    if isinstance(sh, DiskPatch) or isinstance(dom, Disk):
+        c, r = (sh.center, sh.radius + q) if isinstance(sh, DiskPatch) \
+            else ((0.0, 0.0), dom.radius - sh.width - q)
+        return (c[0] + r * math.cos(2 * math.pi * t), c[1] + r * math.sin(2 * math.pi * t))
+    side, level = ((sh.side, sh.depth) if isinstance(sh, SideStrip)
+                   else (("bottom", "right", "top", "left")[int(4 * t)], sh.width))
+    wall, u = level + q, (4 * t) % 1.0
+    return {"bottom": (u * dom.width, wall), "right": (dom.width - wall, u * dom.height),
+            "top": (u * dom.width, dom.height - wall), "left": (wall, u * dom.height)}[side]
+
+
+@settings(max_examples=500, deadline=None)
+@given(prof=st.sampled_from(_PROFILES), ramp_edge=st.booleans(),
+       offset=st.one_of(st.sampled_from([0.0, 1e-16, -1e-16, 1e-12, -1e-12]),
+                        st.floats(-0.05, 0.05)),
+       t=st.floats(0.0, 1.0, exclude_max=True), angle=st.floats(0.0, 2 * math.pi),
+       seed=st.integers(0, 2 ** 32 - 1))
+# edge points of a disk collar from which the exit chord rounds to a negative length
+@example(prof=_PROFILES[2], ramp_edge=False, offset=0.0, t=0.768, angle=0.111, seed=0)
+@example(prof=_PROFILES[3], ramp_edge=True, offset=0.0, t=0.565, angle=3.372, seed=0)
+def test_float_kernel_is_the_array_path(prof, ramp_edge, offset, t, angle, seed):
+    # on and next to the edge of the plateau (q = 0) or of the ramp (q = smoothing_width)
+    x = _near_edge(prof, (prof.smoothing_width if ramp_edge else 0.0) + offset, t)
+    one = prof.values(x)
+    want = prof.values(np.array([x]))
+    assert one.shape == want.shape == (1,) and one.dtype == want.dtype
+    assert one.tobytes() == want.tobytes()
+    # and bit for bit on a cloud round x: np.hypot and math.hypot differ in the last bit
+    # at about one point in 170
+    cloud = np.array(x) + 0.05 * np.random.default_rng(seed).standard_normal((16, 2))
+    for p, a in zip(cloud.tolist(), prof.values(cloud)):
+        assert prof.values(tuple(p)).tobytes() == a.tobytes()
+    # the start check of trace and the entry rule agree on whether x is damped; an
+    # undamped x is entered at once only from the edge, up to the rounding of a chord
+    s = prof.entry_time(x, (math.cos(angle), math.sin(angle)), 0.0)
+    assert s in (None, 0.0)
+    if one[0] > 0.0:
+        assert s == 0.0
+    elif s == 0.0:
+        assert prof.support_distance(x)[0] - prof.smoothing_width <= 1e-12

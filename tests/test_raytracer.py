@@ -48,6 +48,12 @@ def test_reflect_examples():
     assert abs(np.hypot(*r.xi) - 1.0) <= 1e-15
     with pytest.raises(PreconditionError):
         reflect(DK, PhasePoint((1.0, 0.0), (0.0, 1.0)))
+    # a rectangle corner, and a point within 1e-9 of it, has no normal to reflect off
+    for x in ((1.0, 1.0), (0.0, 5e-10), (1.0 - 5e-10, 0.0)):
+        with pytest.raises(PreconditionError, match="corner"):
+            reflect(SQ, PhasePoint(x, (0.6, -0.8)))
+        with pytest.raises(PreconditionError, match="corner"):
+            glide(SQ, PhasePoint(x, (1.0, 0.0)), 0.1)
 
 
 def test_glide_examples():
@@ -311,9 +317,7 @@ def _walk_reflections(domain, p, T):
         if not s <= T - t:
             break
         t += s
-        if isinstance(domain, Rectangle) and domain._near_corner(hit):
-            break
-        try:
+        try:    # reflect raises at a corner or a glancing hit
             q = reflect(domain, PhasePoint(hit, p.xi))
         except PreconditionError:
             break
