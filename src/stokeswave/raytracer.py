@@ -10,7 +10,7 @@ terminate a ray: no reflection law is invented for them, they are counted.
 trace and the public moves share the kernels _hit_raw, _reflected, _tangent,
 _arc and _line, and one start rule, _start_kind, which the CLI's config check
 calls too.  The kernels compute on (x, y) pairs of Python floats; numpy stays
-at the edges (PhasePoint in, PhasePoint and RayPath out).  trace has two moves
+at the edges (PhasePoint in, RayPath out).  trace has two moves
 (the disk's arc glide; a straight move to _hit_raw, a chord or a flat glide)
 and one boundary rule on the normal of the hit (None at a corner: stop;
 glancing: glide; otherwise reflect).  Its start check evaluates the damping
@@ -77,12 +77,18 @@ class RayPath:
     A reflection or corner stop has the t at which the move reaching it ends, and
     the last move ends at total_time.  terminated is 'horizon', 'corner' or
     'error'; tracing with stop_at_entry=True may additionally end with 'entry'.
+    end is the final (position, direction) as float pairs; final reads it as a
+    PhasePoint, built only when read.
     """
 
     events: List[RayEvent]
     total_time: float
     terminated: str
-    final: PhasePoint
+    end: Tuple[Tuple[float, float], Tuple[float, float]]
+
+    @property
+    def final(self) -> PhasePoint:
+        return PhasePoint(*self.end)
 
     @property
     def first_entry_time(self) -> float:
@@ -241,11 +247,11 @@ def trace(domain: Domain, damping: Optional[DampingProfile], rho0: PhasePoint, T
         events.append(_point("damped_entry", 0.0, x))
         seeking = False
         if stop_at_entry:
-            return RayPath(events, 0.0, "entry", PhasePoint(x, xi))
+            return RayPath(events, 0.0, "entry", (x, xi))
 
     if start == "corner":
         events.append(_point("corner_stop", 0.0, x))
-        return RayPath(events, 0.0, "corner", PhasePoint(x, xi))
+        return RayPath(events, 0.0, "corner", (x, xi))
     gliding = start == "glide"
     if gliding:
         xi = _tangent(domain._normal(x), xi)
@@ -263,7 +269,7 @@ def trace(domain: Domain, damping: Optional[DampingProfile], rho0: PhasePoint, T
             entry = damping.entry_time(x, xi, dur) if seeking else None
         t, stop = _emit(events, kind, x, state, t, dur, entry, stop_at_entry)
         if stop:
-            return RayPath(events, t, "entry", PhasePoint(*state(entry)))
+            return RayPath(events, t, "entry", state(entry))
         seeking = seeking and entry is None
         x, xi = state(dur)
         if dur < s_hit:          # horizon reached mid-move
@@ -283,7 +289,7 @@ def trace(domain: Domain, damping: Optional[DampingProfile], rho0: PhasePoint, T
 
     if len(events) >= _MAX_EVENTS:
         terminated = "error"
-    return RayPath(events, t, terminated, PhasePoint(x, xi))
+    return RayPath(events, t, terminated, (x, xi))
 
 
 def _emit(events, kind, x, state, t, dur, entry, stop_at_entry):

@@ -29,6 +29,7 @@ from typing import Tuple
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.lapack import dstebz, dstein
 
 from .errors import ConfigurationError, NumericsError
 from .evolution import generator_matrix
@@ -36,6 +37,11 @@ from .stokes import Modes, _ops
 
 # Lanczos stops once the residual of its largest Ritz value is this share of it.
 _LANCZOS_TOL = 1e-12
+# An O(j) estimate of that residual hands a step to eigh's exact test within
+# this factor of the tolerance.  Near it the estimate agreed with eigh's to
+# 8e-5 relative on the benchmark sweep; the two differ by about 1e-4 over the
+# relative gap of the largest Ritz value, so a factor 2 covers gaps to 1e-4.
+_SCREEN = 2.0
 # Real parts within this share of the spectral radius are tied in the eigenvalue order.
 _TIE_TOL = 1e-10
 
@@ -93,9 +99,15 @@ def resolvent_sweep(ms, sigma_grid) -> np.ndarray:
     smin = theta^(-1/2) for its largest Ritz value theta.  It stops once the
     Ritz residual beta_j*|e_j^T y| is at most 1e-12*theta, which puts theta
     within a relative 1e-12 of an eigenvalue, or at the full dimension, where
-    Lanczos is exact.  The start vector comes from a fixed seed and is the
-    same for every sigma, so a row depends on its sigma alone and reruns are
-    byte-identical.
+    Lanczos is exact.  Each step estimates that residual in O(j), from
+    bisection (LAPACK dstebz) for the largest eigenvalue of the tridiagonal
+    and inverse iteration (dstein) for the last entry of its eigenvector.
+    Only a step whose estimate comes within a factor _SCREEN of the tolerance
+    gets the stopping test itself, on a dense eigh of the tridiagonal, and
+    the returned theta is that eigh's: one per sigma, plus any step the
+    estimate passes and eigh does not.  The start vector comes from a fixed
+    seed and is the same for every sigma, so a row depends on its sigma
+    alone and reruns are byte-identical.
 
     Zero modes: lambda = 0 gives a zero row and column in A, which leave the
     singular value |sigma| of A - i*sigma.  So smin <= |sigma| and
@@ -110,11 +122,18 @@ def resolvent_sweep(ms, sigma_grid) -> np.ndarray:
     omega = np.diag(np.sqrt(lam))
     t = scipy.linalg.rsf2csf(*scipy.linalg.schur(
         np.block([[np.zeros((n, n)), omega], [-omega, -np.asarray(ms.B, dtype=float)]])))[0]
+    t = np.asfortranarray(t)   # LAPACK's order, so that trtrs copies no matrix
     diag = t.diagonal()
     rng = np.random.default_rng(0)
     start = rng.standard_normal(2 * n) + 1j * rng.standard_normal(2 * n)
     start /= np.linalg.norm(start)
     size = np.abs(t).max()
+    shifted = np.empty_like(t)
+    # numpy divides a complex by the real unit as a product with 1/unit, so a
+    # product on the float parts gives t / unit, bit for bit up to the sign of
+    # a zero, which no solve divides by
+    parts, shifted_parts = t.T.view(float), shifted.T.view(float)
+    work = _lanczos_work(2 * n)
     rows = np.empty((len(sigma_grid), 2))
     for k, sigma in enumerate(sigma_grid):
         sigma = float(sigma)
@@ -122,37 +141,74 @@ def resolvent_sweep(ms, sigma_grid) -> np.ndarray:
         # smin^-2, overflow only where smin is below about 1e-154 of them; the
         # floor keeps 1/unit finite when A = 0 and sigma is subnormal
         unit = max(size + abs(sigma), np.finfo(float).tiny)
-        shifted = t / unit
+        np.multiply(parts, 1.0 / unit, out=shifted_parts)
         np.fill_diagonal(shifted, (diag - 1j * sigma) / unit)
-        rows[k] = (sigma, unit * _triangular_smin(shifted, start))
+        rows[k] = (sigma, unit * _triangular_smin(shifted, start, work))
     return rows
 
 
-def _triangular_smin(t: np.ndarray, start: np.ndarray) -> float:
-    """smin of the upper-triangular t by inverse Lanczos (see resolvent_sweep)."""
+def _triangular_smin(t: np.ndarray, start: np.ndarray, work) -> float:
+    """smin of the upper-triangular m x m t by inverse Lanczos (see resolvent_sweep).
+
+    work is _lanczos_work(m), whose contents are overwritten.
+    """
     trtrs, = scipy.linalg.get_lapack_funcs(("trtrs",), (t,))
     m = t.shape[0]
-    q = np.empty((m, m), dtype=complex)
+    q, qc, alpha, beta = work
     q[0] = start
-    tri = np.zeros((m, m))
+    np.conjugate(start, out=qc[0])
     for j in range(m):
         z, info = trtrs(t, q[j], trans=2)
         if info == 0:
             w, info = trtrs(t, z)
         if info > 0:
             return 0.0
-        tri[j, j] = np.vdot(q[j], w).real
-        if not math.isfinite(tri[j, j]):
+        alpha[j] = np.vdot(q[j], w).real
+        if not math.isfinite(alpha[j]):
             return 0.0
-        basis = q[:j + 1]
         for _ in range(2):
-            w -= (basis.conj() @ w) @ basis
-        beta = scipy.linalg.norm(w, check_finite=False)   # BLAS nrm2 does not overflow
-        theta, y = np.linalg.eigh(tri[:j + 1, :j + 1])
-        if beta * abs(y[-1, -1]) <= _LANCZOS_TOL * theta[-1] or j + 1 == m:
-            return float(theta[-1] ** -0.5)
-        tri[j, j + 1] = tri[j + 1, j] = beta
-        q[j + 1] = w / beta
+            w -= (qc[:j + 1] @ w) @ q[:j + 1]
+        beta[j] = scipy.linalg.norm(w, check_finite=False)   # BLAS nrm2 does not overflow
+        if j + 1 == m or _near_converged(alpha[:j + 1], beta[:j + 1]):
+            tri = np.diag(alpha[:j + 1])
+            np.fill_diagonal(tri[1:], beta[:j])
+            np.fill_diagonal(tri[:, 1:], beta[:j])
+            theta, y = np.linalg.eigh(tri)
+            if beta[j] * abs(y[-1, -1]) <= _LANCZOS_TOL * theta[-1] or j + 1 == m:
+                return float(theta[-1] ** -0.5)
+        np.divide(w, beta[j], out=q[j + 1])
+        np.conjugate(q[j + 1], out=qc[j + 1])
+
+
+def _lanczos_work(m: int):
+    """Lanczos vectors and their conjugates (rows), and the alpha and beta vectors."""
+    return (np.empty((m, m), dtype=complex), np.empty((m, m), dtype=complex),
+            np.empty(m), np.empty(m))
+
+
+def _near_converged(alpha: np.ndarray, beta: np.ndarray) -> bool:
+    """Whether the Lanczos stopping test may pass on the tridiagonal of alpha and beta[:-1].
+
+    Estimates the residual beta[-1]*|y_last| of the largest Ritz value in O(j),
+    by bisection (dstebz) and inverse iteration (dstein), and says True when it
+    is within _SCREEN times the tolerance, so that the caller's eigh decides.
+    A LAPACK failure (dstebz squares the off-diagonal, which overflows above
+    about 1e154) or a Ritz value that is not finite and positive also gives True.
+    """
+    n, e = alpha.size, beta[:-1]
+    if n == 1:
+        theta, y_last = alpha[0], 1.0
+    else:
+        _, w, block, split, info = dstebz(alpha, e, 2, 0.0, 0.0, n, n, 0.0, b"B")
+        theta = w[0]
+        if info != 0 or not 0.0 < theta < math.inf:
+            return True
+        y, info = dstein(alpha, e, w[:1], block, split)
+        if info != 0:
+            return True
+        y_last = y[-1, 0]
+    # not >, so that a NaN estimate passes too
+    return not beta[-1] * abs(y_last) > _SCREEN * _LANCZOS_TOL * theta
 
 
 def semiclassical_constants(modes: Modes, damping_masses: np.ndarray) -> np.ndarray:

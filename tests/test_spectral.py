@@ -1,4 +1,5 @@
 import math
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -11,6 +12,7 @@ from stokeswave import (BoundaryCollar, ConfigurationError, DampingProfile, Rect
                         SideStrip, StaggeredGrid, build_modal_system, damping_masses,
                         divergence, quasimode_diagnostics, resolvent_sweep,
                         semiclassical_constants, spectrum, stokes_eigenpairs)
+from stokeswave import spectral
 from stokeswave.evolution import generator_matrix
 from stokeswave.geometry import DiskPatch
 
@@ -170,9 +172,107 @@ def _sweep_cases(draw):
 @example(case=([0.0, 4.0, 4.0, 30.0], np.zeros((4, 4)), [0.0, 2.0, -2.0, math.sqrt(30.0), 1.0]))
 @example(case=([0.0], np.ones((1, 1)), [1e-160]))    # the solves overflow: smin reads 0
 @example(case=([0.0], np.zeros((1, 1)), [5e-324]))   # A = 0 and a subnormal shift
+# beta near 3e189: bisection on this tridiagonal, which squares beta, reads theta = 0
+@example(case=([0.0], np.array([[0.01580809]]), [1.3395270105739384e-97]))
+# beta near 5e203 at m = 4: bisection fails there, and eigh decides
+@example(case=([0.0, 100.0], np.diag([1e-100, 1.0]), [1e-101]))
 def test_resolvent_sweep_matches_svd_oracle(case):
     lams, b, sigmas = case
     _assert_matches_svd(_system(lams, b), sigmas)
+
+
+def _eigh_smin(t, start):
+    """Inverse Lanczos with a dense eigh of the tridiagonal at every step: the
+    stopping rule of resolvent_sweep, evaluated exactly at each step."""
+    trtrs, = scipy.linalg.get_lapack_funcs(("trtrs",), (t,))
+    m = t.shape[0]
+    q = np.empty((m, m), dtype=complex)
+    q[0] = start
+    tri = np.zeros((m, m))
+    for j in range(m):
+        z, info = trtrs(t, q[j], trans=2)
+        if info == 0:
+            w, info = trtrs(t, z)
+        if info > 0:
+            return 0.0
+        tri[j, j] = np.vdot(q[j], w).real
+        if not math.isfinite(tri[j, j]):
+            return 0.0
+        basis = q[:j + 1]
+        for _ in range(2):
+            w -= (basis.conj() @ w) @ basis
+        beta = scipy.linalg.norm(w, check_finite=False)
+        theta, y = np.linalg.eigh(tri[:j + 1, :j + 1])
+        if beta * abs(y[-1, -1]) <= 1e-12 * theta[-1] or j + 1 == m:
+            return float(theta[-1] ** -0.5)
+        tri[j, j + 1] = tri[j + 1, j] = beta
+        q[j + 1] = w / beta
+
+
+def _eigh_sweep(g, sigma_grid):
+    """resolvent_sweep with _eigh_smin per sigma: the same Schur factor, scaling and start."""
+    a_hat = _energy_generator(g)
+    t = scipy.linalg.rsf2csf(*scipy.linalg.schur(a_hat))[0]
+    diag = t.diagonal()
+    rng = np.random.default_rng(0)
+    start = rng.standard_normal(t.shape[0]) + 1j * rng.standard_normal(t.shape[0])
+    start /= np.linalg.norm(start)
+    size = np.abs(t).max()
+    rows = []
+    for sigma in map(float, sigma_grid):
+        unit = max(size + abs(sigma), np.finfo(float).tiny)
+        shifted = t / unit
+        np.fill_diagonal(shifted, (diag - 1j * sigma) / unit)
+        rows.append((sigma, unit * _eigh_smin(shifted, start)))
+    return np.array(rows)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_sweep_cases())
+def test_resolvent_sweep_matches_the_eigh_every_step_oracle(case):
+    lams, b, sigmas = case
+    g = _system(lams, b)
+    curve, oracle = resolvent_sweep(g, sigmas), _eigh_sweep(g, sigmas)
+    assert np.array_equal(curve[:, 0], oracle[:, 0])
+    assert np.all(np.abs(curve[:, 1] - oracle[:, 1]) <= 1e-13 * oracle[:, 1].max())
+
+
+@pytest.mark.parametrize("nx", [12, 16])
+def test_resolvent_sweep_is_the_eigh_every_step_oracle_bit_for_bit(nx):
+    square = Rectangle(1.0, 1.0)
+    collar = DampingProfile(square, BoundaryCollar(0.1), 1.0, 0.02)
+    ms = build_modal_system(StaggeredGrid.for_rectangle(square, nx), 12, collar)
+    sigmas = np.linspace(0.0, 1.5 * math.sqrt(ms.lambdas.max()), 60)
+    assert np.array_equal(resolvent_sweep(ms, sigmas), _eigh_sweep(ms, sigmas))
+
+
+def test_one_mode_sweep_runs_lanczos_to_the_full_dimension(monkeypatch):
+    # m = 2: the start vector is no singular vector, so only j + 1 = m stops it
+    buffers = []
+    lanczos_work = spectral._lanczos_work
+
+    def work(m):
+        buffers.append(tuple(np.full_like(a, np.nan) for a in lanczos_work(m)))
+        return buffers[-1]
+
+    monkeypatch.setattr(spectral, "_lanczos_work", work)
+    g = _system([4.0], [[0.3]])
+    curve = _assert_matches_svd(g, [1.0])
+    alpha = buffers[0][2]
+    assert alpha.shape == (2,) and np.isfinite(alpha).all()
+    assert np.array_equal(curve, _eigh_sweep(g, [1.0]))
+
+
+@pytest.mark.parametrize("lams, b, sigmas", [
+    ([0.0], np.ones((1, 1)), [1e-160]),
+    ([0.0], np.zeros((1, 1)), [5e-324]),
+    ([0.0], np.array([[0.01580809]]), [1.3395270105739384e-97]),
+    ([0.0, 100.0], np.diag([1e-100, 1.0]), [1e-101]),
+])
+def test_resolvent_sweep_warns_nothing_on_overflow(lams, b, sigmas):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        resolvent_sweep(_system(lams, b), sigmas)
 
 
 def test_resolvent_sweep_matches_svd_on_collar_system():
