@@ -2,10 +2,10 @@
 
 Submodules: geometry (domains and damping profiles),
 raytracer (generalized ray flow and coverage checking), stokes (staggered
-grid calculus, projector, eigenmodes), evolution (modal dynamics, energy,
-observability), spectral (damped generator spectra and mode diagnostics),
-lame (penalized-elasticity limit), schema (config tables and their validator),
-cli (config-driven experiment runner).
+grid operators on flat face vectors, projector, eigenmodes), evolution (modal
+dynamics, energy, observability), spectral (damped generator spectra and mode
+diagnostics), lame (penalized-elasticity limit), schema (config tables and
+their validator), cli (config-driven experiment runner).
 
 The ray half (geometry, raytracer, schema, reporting, cli) needs only numpy;
 geometry and raytracer load with the package.  The grid half (stokes,
@@ -22,10 +22,8 @@ from .raytracer import (GccReport, GridSampler, PhasePoint, RandomSampler, RayPa
 
 # grid-half module or public name -> its home module, imported by __getattr__ on first access
 _HOME = {name: module for module, names in {
-    "stokes": "EigenPair ModalSystem Modes PressureField StaggeredField StaggeredGrid "
-              "build_modal_system damping_masses damping_matrix dirichlet_energy divergence "
-              "gradient leray_project random_divergence_free stokes_apply stokes_eigenpairs "
-              "vector_laplacian",
+    "stokes": "EigenPair ModalSystem Modes StaggeredField StaggeredGrid build_modal_system "
+              "damping_masses damping_matrix leray_project stokes_eigenpairs",
     "evolution": "DecayFit EnergyTrace ModalState dissipation_check energy evolve fit_decay "
                  "observability_gramian random_state undamped_modal_solution",
     "spectral": "QuasimodeDiagnostics SpectrumReport quasimode_diagnostics resolvent_sweep "

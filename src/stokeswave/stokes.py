@@ -155,45 +155,8 @@ class StaggeredField:
         v = vec[grid.n_u:].reshape(grid.nx, grid.ny + 1)
         return cls(u, v, grid)
 
-    @classmethod
-    def from_function(cls, grid: StaggeredGrid, fu, fv) -> "StaggeredField":
-        """Sample callables fu(x, y), fv(x, y) on the respective face centers."""
-        pu, pv = grid.u_points(), grid.v_points()
-        return cls.from_flat(grid, np.concatenate([fu(pu[:, 0], pu[:, 1]), fv(pv[:, 0], pv[:, 1])]))
-
     def flat(self) -> np.ndarray:
         return np.concatenate([self.u.ravel(), self.v.ravel()])
-
-    def inner(self, other: "StaggeredField") -> float:
-        return self.grid.h ** 2 * float(self.flat() @ other.flat())
-
-    def l2_norm(self) -> float:
-        return self.grid.h * float(np.linalg.norm(self.flat()))
-
-    def max_norm(self) -> float:
-        return float(max(np.abs(self.u).max(), np.abs(self.v).max()))
-
-    def copy(self) -> "StaggeredField":
-        return StaggeredField(self.u.copy(), self.v.copy(), self.grid)
-
-
-@dataclass
-class PressureField:
-    """Cell-centered scalar field; the projection pressure is mean-zero."""
-
-    q: np.ndarray
-    grid: StaggeredGrid
-
-    def __post_init__(self):
-        if self.q.shape != (self.grid.nx, self.grid.ny):
-            raise ConfigurationError("pressure array shape does not match the grid")
-        self.q = np.array(self.q, dtype=float)
-
-    def l2_norm(self) -> float:
-        return self.grid.h * float(np.linalg.norm(self.q))
-
-    def mean(self) -> float:
-        return float(self.q.mean())
 
 
 # ---------------------------------------------------------------------------
@@ -351,24 +314,7 @@ def _ops(grid: StaggeredGrid) -> _Operators:
 
 
 # ---------------------------------------------------------------------------
-# Operators on fields
-
-
-def divergence(f: StaggeredField) -> PressureField:
-    """Centered face-difference divergence, one value per cell."""
-    d = _ops(f.grid).D @ f.flat()
-    return PressureField(d.reshape(f.grid.nx, f.grid.ny), f.grid)
-
-
-def gradient(q: PressureField) -> StaggeredField:
-    """Cell-to-face gradient, adjoint to -divergence; zero on boundary faces."""
-    g = _ops(q.grid).G @ q.q.ravel()
-    return StaggeredField.from_flat(q.grid, g)
-
-
-def vector_laplacian(f: StaggeredField) -> StaggeredField:
-    """Componentwise 5-point Laplacian with reflected tangential ghosts."""
-    return StaggeredField.from_flat(f.grid, _ops(f.grid).L @ f.flat())
+# Pressure projection
 
 
 def solve_neumann_poisson(grid: StaggeredGrid, rhs: np.ndarray) -> np.ndarray:
@@ -383,42 +329,16 @@ def solve_neumann_poisson(grid: StaggeredGrid, rhs: np.ndarray) -> np.ndarray:
     return scipy.fft.idctn(coeffs, type=2, norm="ortho", axes=(0, 1))
 
 
-def _project(grid: StaggeredGrid, flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(flat - G q, q) for flat face fields of shape (n_faces,) or (n_faces, m), where
-    q of shape (nx, ny) or (nx, ny, m) solves the pressure Poisson problem for D flat."""
+def leray_project(grid: StaggeredGrid, flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Orthogonal projection of flat face fields, of shape (n_faces,) or (n_faces, m),
+    onto the discretely divergence-free ones.
+
+    Returns (flat - G q, q), where q of shape (nx, ny) or (nx, ny, m) solves the
+    Neumann pressure Poisson problem for D flat with mean-zero normalization.
+    """
     ops = _ops(grid)
     q = solve_neumann_poisson(grid, (ops.D @ flat).reshape((grid.nx, grid.ny) + flat.shape[1:]))
     return flat - ops.G @ q.reshape((grid.n_cells,) + flat.shape[1:]), q
-
-
-def leray_project(f: StaggeredField) -> tuple[StaggeredField, PressureField]:
-    """Orthogonal projection onto discretely divergence-free fields.
-
-    Returns (f - grad q, q) where q solves the Neumann pressure Poisson
-    problem for div f with mean-zero normalization.
-    """
-    out, q = _project(f.grid, f.flat())
-    return StaggeredField.from_flat(f.grid, out), PressureField(q, f.grid)
-
-
-def stokes_apply(f: StaggeredField) -> StaggeredField:
-    """Projected Laplacian (the negative-definite generator on div-free fields)."""
-    return leray_project(vector_laplacian(f))[0]
-
-
-def dirichlet_energy(f: StaggeredField) -> float:
-    """Discrete ||grad f||^2, evaluated as the quadratic form of -L."""
-    flat = f.flat()
-    return f.grid.h ** 2 * float(flat @ (-(_ops(f.grid).L) @ flat))
-
-
-def random_divergence_free(grid: StaggeredGrid, seed: int = 0) -> StaggeredField:
-    """Random unit-norm field in the discrete divergence-free subspace (curl of random psi)."""
-    rng = np.random.default_rng(seed)
-    psi = rng.standard_normal((grid.nx - 1) * (grid.ny - 1))
-    f = StaggeredField.from_flat(grid, _ops(grid).C @ psi)
-    nrm = f.l2_norm()
-    return StaggeredField(f.u / nrm, f.v / nrm, grid)
 
 
 # ---------------------------------------------------------------------------
@@ -427,11 +347,12 @@ def random_divergence_free(grid: StaggeredGrid, seed: int = 0) -> StaggeredField
 
 @dataclass
 class EigenPair:
-    """Eigenmode of the negated projected Laplacian with its projection pressure."""
+    """Eigenmode of the negated projected Laplacian: lam, the flat unit-L2 face field
+    phi (n_faces,), its projection pressure (nx, ny) and its L2 residual."""
 
     lam: float
-    phi: StaggeredField
-    pressure: PressureField
+    phi: np.ndarray
+    pressure: np.ndarray
     residual: float
 
 
@@ -440,7 +361,8 @@ class Modes:
     """The modes of stokes_eigenpairs, one array per quantity: lambdas (k,) ascending,
     phi (n_faces, k) with the unit-L2 flat face fields as columns, the projection
     pressures (nx, ny, k) and the L2 residuals (k,).  Every consumer reads them in
-    place, so they are read-only.  modes[k] builds the k-th EigenPair, a copy."""
+    place, so they are read-only.  modes[k] is the k-th EigenPair, whose arrays are
+    read-only views of these."""
 
     grid: StaggeredGrid
     lambdas: np.ndarray
@@ -456,9 +378,8 @@ class Modes:
         return self.lambdas.size
 
     def __getitem__(self, k: int) -> EigenPair:
-        return EigenPair(float(self.lambdas[k]),
-                         StaggeredField.from_flat(self.grid, self.phi[:, k]),
-                         PressureField(self.pressure[:, :, k], self.grid), float(self.residual[k]))
+        return EigenPair(float(self.lambdas[k]), self.phi[:, k], self.pressure[:, :, k],
+                         float(self.residual[k]))
 
 
 # A pair whose residual exceeds this share of its eigenvalue fails the eigensolve.
@@ -492,10 +413,10 @@ def stokes_eigenpairs(grid: StaggeredGrid, count: int, dense: bool = False) -> M
     two paths agree.
 
     The L2 residuals of -P L phi = lambda phi and the projection pressures are
-    formed for all modes at once; the worst residual is recomputed through
-    vector_laplacian and leray_project as a cross-check.  A residual above
-    1e-8 * lambda raises NumericsError, as does an ARPACK run that does not
-    converge.
+    formed for all modes at once by leray_project; the worst residual is
+    recomputed through it for that mode alone as a cross-check.  A residual
+    above 1e-8 * lambda raises NumericsError, as does an ARPACK run that does
+    not converge.
     """
     ops = _ops(grid)
     n_psi = (grid.nx - 1) * (grid.ny - 1)
@@ -512,7 +433,7 @@ def stokes_eigenpairs(grid: StaggeredGrid, count: int, dense: bool = False) -> M
     _canonical_gauge(vals, vecs)
 
     phi = ops.C @ vecs
-    proj, q = _project(grid, ops.L @ phi)
+    proj, q = leray_project(grid, ops.L @ phi)
     resid = grid.h * np.linalg.norm(proj + vals * phi, axis=0)
     bad = np.flatnonzero(~(resid <= _RESIDUAL_TOL * vals))
     if bad.size:
@@ -525,8 +446,8 @@ def stokes_eigenpairs(grid: StaggeredGrid, count: int, dense: bool = False) -> M
     # the worst pair once more, one mode at a time: the two evaluations differ
     # only in summation order, so they agree far inside the gate
     k = int(np.argmax(resid / vals))
-    proj, _ = leray_project(vector_laplacian(modes[k].phi))
-    single = StaggeredField.from_flat(grid, -proj.flat() - vals[k] * phi[:, k]).l2_norm()
+    proj, _ = leray_project(grid, ops.L @ phi[:, k])
+    single = grid.h * float(np.linalg.norm(proj + vals[k] * phi[:, k]))
     if not math.isclose(single, resid[k], rel_tol=1e-6, abs_tol=1e-14 * vals[k]):
         raise NumericsError(
             f"eigenpair {k}: batched residual {resid[k]:.3e} disagrees with the "

@@ -1,7 +1,37 @@
+import numpy as np
 import pytest
 
 from stokeswave import (BoundaryCollar, DampingProfile, ModalSystem, Rectangle, SideStrip,
                         StaggeredGrid, damping_matrix, stokes_eigenpairs)
+from stokeswave.stokes import _ops
+
+
+def face_field(grid, fu, fv):
+    """Flat face field of fu(x, y) on the u faces and fv(x, y) on the v faces, zero on
+    the walls."""
+    pu, pv = grid.u_points(), grid.v_points()
+    flat = np.concatenate([fu(pu[:, 0], pu[:, 1]), fv(pv[:, 0], pv[:, 1])])
+    return np.where(_ops(grid).interior, flat, 0.0)
+
+
+def random_face_field(grid, seed=0):
+    """Standard normal values on the faces off the walls, zero on the walls."""
+    values = np.random.default_rng(seed).standard_normal(grid.n_faces)
+    return np.where(_ops(grid).interior, values, 0.0)
+
+
+def random_divergence_free(grid, seed=0):
+    """Unit-L2 flat field in the discrete divergence-free subspace: the curl of a
+    random streamfunction."""
+    psi = np.random.default_rng(seed).standard_normal((grid.nx - 1) * (grid.ny - 1))
+    f = _ops(grid).C @ psi
+    return f / (grid.h * np.linalg.norm(f))
+
+
+def split_faces(grid, flat):
+    """The u array (nx+1, ny) and the v array (nx, ny+1) of a flat face field."""
+    return (flat[:grid.n_u].reshape(grid.nx + 1, grid.ny),
+            flat[grid.n_u:].reshape(grid.nx, grid.ny + 1))
 
 
 @pytest.fixture(scope="session")

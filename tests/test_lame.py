@@ -9,9 +9,11 @@ from scipy.sparse.linalg import splu
 
 from stokeswave import (ConfigurationError, LameState, LameTrace, ModalState, NumericsError,
                         StaggeredField, StaggeredGrid, build_modal_system, convergence_study,
-                        dirichlet_energy, evolve_lame, lame_energy, modal_reference)
+                        evolve_lame, lame_energy, modal_reference)
 from stokeswave.lame import _energy_and_div, _penalized_laplacian
 from stokeswave.stokes import _ops
+
+from conftest import face_field, random_divergence_free, random_face_field
 
 
 def _grid(n=16):
@@ -32,12 +34,12 @@ def test_lame_energy_examples():
     zero = LameState(StaggeredField.zeros(grid), StaggeredField.zeros(grid), 1e-2)
     assert lame_energy(zero) == 0.0
     # divergence-free displacement: penalty part vanishes for any eps
-    from stokeswave import random_divergence_free
-    u = random_divergence_free(grid, seed=1)
+    uf = random_divergence_free(grid, seed=1)
+    u = StaggeredField.from_flat(grid, uf)
     w = StaggeredField.zeros(grid)
     e_small = lame_energy(LameState(u, w, 1e-6))
     e_big = lame_energy(LameState(u, w, 1e2))
-    expected = 0.5 * dirichlet_energy(u)
+    expected = 0.5 * grid.h ** 2 * float(uf @ -(_ops(grid).L @ uf))
     assert abs(e_small - expected) <= 1e-9 * expected
     assert abs(e_big - expected) <= 1e-9 * expected
 
@@ -69,7 +71,7 @@ def test_divergence_bound_from_energy():
     # div-free start: (1/eps)||div u||^2 <= 2 E at all times, E conserved
     _, _, _, u0, w0 = _modal_setup(n=16)
     for eps in (1e-1, 1e-2, 1e-3):
-        state = LameState(u0.copy(), w0.copy(), eps)
+        state = LameState(u0, w0, eps)
         e0 = lame_energy(state)
         tr = evolve_lame(state, 1.0, 1e-3, sample_every=5)
         assert tr.div_norm.max() <= math.sqrt(2 * eps * e0) + 1e-8
@@ -80,17 +82,15 @@ def test_pure_wave_oracle():
     # component then evolves at exactly the midpoint-mapped stencil frequency
     grid = _grid(32)
     h = grid.h
-    f = StaggeredField.from_function(
-        grid, lambda x, y: np.sin(math.pi * x) * np.sin(math.pi * y), lambda x, y: 0.0 * x)
+    f = face_field(grid, lambda x, y: np.sin(math.pi * x) * np.sin(math.pi * y),
+                   lambda x, y: 0.0 * x)
     omega2 = 2.0 * (2.0 - 2.0 * math.cos(math.pi * h)) / h ** 2
     dt = 1e-2
     theta = 2.0 * math.atan(math.sqrt(omega2) * dt / 2.0)
     steps = 200
-    tr = evolve_lame(LameState(f, StaggeredField.zeros(grid), math.inf), steps * dt, dt,
-                     reference=lambda t: StaggeredField(
-                         math.cos(theta * round(t / dt)) * f.u,
-                         math.cos(theta * round(t / dt)) * f.v, grid).flat(),
-                     sample_every=50)
+    state0 = LameState(StaggeredField.from_flat(grid, f), StaggeredField.zeros(grid), math.inf)
+    tr = evolve_lame(state0, steps * dt, dt,
+                     reference=lambda t: math.cos(theta * round(t / dt)) * f, sample_every=50)
     assert tr.err_norm.max() <= 1e-9
     # continuum frequency check: omega ~ sqrt(2) pi at O(h^2)
     assert abs(math.sqrt(omega2) - math.sqrt(2.0) * math.pi) <= 4.0 * h ** 2
@@ -100,7 +100,7 @@ def test_convergence_study_columns():
     grid, ms, state0, u0, w0 = _modal_setup(n=16)
     ref = modal_reference(ms, state0)
     rows = convergence_study(u0, w0, [1e-1, 1e-2, 1e-3], 1.0, 2e-3, ref, sample_every=5)
-    e0 = lame_energy(LameState(u0.copy(), w0.copy(), 1.0))
+    e0 = lame_energy(LameState(u0, w0, 1.0))
     for eps, max_div, _ in rows:
         assert max_div <= math.sqrt(2 * eps * e0) + 1e-8
     divs = [r[1] for r in rows]
@@ -129,7 +129,7 @@ def test_time_step_refinement_is_second_order():
     eps = 1e-2
 
     def max_err(dt):
-        tr = evolve_lame(LameState(u0.copy(), w0.copy(), eps), 0.5, dt,
+        tr = evolve_lame(LameState(u0, w0, eps), 0.5, dt,
                          reference=ref, sample_every=max(1, int(round(0.05 / dt))))
         return tr.err_norm.max()
 
@@ -143,14 +143,10 @@ def test_penalty_pressure_mean_zero():
     # the penalty pressure is -(1/eps) div u; for any displacement with
     # no-penetration faces the cell mean of div u telescopes to zero, which
     # is the discrete divergence theorem behind the zero-mean normalization
-    from stokeswave import divergence
     grid = _grid(16)
-    rng = np.random.default_rng(7)
-    u = StaggeredField(rng.standard_normal((grid.nx + 1, grid.ny)),
-                       rng.standard_normal((grid.nx, grid.ny + 1)), grid)
-    d = divergence(u)
-    assert np.abs(d.q).max() > 1.0          # genuinely non-divergence-free
-    assert abs(d.q.mean()) <= 1e-10 * np.abs(d.q).max()
+    d = _ops(grid).D @ random_face_field(grid, seed=7)
+    assert np.abs(d).max() > 1.0          # genuinely non-divergence-free
+    assert abs(d.mean()) <= 1e-10 * np.abs(d).max()
 
 
 def _first_order_midpoint(state0, T, dt, reference=None, sample_every=1):
@@ -233,15 +229,18 @@ def test_newmark_step_matches_first_order_midpoint(nx, ny, h, eps, dt, steps, sa
     assume(not math.isclose(h, 1.0 / nx))
     grid = StaggeredGrid(nx, ny, h)
     rng = np.random.default_rng(seed)
-    u0, w0, target = (StaggeredField.zeros(grid) for _ in range(3))
-    for f in (u0, w0, target):
+    u0, w0 = StaggeredField.zeros(grid), StaggeredField.zeros(grid)
+    for f in (u0, w0):
         # written after construction, so the wall faces are nonzero too
         f.u[:] = rng.standard_normal(f.u.shape)
         f.v[:] = rng.standard_normal(f.v.shape)
-    assert np.abs(u0.flat()[~_ops(grid).interior]).min() > 0.0
+    inner = _ops(grid).interior
+    assert np.abs(u0.flat()[~inner]).min() > 0.0
+    target = np.where(inner, rng.standard_normal(grid.n_faces), 0.0)
+    parts = np.arange(grid.n_faces) < grid.n_u
 
     def reference(t):
-        return StaggeredField(math.cos(t) * target.u, math.sin(t) * target.v, grid).flat()
+        return np.where(parts, math.cos(t), math.sin(t)) * target
 
     state0 = LameState(u0, w0, eps, t0)
     got = evolve_lame(state0, steps * dt, dt, reference=reference, sample_every=sample_every)

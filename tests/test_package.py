@@ -1,26 +1,28 @@
+import importlib
+import math
 import sys
 import types
+from pathlib import Path
 
 import pytest
 
 import stokeswave
 
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
 # The package's public names, those that load with it and those loaded on first use.
 _PUBLIC = [
     "BoundaryCollar", "ConfigurationError", "DampingProfile", "DecayFit", "Disk", "DiskPatch",
     "EigenPair", "EnergyTrace", "GccReport", "GridSampler", "LameState", "LameTrace",
-    "ModalState", "ModalSystem", "Modes",
-    "NumericsError", "PhasePoint", "PreconditionError", "PressureField",
+    "ModalState", "ModalSystem", "Modes", "NumericsError", "PhasePoint", "PreconditionError",
     "QuasimodeDiagnostics", "RandomSampler", "RayPath", "Rectangle", "SideStrip",
     "SpectrumReport", "StaggeredField", "StaggeredGrid", "advance_free", "boundary_hit",
     "build_modal_system", "check_gcc", "convergence_study", "damping_masses", "damping_matrix",
-    "dirichlet_energy", "dissipation_check", "divergence", "energy", "errors", "evolution",
-    "evolve", "evolve_lame", "fit_decay", "geometry", "glide", "gradient", "lame",
-    "lame_energy", "leray_project", "make_damping", "make_domain", "modal_reference",
-    "observability_gramian", "quasimode_diagnostics", "random_divergence_free", "random_state",
+    "dissipation_check", "energy", "errors", "evolution", "evolve", "evolve_lame", "fit_decay",
+    "geometry", "glide", "lame", "lame_energy", "leray_project", "make_damping", "make_domain",
+    "modal_reference", "observability_gramian", "quasimode_diagnostics", "random_state",
     "raytracer", "reflect", "resolvent_sweep", "schema", "semiclassical_constants", "spectral",
-    "spectrum", "stokes", "stokes_apply", "stokes_eigenpairs", "trace",
-    "undamped_modal_solution", "vector_laplacian",
+    "spectrum", "stokes", "stokes_eigenpairs", "trace", "undamped_modal_solution",
 ]
 
 
@@ -48,3 +50,18 @@ def test_unknown_attribute_raises():
         stokeswave.no_such_name
     assert not hasattr(stokeswave, "no_such_name")
     assert not hasattr(stokeswave, "cli_main")
+
+
+def test_the_benchmark_reads_the_lame_state_and_the_per_mode_residuals(monkeypatch, tmp_path):
+    # perfbench/make_reference.py builds the lame initial state through
+    # ModalSystem.reconstruct, StaggeredField.zeros, LameState and lame_energy,
+    # and tracing._eigen iterates the modes for their residuals
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    make_reference = importlib.import_module("make_reference")
+    tracing = importlib.import_module("tracing")
+    workloads = make_reference.workloads
+    cfg = workloads.make_config("lame", 0, tmp_path, shrink=True)
+    want = workloads.load_reference(shrink=True)["lame"]["E0"]
+    assert math.isclose(make_reference._lame_e0(cfg), want, rel_tol=1e-12)
+    modes = stokeswave.stokes_eigenpairs(stokeswave.StaggeredGrid(8, 8, 0.125), 6)
+    assert tracing._eigen((), {}, modes) == {"max_residual": modes.residual.max()}

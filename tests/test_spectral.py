@@ -10,11 +10,14 @@ from hypothesis import strategies as st
 
 from stokeswave import (BoundaryCollar, ConfigurationError, DampingProfile, Rectangle,
                         SideStrip, StaggeredGrid, build_modal_system, damping_masses,
-                        divergence, quasimode_diagnostics, resolvent_sweep,
-                        semiclassical_constants, spectrum, stokes_eigenpairs)
+                        quasimode_diagnostics, resolvent_sweep, semiclassical_constants,
+                        spectrum, stokes_eigenpairs)
 from stokeswave import spectral
 from stokeswave.evolution import generator_matrix
 from stokeswave.geometry import DiskPatch
+from stokeswave.stokes import _ops
+
+from conftest import split_faces
 
 
 def _system(lams, b):
@@ -358,14 +361,13 @@ def test_quasimode_diagnostics_basic():
     assert np.all(d.obs_constant >= 1.0 - 1e-12)  # sup a = 1 here
 
 
-def _per_mode_diagnostics(pair, damping_mass):
+def _per_mode_diagnostics(grid, pair, damping_mass):
     """One mode's (h, boundary flux, normal-trace defect, interior and boundary
     pressure norms, obs constant), computed field by field: the oracle of the
     batched quasimode_diagnostics and semiclassical_constants."""
-    grid = pair.phi.grid
     h_sc = pair.lam ** -0.5
     hg = grid.h
-    u, v = pair.phi.u, pair.phi.v
+    u, v = split_faces(grid, pair.phi)
     dn_norm = [
         (4.0 * u[1, :] - u[2, :]) / (2 * hg),
         (4.0 * u[-2, :] - u[-3, :]) / (2 * hg),
@@ -379,18 +381,19 @@ def _per_mode_diagnostics(pair, damping_mass):
         (9.0 * u[:, -1] - u[:, -2]) / (3 * hg),
     ]
     flux_sq = sum(float(arr @ arr) for arr in dn_norm + dn_tan)
-    div_ring = divergence(pair.phi).q
+    div_ring = (_ops(grid).D @ pair.phi).reshape(grid.nx, grid.ny)
     ring = np.concatenate([div_ring[0, :], div_ring[-1, :], div_ring[:, 0], div_ring[:, -1]])
-    qq = pair.pressure.q
+    qq = pair.pressure
     traces = [
         (3.0 * qq[0, :] - qq[1, :]) / 2.0,
         (3.0 * qq[-1, :] - qq[-2, :]) / 2.0,
         (3.0 * qq[:, 0] - qq[:, 1]) / 2.0,
         (3.0 * qq[:, -1] - qq[:, -2]) / 2.0,
     ]
-    obs = math.inf if damping_mass == 0.0 else pair.phi.l2_norm() / math.sqrt(damping_mass)
+    phi_norm = hg * float(np.linalg.norm(pair.phi))
+    obs = math.inf if damping_mass == 0.0 else phi_norm / math.sqrt(damping_mass)
     return (h_sc, h_sc * math.sqrt(hg * flux_sq), h_sc * float(np.abs(ring).max()),
-            h_sc * pair.pressure.l2_norm(),
+            h_sc * hg * float(np.linalg.norm(qq)),
             h_sc * math.sqrt(hg * sum(float(tr @ tr) for tr in traces)), obs)
 
 
@@ -404,7 +407,8 @@ def test_batched_diagnostics_match_the_per_mode_oracle(shape):
     d = quasimode_diagnostics(modes, masses)
     got = np.stack([d.h, d.boundary_flux_norm, d.normal_component_defect, *d.pressure_norms,
                     d.obs_constant])
-    want = np.array([_per_mode_diagnostics(modes[k], masses[k]) for k in range(len(modes))]).T
+    want = np.array([_per_mode_diagnostics(modes.grid, modes[k], masses[k])
+                     for k in range(len(modes))]).T
     # no damping means zero masses, so every obs constant is inf; otherwise none is
     assert np.isinf(want[-1]).all() if shape is None else np.isfinite(want[-1]).all()
     consts = semiclassical_constants(modes, masses)

@@ -8,14 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stokeswave import (BoundaryCollar, ConfigurationError, DampingProfile, DiskPatch, Modes,
-                        PreconditionError, PressureField, Rectangle, StaggeredField,
-                        StaggeredGrid, build_modal_system, damping_masses, damping_matrix,
-                        dirichlet_energy, divergence, gradient, leray_project,
-                        random_divergence_free, stokes_apply, stokes_eigenpairs,
-                        vector_laplacian)
+                        PreconditionError, Rectangle, StaggeredGrid, build_modal_system,
+                        damping_masses, damping_matrix, leray_project, stokes_eigenpairs)
 from stokeswave import stokes
 from stokeswave.stokes import (_canonical_gauge, _ops, _Operators, _parity_classes,
                                solve_neumann_poisson)
+
+from conftest import face_field, random_divergence_free, random_face_field, split_faces
 
 SQ = Rectangle(1.0, 1.0)
 
@@ -24,25 +23,19 @@ def _grid(n=16):
     return StaggeredGrid(n, n, 1.0 / n)
 
 
-def _random_field(grid, seed=0):
-    rng = np.random.default_rng(seed)
-    return StaggeredField(rng.standard_normal((grid.nx + 1, grid.ny)),
-                          rng.standard_normal((grid.nx, grid.ny + 1)), grid)
-
-
 def test_divergence_examples():
     g = _grid(8)
-    zero = StaggeredField.zeros(g)
-    assert np.all(divergence(zero).q == 0.0)
+    div = _ops(g).D
+    assert np.all(div @ np.zeros(g.n_faces) == 0.0)
     # u depending only on y: interior face differences vanish identically;
-    # the forced-zero wall faces leave a hand-computable artifact in the
-    # first and last cell columns
-    f = StaggeredField.from_function(g, lambda x, y: np.sin(y), lambda x, y: 0.0 * x)
-    d = divergence(f).q
+    # the zero wall faces leave a hand-computable artifact in the first and
+    # last cell columns
+    f = face_field(g, lambda x, y: np.sin(y), lambda x, y: 0.0 * x)
+    d = (div @ f).reshape(g.nx, g.ny)
     assert np.abs(d[1:-1, :]).max() == 0.0
     # f = (x, 0): face differences give exactly 1 away from the right wall
-    fx = StaggeredField.from_function(g, lambda x, y: x, lambda x, y: 0.0 * x)
-    d = divergence(fx).q
+    fx = face_field(g, lambda x, y: x, lambda x, y: 0.0 * x)
+    d = (div @ fx).reshape(g.nx, g.ny)
     assert np.abs(d[:-1, :] - 1.0).max() <= 1e-13
     # right wall column by hand: (0 - x_{n-1})/h = -(n - 1)
     assert np.allclose(d[-1, :], -(g.nx - 1))
@@ -50,38 +43,37 @@ def test_divergence_examples():
 
 def test_gradient_examples_and_adjointness():
     g = _grid(8)
-    const = PressureField(np.full((8, 8), 3.7), g)
-    gc = gradient(const)
-    assert gc.max_norm() == 0.0
-    qx = PressureField(g.cell_points()[:, 0].reshape(8, 8), g)
-    gq = gradient(qx)
-    assert np.abs(gq.u[1:-1, :] - 1.0).max() <= 1e-13
-    assert np.abs(gq.v).max() == 0.0
-    # adjointness <grad q, f> = -<q, div f>, inner products written out directly
+    ops = _ops(g)
+    assert np.abs(ops.G @ np.full(64, 3.7)).max() == 0.0
+    gu, gv = split_faces(g, ops.G @ g.cell_points()[:, 0])
+    assert np.abs(gu[1:-1, :] - 1.0).max() <= 1e-13
+    assert np.abs(gv).max() == 0.0
+    # adjointness <G q, f> = -<q, D f>, inner products written out directly
     rng = np.random.default_rng(5)
-    q = PressureField(rng.standard_normal((8, 8)), g)
-    f = _random_field(g, seed=6)
-    lhs = g.h ** 2 * float(gradient(q).flat() @ f.flat())
-    rhs = -g.h ** 2 * float(q.q.ravel() @ divergence(f).q.ravel())
+    q = rng.standard_normal(64)
+    f = random_face_field(g, seed=6)
+    lhs = g.h ** 2 * float((ops.G @ q) @ f)
+    rhs = -g.h ** 2 * float(q @ (ops.D @ f))
     assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), 1.0)
 
 
 def test_vector_laplacian_examples():
     g = _grid(32)
-    assert vector_laplacian(StaggeredField.zeros(g)).max_norm() == 0.0
+    lap = _ops(g).L
+    assert np.abs(lap @ np.zeros(g.n_faces)).max() == 0.0
     # discrete sine mode is an exact eigenvector of the stencil; its symbol
     # is -2(2 - 2cos(pi h))/h^2 which approaches -2 pi^2 at O(h^2)
-    f = StaggeredField.from_function(
-        g, lambda x, y: np.sin(math.pi * x) * np.sin(math.pi * y), lambda x, y: 0.0 * x)
-    lap = vector_laplacian(f)
+    f = face_field(g, lambda x, y: np.sin(math.pi * x) * np.sin(math.pi * y),
+                   lambda x, y: 0.0 * x)
+    lu, fu = split_faces(g, lap @ f)[0], split_faces(g, f)[0]
     mu = -2.0 * (2.0 - 2.0 * math.cos(math.pi * g.h)) / g.h ** 2
-    assert np.abs(lap.u[1:-1, :] - mu * f.u[1:-1, :]).max() <= 1e-10 * abs(mu)
+    assert np.abs(lu[1:-1, :] - mu * fu[1:-1, :]).max() <= 1e-10 * abs(mu)
     assert abs(mu + 2 * math.pi ** 2) <= 4.0 * g.h ** 2 * math.pi ** 2
     # affine fields are annihilated away from the walls
-    aff = StaggeredField.from_function(g, lambda x, y: 1 + 2 * x - y, lambda x, y: 0.3 * x + y)
-    la = vector_laplacian(aff)
-    assert np.abs(la.u[2:-2, 2:-2]).max() <= 1e-10
-    assert np.abs(la.v[2:-2, 2:-2]).max() <= 1e-10
+    aff = face_field(g, lambda x, y: 1 + 2 * x - y, lambda x, y: 0.3 * x + y)
+    la_u, la_v = split_faces(g, lap @ aff)
+    assert np.abs(la_u[2:-2, 2:-2]).max() <= 1e-10
+    assert np.abs(la_v[2:-2, 2:-2]).max() <= 1e-10
 
 
 def test_operators_match_loop_stencils_on_a_nonsquare_grid():
@@ -172,68 +164,71 @@ def test_poisson_solver_matches_operator_and_oracle():
 
 def test_leray_project_examples():
     g = _grid(16)
+    ops = _ops(g)
     rng = np.random.default_rng(2)
     # projector annihilates gradients
     q0 = rng.standard_normal((16, 16))
     q0 -= q0.mean()
-    gq = gradient(PressureField(q0, g))
-    out, _ = leray_project(gq)
-    assert out.l2_norm() <= 1e-10 * gq.l2_norm()
+    gq = ops.G @ q0.ravel()
+    out, _ = leray_project(g, gq)
+    assert np.linalg.norm(out) <= 1e-10 * np.linalg.norm(gq)
     # idempotence on the range
     f = random_divergence_free(g, seed=3)
-    out, _ = leray_project(f)
-    diff = StaggeredField(out.u - f.u, out.v - f.v, g)
-    assert diff.l2_norm() <= 1e-10 * f.l2_norm()
+    out, _ = leray_project(g, f)
+    assert np.linalg.norm(out - f) <= 1e-10 * np.linalg.norm(f)
     # f = (x, 0) against the independent dense Poisson oracle; the sampled
     # field is exactly the discrete gradient of x^2/2, so both paths must
     # return (numerically) zero and identical pressures
-    fx = StaggeredField.from_function(g, lambda x, y: x, lambda x, y: 0.0 * x)
-    out, q = leray_project(fx)
-    q_oracle = _dense_poisson_oracle(g, divergence(fx).q)
-    grad_oracle = gradient(PressureField(q_oracle, g))
-    expected = StaggeredField(fx.u - grad_oracle.u, fx.v - grad_oracle.v, g)
-    diff = StaggeredField(out.u - expected.u, out.v - expected.v, g)
-    assert diff.l2_norm() <= 1e-9 * fx.l2_norm()
-    assert out.l2_norm() <= 1e-10 * fx.l2_norm()
-    assert np.abs(q.q - (q_oracle - q_oracle.mean())).max() <= 1e-9 * np.abs(q.q).max()
+    fx = face_field(g, lambda x, y: x, lambda x, y: 0.0 * x)
+    out, q = leray_project(g, fx)
+    q_oracle = _dense_poisson_oracle(g, ops.D @ fx)
+    expected = fx - ops.G @ q_oracle.ravel()
+    assert np.linalg.norm(out - expected) <= 1e-9 * np.linalg.norm(fx)
+    assert np.linalg.norm(out) <= 1e-10 * np.linalg.norm(fx)
+    assert np.abs(q - (q_oracle - q_oracle.mean())).max() <= 1e-9 * np.abs(q).max()
     assert abs(q.mean()) <= 1e-12
 
 
 def test_projector_algebra_invariants():
     g = _grid(32)
     for seed in range(3):
-        f = _random_field(g, seed=seed)
-        p1, _ = leray_project(f)
-        p2, _ = leray_project(p1)
-        num = StaggeredField(p2.u - p1.u, p2.v - p1.v, g).l2_norm()
-        assert num <= 1e-10 * p1.l2_norm()
-        assert divergence(p1).l2_norm() <= 1e-10 * f.l2_norm()
+        f = random_face_field(g, seed=seed)
+        p1, _ = leray_project(g, f)
+        p2, _ = leray_project(g, p1)
+        assert np.linalg.norm(p2 - p1) <= 1e-10 * np.linalg.norm(p1)
+        assert np.linalg.norm(_ops(g).D @ p1) <= 1e-10 * np.linalg.norm(f)
     # symmetry of the projector in the mesh inner product
-    f = _random_field(g, seed=11)
-    h = _random_field(g, seed=12)
-    pf, _ = leray_project(f)
-    ph, _ = leray_project(h)
-    assert abs(pf.inner(h) - f.inner(ph)) <= 1e-11 * max(abs(pf.inner(h)), 1.0)
+    f = random_face_field(g, seed=11)
+    h = random_face_field(g, seed=12)
+    pf, _ = leray_project(g, f)
+    ph, _ = leray_project(g, h)
+    lhs, rhs = g.h ** 2 * float(pf @ h), g.h ** 2 * float(f @ ph)
+    assert abs(lhs - rhs) <= 1e-11 * max(abs(lhs), 1.0)
 
 
 def test_stokes_apply_symmetric_negative():
+    # the projected Laplacian P L is symmetric and negative on divergence-free fields
     g = _grid(16)
-    assert stokes_apply(StaggeredField.zeros(g)).max_norm() == 0.0
+
+    def stokes_apply(f):
+        return leray_project(g, _ops(g).L @ f)[0]
+
+    assert np.abs(stokes_apply(np.zeros(g.n_faces))).max() == 0.0
     f = random_divergence_free(g, seed=4)
     h = random_divergence_free(g, seed=5)
-    lhs = stokes_apply(f).inner(h)
-    rhs = f.inner(stokes_apply(h))
+    lhs = g.h ** 2 * float(stokes_apply(f) @ h)
+    rhs = g.h ** 2 * float(f @ stokes_apply(h))
     assert abs(lhs - rhs) <= 1e-10 * max(abs(lhs), 1.0)
-    assert stokes_apply(f).inner(f) < 0.0
+    assert stokes_apply(f) @ f < 0.0
 
 
 def test_discrete_integration_by_parts():
     # <-lap f, f> equals the explicit sum of squared differences including
     # the reflected-ghost wall terms (factor 2 on wall-adjacent tangential rows)
     g = _grid(16)
-    f = _random_field(g, seed=9)
-    qform = dirichlet_energy(f)
-    u, v, h = f.u, f.v, g.h
+    f = random_face_field(g, seed=9)
+    qform = g.h ** 2 * float(f @ -(_ops(g).L @ f))
+    u, v = split_faces(g, f)
     by_diff = 0.0
     by_diff += np.sum(np.diff(u, axis=0) ** 2)            # u: x-differences (walls are nodes)
     by_diff += np.sum(np.diff(u, axis=1) ** 2)            # u: interior y-differences
@@ -255,7 +250,7 @@ def test_eigenpairs_sanity_small_grid():
     phi = modes.phi
     gram = phi.T @ phi * g.h ** 2
     assert np.abs(gram - np.eye(12)).max() <= 1e-10
-    assert all(divergence(p.phi).l2_norm() <= 1e-10 for p in modes)
+    assert g.h * np.linalg.norm(_ops(g).D @ phi, axis=0).max() <= 1e-10
 
 
 def test_eigenpairs_dense_oracle_agreement():
@@ -295,12 +290,12 @@ def test_quasimode_residual_identity():
     # with h = lambda^(-1/2) and the projection pressure, the h-scaled mode
     # equation is satisfied to solver precision
     g = _grid(32)
+    ops = _ops(g)
     modes = stokes_eigenpairs(g, 20)
     for k in range(0, 20, 3):
         p = modes[k]
         h2 = 1.0 / p.lam
-        r = (-h2 * vector_laplacian(p.phi).flat() - p.phi.flat()
-             + h2 * gradient(p.pressure).flat())
+        r = -h2 * (ops.L @ p.phi) - p.phi + h2 * (ops.G @ p.pressure.ravel())
         assert g.h * np.linalg.norm(r) <= 1e-6
 
 
@@ -323,8 +318,8 @@ def test_modal_system_reconstruct_roundtrip():
     g = _grid(16)
     ms = build_modal_system(g, 5)
     coeffs = np.array([1.0, 0.0, -0.5, 0.0, 0.25])
-    f = ms.reconstruct(coeffs)
-    recovered = np.array([f.inner(p.phi) for p in ms.modes])
+    f = ms.reconstruct(coeffs).flat()
+    recovered = np.array([g.h ** 2 * float(f @ p.phi) for p in ms.modes])
     assert np.abs(recovered - coeffs).max() <= 1e-10
 
 
@@ -335,19 +330,20 @@ def test_modes_are_one_matrix_with_per_mode_views():
     for k in range(10):
         p = modes[k]
         assert p.lam == modes.lambdas[k] and p.residual == modes.residual[k]
-        assert np.array_equal(p.phi.flat(), modes.phi[:, k])
-        assert np.array_equal(p.pressure.q, modes.pressure[:, :, k])
+        assert np.array_equal(p.phi, modes.phi[:, k])
+        assert np.array_equal(p.pressure, modes.pressure[:, :, k])
     with pytest.raises(IndexError):
         modes[10]
     pairs = list(modes)
     assert len(pairs) == 10 and all(type(p.residual) is float for p in pairs)
-    for array in (modes.lambdas, modes.phi, modes.pressure, modes.residual):
+    for array in (modes.lambdas, modes.phi, modes.pressure, modes.residual, pairs[0].phi,
+                  pairs[0].pressure):
         with pytest.raises(ValueError):
             array[0] = 1.0
     # the damping matrix against a per-mode loop, and reconstruct as phi @ c
     collar = DampingProfile(Rectangle(g.width, g.height), BoundaryCollar(0.1), 1.0, 0.02)
     a = np.concatenate([collar.values(g.u_points()), collar.values(g.v_points())])
-    loop = [[g.h ** 2 * float((a * p.phi.flat()) @ q.phi.flat()) for q in pairs] for p in pairs]
+    loop = [[g.h ** 2 * float((a * p.phi) @ q.phi) for q in pairs] for p in pairs]
     b = damping_matrix(modes, collar)
     assert np.abs(b - np.array(loop)).max() <= 1e-13
     c = np.random.default_rng(0).standard_normal(10)
@@ -482,10 +478,10 @@ def test_class_eigensolve_matches_dense_oracle(nx, ny, data):
 def test_batched_residuals_and_pressures_match_leray_project(nx, ny, count):
     g = StaggeredGrid(nx, ny, 1.0 / nx)
     for p in stokes_eigenpairs(g, count):
-        proj, q = leray_project(vector_laplacian(p.phi))
-        resid = StaggeredField.from_flat(g, -proj.flat() - p.lam * p.phi.flat()).l2_norm()
+        proj, q = leray_project(g, _ops(g).L @ p.phi)
+        resid = g.h * np.linalg.norm(-proj - p.lam * p.phi)
         assert abs(resid - p.residual) <= 1e-12 * p.residual
-        assert np.abs(q.q - p.pressure.q).max() <= 1e-12 * np.abs(q.q).max()
+        assert np.abs(q - p.pressure).max() <= 1e-12 * np.abs(q).max()
 
 
 def test_split_pair_keeps_the_earlier_class_and_partners_are_bit_identical():
@@ -493,7 +489,7 @@ def test_split_pair_keeps_the_earlier_class_and_partners_are_bit_identical():
     # classes eo and oe; count = 2 splits them and keeps the eo mode, whose
     # streamfunction is even in x and odd in y, so u is even in both
     g = _grid(16)
-    u = stokes_eigenpairs(g, 2)[1].phi.u
+    u = split_faces(g, stokes_eigenpairs(g, 2)[1].phi)[0]
     assert np.abs(u[::-1, :] - u).max() <= 1e-12 * np.abs(u).max()
     assert np.abs(u[:, ::-1] - u).max() <= 1e-12 * np.abs(u).max()
     lam = stokes_eigenpairs(g, 100).lambdas
@@ -558,7 +554,7 @@ def test_damping_masses_are_the_diagonal_of_the_damping_matrix():
     assert np.abs(masses - np.diag(damping_matrix(modes, collar))).max() <= 1e-13
     # per-mode face quadrature as the oracle
     a = np.concatenate([collar.values(g.u_points()), collar.values(g.v_points())])
-    loop = [g.h ** 2 * float((a * p.phi.flat()) @ p.phi.flat()) for p in modes]
+    loop = [g.h ** 2 * float((a * p.phi) @ p.phi) for p in modes]
     assert np.abs(masses - loop).max() <= 1e-13
     assert np.all(damping_masses(modes, None) == 0.0)
     empty = Modes(g, np.zeros(0), np.zeros((g.n_faces, 0)), np.zeros((g.nx, g.ny, 0)),
