@@ -10,7 +10,8 @@ their validator), cli (config-driven experiment runner).
 The ray half (geometry, raytracer, schema, reporting, cli) needs only numpy;
 geometry and raytracer load with the package.  The grid half (stokes,
 evolution, spectral, lame) needs scipy and loads on first use of one of its
-names, or when the CLI resolves the config of a grid experiment.
+names, or when the CLI resolves the config of a grid experiment.  Library use
+leaves numpy's and scipy's BLAS thread pools as they are; only the CLI sets them.
 """
 
 from ._version import __version__

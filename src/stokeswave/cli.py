@@ -10,7 +10,9 @@ A runner run_<exp>(cfg, domain, damping) computes and returns its artifacts:
 a dict from file name to a JSON payload (a dict) for a .json name, or to
 (columns, rows) for a .csv name.  main alone creates the output directory
 and writes the artifacts once the runner has returned, so a run that exits 3
-writes none.
+writes none.  Before the first grid run in a process, main sets each loaded
+OpenBLAS to one thread unless OPENBLAS_NUM_THREADS or OMP_NUM_THREADS is set:
+numpy's and scipy's pools oversubscribe the cores on small dense problems.
 
 The config schema is one set of tables in the format of stokeswave.schema:
 CONFIG, PARAMS (one table per experiment) and SAMPLERS here, DOMAINS and
@@ -24,8 +26,11 @@ Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import ctypes
+import functools
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -94,6 +99,8 @@ def _cross_checks(cfg: dict):
     rectangle = cfg["domain"]["kind"] == "rectangle"
     if damping is None and exp == "gcc":
         fail("damping", "gcc experiment needs a damping profile")
+    if damping is not None and exp == "lame":
+        fail("damping", "lame experiment is undamped; set damping to null")
     if damping is not None and damping["shape"] == "side_strip" and not rectangle:
         fail("damping.shape", "side_strip requires a rectangle domain")
     if "nx" in p:
@@ -252,7 +259,7 @@ def run_observability(cfg: dict, domain, damping) -> dict:
 def run_lame(cfg: dict, domain, damping) -> dict:
     from . import evolution, lame, stokes
     params = cfg["params"]
-    ms = _modal_system(cfg, domain, None)
+    ms = _modal_system(cfg, domain, damping)
     n_init = params["n_init_modes"]
     coeffs = np.zeros(ms.n_modes)
     coeffs[:n_init] = 1.0 / math.sqrt(n_init)
@@ -284,6 +291,26 @@ def run_diagnostics(cfg: dict, domain, damping) -> dict:
 _RUNNERS = {name: globals()[f"run_{name}"] for name in EXPERIMENTS}
 
 
+@functools.cache
+def _one_blas_thread():
+    if "OPENBLAS_NUM_THREADS" in os.environ or "OMP_NUM_THREADS" in os.environ:
+        return
+    try:
+        maps = Path("/proc/self/maps").read_text(encoding="utf-8").splitlines()
+        paths = {f[5] for f in map(str.split, maps) if len(f) == 6 and "openblas" in f[5]}
+        libs = [ctypes.CDLL(path) for path in sorted(paths)]
+    except OSError:
+        return
+    for lib in libs:
+        for name in ("openblas_set_num_threads", "openblas_set_num_threads64_",
+                     "scipy_openblas_set_num_threads", "scipy_openblas_set_num_threads64_"):
+            if hasattr(lib, name):
+                setter = getattr(lib, name)
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                setter(1)
+                break
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="stokeswave",
@@ -310,6 +337,8 @@ def main(argv=None) -> int:
             out.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
             fail("output_dir", f"cannot create directory {out}: {exc.strerror}")
+        if "nx" in resolved["params"]:
+            _one_blas_thread()
         artifacts = _RUNNERS[resolved["experiment"]](resolved, domain, damping)
         for name, artifact in artifacts.items():
             if name.endswith(".csv"):

@@ -1,5 +1,6 @@
 import contextlib
 import copy
+import csv
 import functools
 import io
 import json
@@ -229,6 +230,15 @@ def test_cli_rejects_exactly_the_starts_trace_rejects(tmp_path, capsys, domain, 
 def test_gcc_without_damping_leaves_no_output(tmp_path, capsys):
     cfg = _cfg("gcc", _GCC, tmp_path, damping=None)
     assert main(["gcc", _write(tmp_path, cfg)]) == 2
+    assert capsys.readouterr().err.startswith("config error: damping: ")
+    assert not (tmp_path / "out").exists()
+
+
+def test_lame_with_damping_leaves_no_output(tmp_path, capsys):
+    # lame runs the undamped system, so a damping profile would be dropped unseen
+    cfg = _cfg("lame", {"nx": 12, "n_modes": 4, "T": 0.1, "dt": 0.01, "eps_list": [0.1]},
+               tmp_path)
+    assert main(["lame", _write(tmp_path, cfg)]) == 2
     assert capsys.readouterr().err.startswith("config error: damping: ")
     assert not (tmp_path / "out").exists()
 
@@ -506,15 +516,24 @@ print(*sys.modules)
 """
 
 
+def _fresh(script, args, **env) -> str:
+    """Standard output of script run on args by a fresh interpreter that imports this
+    stokeswave, with OPENBLAS_NUM_THREADS and OMP_NUM_THREADS as in env or else unset."""
+    base = {k: v for k, v in os.environ.items()
+            if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    run = subprocess.run([sys.executable, "-c", script, *args],
+                         env={**base, **env,
+                              "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])},
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    return run.stdout
+
+
 def _modules_after(tmp_path, how, cases) -> set:
     """sys.modules of a fresh interpreter after `how` ("main" or "resolve") of _VALID[cases]."""
     paths = [_write(tmp_path, _valid_config(i, tmp_path / f"out{i}"), f"cfg{i}.json")
              for i in cases]
-    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
-    run = subprocess.run([sys.executable, "-c", _PROBE, how, *paths], env=env,
-                         capture_output=True, text=True, timeout=120)
-    assert run.returncode == 0, run.stderr
-    return set(run.stdout.split())
+    return set(_fresh(_PROBE, [how, *paths]).split())
 
 
 def test_ray_runs_load_neither_scipy_nor_the_grid_half(tmp_path):
@@ -527,3 +546,99 @@ def test_ray_runs_load_neither_scipy_nor_the_grid_half(tmp_path):
                          ids=lambda i: _VALID[i][0])
 def test_grid_config_loads_the_grid_half_when_resolved(tmp_path, i):
     assert _modules_after(tmp_path, "resolve", [i]) >= _GRID_HALF
+
+
+# BLAS threads: cli.main sets each loaded OpenBLAS to one thread before a grid
+# run unless the user chose a count, and a ray run leaves the pools alone.
+_BLAS_PROBE = """
+import ctypes, json, sys
+from pathlib import Path
+from stokeswave import cli
+
+def threads():
+    try:
+        maps = Path("/proc/self/maps").read_text(encoding="utf-8").splitlines()
+    except OSError:
+        return {}
+    counts = {}
+    for path in sorted({f[5] for f in map(str.split, maps) if len(f) == 6 and "openblas" in f[5]}):
+        lib = ctypes.CDLL(path)
+        for name in ("openblas_get_num_threads", "openblas_get_num_threads64_",
+                     "scipy_openblas_get_num_threads", "scipy_openblas_get_num_threads64_"):
+            if hasattr(lib, name):
+                counts[path] = getattr(lib, name)()
+                break
+    return counts
+
+before = threads()
+for path in sys.argv[1:]:
+    assert cli.main([cli.load_config(path)["experiment"], path]) == 0
+print(json.dumps({"before": before, "after": threads(), "scipy": "scipy" in sys.modules}))
+"""
+
+
+def _blas_threads(tmp_path, experiment, **env) -> dict:
+    """Thread count of each loaded OpenBLAS before and after a main run of _VALID's experiment."""
+    i = next(i for i, v in enumerate(_VALID) if v[0] == experiment)
+    path = _write(tmp_path, _valid_config(i, tmp_path / "out"), f"{experiment}.json")
+    return json.loads(_fresh(_BLAS_PROBE, [path], **env))
+
+
+def test_grid_runs_set_each_openblas_to_one_thread_unless_the_user_chose(tmp_path):
+    capped = _blas_threads(tmp_path, "spectrum")
+    if not capped["after"]:
+        pytest.skip("no OpenBLAS library is loaded (or /proc/self/maps is unreadable)")
+    assert set(capped["after"].values()) == {1}, capped
+    # a count set by the user stays as OpenBLAS read it at load (at most the core count)
+    chosen = _blas_threads(tmp_path, "spectrum", OPENBLAS_NUM_THREADS="2")
+    assert set(chosen["after"].values()) == set(chosen["before"].values()), chosen
+
+
+def test_ray_runs_leave_the_blas_pools_alone(tmp_path):
+    ray = _blas_threads(tmp_path, "trace")
+    assert not ray["scipy"] and ray["after"] == ray["before"], ray
+
+
+def _numbers(path: Path) -> dict:
+    """Each column of a CSV artifact, or each key path of a JSON one, as a list of floats."""
+    if path.suffix == ".csv":
+        rows = list(csv.reader(path.read_text(encoding="utf-8").splitlines()[2:]))
+        return {c: [float(r[k]) for r in rows[1:]] for k, c in enumerate(rows[0])}
+    flat = {}
+
+    def walk(key, value):
+        if isinstance(value, dict):
+            for k, v in value.items():
+                walk(f"{key}.{k}" if key else k, v)
+        elif isinstance(value, list):
+            for v in value:
+                walk(key, v)
+        else:
+            flat.setdefault(key, []).append(float(value))
+
+    payload = json.loads(path.read_text(encoding="utf-8"))
+    walk("", {k: v for k, v in payload.items() if k not in ("artifact", "version", "config")})
+    return flat
+
+
+def test_grid_artifacts_agree_to_roundoff_across_thread_counts(tmp_path):
+    # at 100 modes the dense products are large enough for OpenBLAS to use both threads
+    runs = [("simulate", {"nx": 12, "n_modes": 100, "T": 4.0, "dt": 0.01, "window": [0.0, 4.0]}),
+            ("spectrum", {"nx": 12, "n_modes": 100}),
+            ("resolvent", {"nx": 12, "n_modes": 100,
+                           "sigma": {"min": 0.0, "max": 30.0, "count": 25}})]
+    for policy, env in (("one", {}), ("two", {"OPENBLAS_NUM_THREADS": "2"})):
+        paths = [_write(tmp_path, _cfg(exp, params, tmp_path / policy / exp),
+                        f"{policy}_{exp}.json") for exp, params in runs]
+        _fresh(_PROBE, ["main", *paths], **env)
+    files = sorted((tmp_path / "one").rglob("*.*"))
+    assert {f.name for f in files} == {"energy_trace.csv", "simulate_summary.json",
+                                       "spectrum_report.json", "resolvent_curve.csv"}
+    for f in files:
+        one, two = _numbers(f), _numbers(tmp_path / "two" / f.relative_to(tmp_path / "one"))
+        assert one.keys() == two.keys()
+        for key in one:
+            # balance_defect is a relative error at roundoff level, so its scale is 1
+            scale = 1.0 if key == "balance_defect" else np.abs([one[key], two[key]]).max()
+            gap = np.abs(np.subtract(one[key], two[key])).max()
+            assert gap <= 1e-12 * scale, (f.name, key, gap, scale)
