@@ -269,7 +269,7 @@ def run_lame(cfg: dict, domain, damping) -> dict:
     rows = lame.convergence_study(u0, w0, params["eps_list"], params["T"], params["dt"],
                                   lame.modal_reference(ms, state0),
                                   sample_every=params["sample_every"])
-    return {"lame_study.csv": (["eps", "max_div", "max_err"], rows)}
+    return {"lame_study.csv": (["eps", "max_div", "max_err", "E0", "energy_drift"], rows)}
 
 
 def run_diagnostics(cfg: dict, domain, damping) -> dict:

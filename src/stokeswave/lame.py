@@ -17,15 +17,26 @@ with c = dt^2/4,
     (I - c L_eps) u1 = (I + c L_eps) u0 + dt w0,
 
 the average-acceleration Newmark scheme (N. M. Newmark, J. Eng. Mech. Div.
-ASCE 85, 1959).  So one sparse factorization per (eps, dt) of a matrix on
-the displacement alone replaces the solve on (u, w).  The rows of L and of G
-are zero on the wall faces (the no-penetration faces of the boundary), so
-there w' = 0 and the midpoint rule moves a wall face affinely,
+ASCE 85, 1959).  So one factorization per (eps, dt) of a matrix on the
+displacement alone replaces the solve on (u, w).  The rows of L and of G are
+zero on the wall faces (the no-penetration faces of the boundary), so there
+w' = 0 and the midpoint rule moves a wall face affinely,
 u_W(t) = u_W(0) + t w_W(0).  Only the interior faces are solved for, with
 the wall faces' pull c L_IW (u_W,k + u_W,k+1) on the right-hand side, and
 the interior block I - c L_eps,II is symmetric positive definite.
 StaggeredField zeroes the wall faces, but fields whose wall arrays are
 written afterwards are stepped the same way.
+
+That block couples each face to its stencil neighbours only, so the
+reverse Cuthill-McKee ordering (E. Cuthill and J. McKee, Proc. 24th ACM
+Nat. Conf., 1969) makes it a band of half-width bw <= 2 min(nx, ny) + 1
+(about min(nx, ny) at eps = inf), held in (bw + 1) n numbers for n interior
+faces and factored by LAPACK's band Cholesky (A. George and J. W. H. Liu,
+Computer Solution of Large Sparse Positive Definite Systems, 1981).  A band
+solve costs O(n bw), which grows as nx^3, against about n log n for a
+sparse LU.  So the band wins on small grids: against SuperLU, one run took
+0.6-0.9 of the time at nx = 32, 0.75-0.9 at 64, 1.0-1.1 at 80 and 1.3-1.4
+at 128 (one BLAS thread, 2-core x86_64), a crossover near nx = 80.
 
 eps = math.inf switches the penalty off, giving the plain componentwise
 wave dynamics used as an oracle.
@@ -39,7 +50,8 @@ from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import splu
+from scipy.linalg.lapack import dpbtrf, dpbtrs
+from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from .errors import ConfigurationError, NumericsError
 from .evolution import ModalState, undamped_modal_solution
@@ -92,6 +104,15 @@ def _penalized_laplacian(grid: StaggeredGrid, eps: float) -> sp.csr_matrix:
     return ops.L if math.isinf(eps) else (ops.L + (1.0 / eps) * (ops.G @ ops.D)).tocsr()
 
 
+def _upper_band(a: sp.csr_matrix) -> np.ndarray:
+    """The upper band of the symmetric a in LAPACK layout: ab[bw + i - j, j] = a[i, j]."""
+    upper = sp.triu(a, format="coo")
+    offset = upper.col - upper.row
+    ab = np.zeros((int(offset.max()) + 1, a.shape[0]))
+    ab[ab.shape[0] - 1 - offset, upper.col] = upper.data
+    return ab
+
+
 def evolve_lame(state0: LameState, T: float, dt: float,
                 reference: Optional[Callable[[float], np.ndarray]] = None,
                 sample_every: int = 1) -> LameTrace:
@@ -99,9 +120,13 @@ def evolve_lame(state0: LameState, T: float, dt: float,
     sampling the start, every `sample_every`-th step and the last one.
 
     Each step is the Newmark form of the module docstring on the interior
-    faces: one factorization (SuperLU, MMD_AT_PLUS_A ordering) of the
+    faces: one band Cholesky factorization (dpbtrf of the (bw + 1, n) upper
+    band in reverse Cuthill-McKee order, see the module docstring) of the
     symmetric I - (dt^2/4) L_eps restricted to them, and wall faces moved as
-    u_W + t w_W.  A failed factorization raises NumericsError.
+    u_W + t w_W.  The loop runs in band order and scatters back to face order
+    at a sample only.  A failed factorization, or a sampled energy,
+    divergence norm or (with a reference) error norm that is not finite,
+    raises NumericsError.
 
     The reference, when given, is a callable t -> flat face vector
     (n_faces,) on the same grid (e.g. modal_reference); the trace then
@@ -118,12 +143,14 @@ def evolve_lame(state0: LameState, T: float, dt: float,
     l_ii, l_iw = rows[:, inner], rows[:, wall]
     c = 0.25 * dt * dt
     eye = sp.identity(l_ii.shape[0], format="csr")
-    try:
-        solver = splu((eye - c * l_ii).tocsc(), permc_spec="MMD_AT_PLUS_A")
-    except RuntimeError as exc:
-        raise NumericsError(
-            f"sparse factorization failed (eps={state0.eps:g}, dt={dt:g}): {exc}") from exc
-    a_plus = eye + c * l_ii
+    a_minus = (eye - c * l_ii).tocsr()
+    perm = reverse_cuthill_mckee(a_minus, symmetric_mode=True)
+    factor, info = dpbtrf(_upper_band(a_minus[perm][:, perm]))
+    if info != 0:
+        raise NumericsError(f"sparse factorization failed (eps={state0.eps:g}, dt={dt:g}): "
+                            f"pbtrf info {info}")
+    a_plus = (eye + c * l_ii)[perm][:, perm]
+    order = np.flatnonzero(inner)[perm]
 
     def observe(u, w, t):
         e, div = _energy_and_div(grid, state0.eps, u, w)
@@ -132,6 +159,10 @@ def evolve_lame(state0: LameState, T: float, dt: float,
             err = math.nan
         else:
             err = grid.h * float(np.linalg.norm(u - reference(t)))
+        if not (math.isfinite(e) and math.isfinite(dn)
+                and (reference is None or math.isfinite(err))):
+            raise NumericsError(f"non-finite Lame trace at t={t:g} "
+                                f"(eps={state0.eps:g}, dt={dt:g})")
         return t, e, dn, err
 
     steps = int(round(T / dt))
@@ -139,14 +170,15 @@ def evolve_lame(state0: LameState, T: float, dt: float,
     samples = [observe(u, w, state0.t)]
     u_wall, w_wall = u[wall], w[wall]
     # wall pull of step k: c L_IW (u_W,k-1 + u_W,k) = pull_u + (2k - 1) pull_w
+    l_iw = l_iw[perm]
     pull_u, pull_w = 2.0 * c * (l_iw @ u_wall), c * dt * (l_iw @ w_wall)
-    ui, wi = u[inner], w[inner]
+    ui, wi = u[order], w[order]
     for k in range(1, steps + 1):
-        u1 = solver.solve(a_plus @ ui + dt * wi + pull_u + (2 * k - 1) * pull_w)
+        u1 = dpbtrs(factor, a_plus @ ui + dt * wi + pull_u + (2 * k - 1) * pull_w)[0]
         wi = 2.0 * (u1 - ui) / dt - wi
         ui = u1
         if k % sample_every == 0 or k == steps:
-            u[inner], w[inner] = ui, wi
+            u[order], w[order] = ui, wi
             u[wall] = u_wall + (k * dt) * w_wall
             samples.append(observe(u, w, state0.t + k * dt))
     return LameTrace(*(np.array(column) for column in zip(*samples)))
@@ -160,8 +192,15 @@ def modal_reference(ms: ModalSystem, state0: ModalState) -> Callable[[float], np
 
 def convergence_study(u0: StaggeredField, w0: StaggeredField, eps_list, T: float, dt: float,
                       reference: Callable[[float], np.ndarray],
-                      sample_every: int = 1) -> List[Tuple[float, float, float]]:
-    """Rows (eps, max_t ||div u_eps||, max_t ||u_eps - reference||), eps descending."""
+                      sample_every: int = 1) -> List[Tuple[float, float, float, float, float]]:
+    """Rows (eps, max_t ||div u_eps||, max_t ||u_eps - reference||, E0, energy drift),
+    eps descending.
+
+    E0 is the penalized energy at the start, so each row's bound
+    max_div <= sqrt(2 eps E0) can be checked from the row alone.  The drift
+    max_t |E(t) - E0| / E0 (0 when E0 = 0) is roundoff for an exactly
+    conservative scheme, so a large one flags a run that lost its digits.
+    """
     eps_list = [float(e) for e in eps_list]
     if any(a <= b for a, b in zip(eps_list, eps_list[1:])):
         raise ConfigurationError("eps_list must be strictly descending")
@@ -173,5 +212,7 @@ def convergence_study(u0: StaggeredField, w0: StaggeredField, eps_list, T: float
     for eps in eps_list:
         trace = evolve_lame(LameState(u0, w0, eps), T, dt,
                             reference=reference, sample_every=sample_every)
-        rows.append((eps, float(trace.div_norm.max()), float(trace.err_norm.max())))
+        e0 = float(trace.E[0])
+        drift = float(np.abs(trace.E - e0).max()) / e0 if e0 > 0 else 0.0
+        rows.append((eps, float(trace.div_norm.max()), float(trace.err_norm.max()), e0, drift))
     return rows

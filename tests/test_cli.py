@@ -112,10 +112,27 @@ def test_lame_subcommand(tmp_path):
                         "sample_every": 5}, tmp_path, damping=None)
     assert main(["lame", _write(tmp_path, cfg)]) == 0
     lines = (tmp_path / "out" / "lame_study.csv").read_text().splitlines()
-    assert lines[2] == "eps,max_div,max_err"
+    assert lines[2] == "eps,max_div,max_err,E0,energy_drift"
     vals = [list(map(float, ln.split(","))) for ln in lines[3:]]
     assert vals[0][0] == 1e-1 and vals[1][0] == 1e-2
     assert vals[1][1] < vals[0][1]
+    assert all(max_div <= math.sqrt(2.0 * eps * e0) and drift <= 1e-10
+               for eps, max_div, _, e0, drift in vals)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                            "ignore:invalid value encountered:RuntimeWarning")
+def test_a_non_finite_lame_trace_exits_3(tmp_path, capsys, monkeypatch):
+    # initial faces of 1e200 overflow the energy, so no row could be trusted
+    reconstruct = stokes.ModalSystem.reconstruct
+    monkeypatch.setattr(stokes.ModalSystem, "reconstruct",
+                        lambda self, c: stokes.StaggeredField.from_flat(
+                            self.grid, 1e200 * reconstruct(self, c).flat()))
+    cfg = _cfg("lame", {"nx": 12, "n_modes": 4, "T": 0.1, "dt": 0.01, "eps_list": [1e-1]},
+               tmp_path, damping=None)
+    assert main(["lame", _write(tmp_path, cfg)]) == 3
+    assert capsys.readouterr().err.startswith("numeric failure: non-finite Lame trace at t=0 ")
+    assert not (tmp_path / "out").exists() or not any((tmp_path / "out").iterdir())
 
 
 def test_diagnostics_subcommand(tmp_path):

@@ -5,6 +5,8 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.linalg.lapack import dpbtrf
+from scipy.sparse.csgraph import reverse_cuthill_mckee
 from scipy.sparse.linalg import splu
 
 from stokeswave import (ConfigurationError, LameState, LameTrace, ModalState, NumericsError,
@@ -100,15 +102,49 @@ def test_convergence_study_columns():
     grid, ms, state0, u0, w0 = _modal_setup(n=16)
     ref = modal_reference(ms, state0)
     rows = convergence_study(u0, w0, [1e-1, 1e-2, 1e-3], 1.0, 2e-3, ref, sample_every=5)
-    e0 = lame_energy(LameState(u0, w0, 1.0))
-    for eps, max_div, _ in rows:
+    for eps, max_div, _, e0, drift in rows:
+        assert math.isclose(e0, lame_energy(LameState(u0, w0, eps)), rel_tol=1e-12)
         assert max_div <= math.sqrt(2 * eps * e0) + 1e-8
+        assert 0.0 <= drift <= 1e-10
+    trace = evolve_lame(LameState(u0, w0, 1e-3), 1.0, 2e-3, reference=ref, sample_every=5)
+    assert rows[-1][3:] == (trace.E[0], np.abs(trace.E - trace.E[0]).max() / trace.E[0])
     divs = [r[1] for r in rows]
     errs = [r[2] for r in rows]
     # both columns decrease as eps decreases (5% noise floor)
     assert all(b <= a * 1.05 for a, b in zip(divs, divs[1:]))
     assert all(b <= a * 1.05 for a, b in zip(errs, errs[1:]))
     assert all(b / a < 1.0 for a, b in zip(errs, errs[1:]))
+
+
+def test_zero_energy_has_zero_drift():
+    grid = _grid(8)
+    zero = StaggeredField.zeros(grid)
+    [row] = convergence_study(zero, zero, [1e-2], 0.1, 1e-2,
+                              lambda t: np.zeros(grid.n_faces))
+    assert row == (1e-2, 0.0, 0.0, 0.0, 0.0)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("with_reference", [False, True])
+def test_a_non_finite_trace_raises(with_reference):
+    # faces of 1e200 overflow the energy at the first sample, whatever the roundoff
+    grid = _grid(8)
+    u0 = StaggeredField.from_flat(grid, np.full(grid.n_faces, 1e200))
+    ref = (lambda t: np.zeros(grid.n_faces)) if with_reference else None
+    with pytest.raises(NumericsError, match=r"non-finite Lame trace at t=0 \(eps=0.01, dt=0.01\)"):
+        evolve_lame(LameState(u0, StaggeredField.zeros(grid), 1e-2), 0.1, 1e-2, reference=ref)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_an_overflowing_error_norm_raises():
+    # a finite state against a reference of 1e300 overflows only err_norm
+    _, _, _, u0, w0 = _modal_setup(n=8)
+    grid = u0.grid
+    huge = np.full(grid.n_faces, 1e300)
+    state = LameState(u0, w0, 1e-2)
+    assert np.isnan(evolve_lame(state, 0.02, 1e-2).err_norm).all()
+    with pytest.raises(NumericsError, match="non-finite Lame trace"):
+        evolve_lame(state, 0.02, 1e-2, reference=lambda t: huge)
 
 
 def test_convergence_study_validation():
@@ -177,27 +213,64 @@ def _first_order_midpoint(state0, T, dt, reference=None, sample_every=1):
     return LameTrace(*(np.array(column) for column in zip(*samples)))
 
 
+def _recorded_bands(monkeypatch, state, T, dt):
+    """The band matrices evolve_lame hands to dpbtrf in one run."""
+    import stokeswave.lame as lame_module
+    bands = []
+
+    def recording_dpbtrf(ab, **kwargs):
+        bands.append((ab.copy(), kwargs))
+        return dpbtrf(ab, **kwargs)
+
+    monkeypatch.setattr(lame_module, "dpbtrf", recording_dpbtrf)
+    evolve_lame(state, T, dt)
+    return bands
+
+
+def _interior_block(grid, eps, dt):
+    """I - (dt^2/4) L_eps on the interior faces, and its reverse Cuthill-McKee order."""
+    inner = _ops(grid).interior
+    l_ii = _penalized_laplacian(grid, eps)[inner][:, inner]
+    a = (sp.identity(l_ii.shape[0], format="csr") - 0.25 * dt * dt * l_ii).tocsr()
+    return a, reverse_cuthill_mckee(a, symmetric_mode=True)
+
+
 def test_one_interior_factorization_and_its_failure(monkeypatch):
     import stokeswave.lame as lame_module
     grid = StaggeredGrid(9, 5, 0.3)
-    calls = []
-
-    def recording_splu(a, **kwargs):
-        calls.append((a.shape, kwargs))
-        return splu(a, **kwargs)
-
-    monkeypatch.setattr(lame_module, "splu", recording_splu)
     state = LameState(StaggeredField.zeros(grid), StaggeredField.zeros(grid), 1e-2)
-    evolve_lame(state, 0.1, 1e-2)
-    n = int(_ops(grid).interior.sum())
-    assert calls == [((n, n), {"permc_spec": "MMD_AT_PLUS_A"})]
+    bands = _recorded_bands(monkeypatch, state, 0.1, 1e-2)
+    a, perm = _interior_block(grid, 1e-2, 1e-2)
+    permuted = a[perm][:, perm].tocoo()
+    bw = int((permuted.col - permuted.row).max())
+    assert [(ab.shape, kwargs) for ab, kwargs in bands] == [((bw + 1, a.shape[0]), {})]
 
-    def failing_splu(a, **kwargs):
-        raise RuntimeError("Factor is exactly singular")
+    def failing_dpbtrf(ab, **kwargs):
+        return ab, 3     # LAPACK: the leading minor of order 3 is not positive definite
 
-    monkeypatch.setattr(lame_module, "splu", failing_splu)
+    monkeypatch.setattr(lame_module, "dpbtrf", failing_dpbtrf)
     with pytest.raises(NumericsError, match="sparse factorization failed"):
         evolve_lame(state, 0.1, 1e-2)
+
+
+@pytest.mark.parametrize("nx, ny", [(16, 16), (20, 7), (6, 11)])
+@pytest.mark.parametrize("eps", [math.inf, 1e-3])
+def test_the_band_is_the_permuted_interior_block(monkeypatch, nx, ny, eps):
+    grid = StaggeredGrid(nx, ny, 1.0 / nx)
+    dt = 0.01
+    state = LameState(StaggeredField.zeros(grid), StaggeredField.zeros(grid), eps)
+    [(ab, _)] = _recorded_bands(monkeypatch, state, dt, dt)
+    bw, n = ab.shape[0] - 1, ab.shape[1]
+    assert bw <= 2 * min(nx, ny) + 1
+    # LAPACK's upper band layout: ab[bw + i - j, j] = A[i, j] for j - bw <= i <= j
+    dense = np.zeros((n, n))
+    for d in range(bw + 1):
+        j = np.arange(d, n)
+        dense[j - d, j] = dense[j, j - d] = ab[bw - d, d:]
+    row, col = np.indices(ab.shape)
+    assert not ab[row + col < bw].any()    # the corner outside the matrix stays 0
+    a, perm = _interior_block(grid, eps, dt)
+    assert np.array_equal(dense, a[perm][:, perm].toarray())
 
 
 @pytest.mark.parametrize("nx, ny, h", [(8, 8, 1.0 / 8), (9, 5, 0.3)])

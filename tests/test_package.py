@@ -55,7 +55,8 @@ def test_unknown_attribute_raises():
 def test_the_benchmark_reads_the_lame_state_and_the_per_mode_residuals(monkeypatch, tmp_path):
     # perfbench/make_reference.py builds the lame initial state through
     # ModalSystem.reconstruct, StaggeredField.zeros, LameState and lame_energy,
-    # and tracing._eigen iterates the modes for their residuals
+    # tracing._eigen iterates the modes for their residuals, and tracing._lame
+    # reads evolve_lame's positional (state, T, dt) and the trace's E and div_norm
     monkeypatch.syspath_prepend(str(PERFBENCH))
     make_reference = importlib.import_module("make_reference")
     tracing = importlib.import_module("tracing")
@@ -65,3 +66,9 @@ def test_the_benchmark_reads_the_lame_state_and_the_per_mode_residuals(monkeypat
     assert math.isclose(make_reference._lame_e0(cfg), want, rel_tol=1e-12)
     modes = stokeswave.stokes_eigenpairs(stokeswave.StaggeredGrid(8, 8, 0.125), 6)
     assert tracing._eigen((), {}, modes) == {"max_residual": modes.residual.max()}
+    ms = stokeswave.build_modal_system(modes.grid, 6)
+    state0 = stokeswave.LameState(ms.reconstruct([1.0, 0.5, 0.0, 0.2, 0.0, 0.0]),
+                                  stokeswave.StaggeredField.zeros(modes.grid), 1e-2)
+    T, dt = 0.3, 0.01
+    probe = tracing._lame((state0, T, dt), {}, stokeswave.evolve_lame(state0, T, dt))
+    assert probe["steps"] == round(T / dt) and probe["div_bound_ratio"] <= 1.0
