@@ -1,11 +1,12 @@
 """Laboratory for damped wave-type Stokes dynamics on planar domains.
 
-Submodules: geometry (domains and damping profiles),
-raytracer (generalized ray flow and coverage checking), stokes (staggered
-grid operators on flat face vectors, projector, eigenmodes), evolution (modal
-dynamics, energy, observability), spectral (damped generator spectra and mode
-diagnostics), lame (penalized-elasticity limit), schema (config tables and
-their validator), cli (config-driven experiment runner).
+Submodules: geometry (domains and damping profiles), raytracer (trace, the
+generalized ray flow, and check_gcc, its coverage check; the ray moves have no
+public entry point of their own), stokes (staggered grid operators on flat face
+vectors, projector, eigenmodes), evolution (modal dynamics, energy,
+observability), spectral (damped generator spectra and mode diagnostics), lame
+(penalized-elasticity limit), schema (config tables and their validator), cli
+(config-driven experiment runner).
 
 The ray half (geometry, raytracer, schema, reporting, cli) needs only numpy;
 geometry and raytracer load with the package.  The grid half (stokes,
@@ -18,8 +19,8 @@ from ._version import __version__
 from .errors import ConfigurationError, NumericsError, PreconditionError
 from .geometry import (BoundaryCollar, DampingProfile, Disk, DiskPatch, Rectangle, SideStrip,
                        make_damping, make_domain)
-from .raytracer import (GccReport, GridSampler, PhasePoint, RandomSampler, RayPath,
-                        advance_free, boundary_hit, check_gcc, glide, reflect, trace)
+from .raytracer import (GccReport, GridSampler, PhasePoint, RandomSampler, RayPath, check_gcc,
+                        trace)
 
 # grid-half module or public name -> its home module, imported by __getattr__ on first access
 _HOME = {name: module for module, names in {

@@ -119,6 +119,8 @@ def _cross_checks(cfg: dict):
     if "dt" in p:
         if p["T"] < p["dt"]:
             fail("params.T", "must be at least dt")
+        if not math.isfinite(p["T"] / p["dt"]):
+            fail("params.dt", "T / dt overflows; the step count must be finite")
         if abs(round(p["T"] / p["dt"]) * p["dt"] - p["T"]) > 1e-9 * p["T"]:
             fail("params.dt", "T must be an integer multiple of dt")
     if exp == "trace":

@@ -2,8 +2,8 @@
 
 The CLI maps ConfigurationError to exit code 2 and NumericsError to exit
 code 3; everything else is a bug.  PreconditionError covers every call
-outside an operation's stated precondition, among them a boundary quantity
-requested off the boundary or at a rectangle corner.
+outside an operation's stated precondition, among them a boundary normal
+requested off the boundary, or a glide along a direction that is not glancing.
 """
 
 

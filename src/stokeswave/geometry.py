@@ -38,15 +38,9 @@ class Rectangle:
     def contains(self, x) -> bool:
         return (-1e-12 <= x[0] <= self.width + 1e-12) and (-1e-12 <= x[1] <= self.height + 1e-12)
 
-    def outward_normal(self, x) -> np.ndarray:
-        """Outward unit normal at a boundary point within 1e-9 of a side, off the corners."""
-        if (nu := self._normal(x)) is None:
-            raise PreconditionError(f"no outward normal at {tuple(x)} (corner)")
-        return np.array(nu)
-
     def _normal(self, x) -> Optional[tuple]:
-        """outward_normal on floats: x = (px, py) in, the normal as a float pair out, or
-        None at a corner, a point within 1e-9 of two sides."""
+        """Outward unit normal, a float pair, at a point x = (px, py) within 1e-9 of a
+        side, or None at a corner, a point within 1e-9 of two sides."""
         px, py = x
         on = (abs(py) <= 1e-9, abs(px - self.width) <= 1e-9,
               abs(py - self.height) <= 1e-9, abs(px) <= 1e-9)
@@ -67,9 +61,6 @@ class Disk:
 
     def contains(self, x) -> bool:
         return math.hypot(x[0], x[1]) <= self.radius + 1e-12
-
-    def outward_normal(self, x) -> np.ndarray:
-        return np.array(self._normal(x))
 
     def _normal(self, x) -> tuple:
         r = math.hypot(x[0], x[1])

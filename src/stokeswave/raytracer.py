@@ -7,15 +7,16 @@ disk round the circle forever (it is strictly convex), on a flat rectangle
 side by tangent flight that ends exactly at the corner.  Rectangle corners
 terminate a ray: no reflection law is invented for them, they are counted.
 
-trace and the public moves share the kernels _hit_raw, _reflected, _tangent,
-_arc and _line, and one start rule, _start_kind, which the CLI's config check
-calls too.  The kernels compute on (x, y) pairs of Python floats; numpy stays
-at the edges (PhasePoint in, RayPath out).  trace has two moves
-(the disk's arc glide; a straight move to _hit_raw, a chord or a flat glide)
-and one boundary rule on the normal of the hit (None at a corner: stop;
-glancing: glide; otherwise reflect).  Its start check evaluates the damping
-at the start point on floats.  It reports a ray as RayEvent records of float
-pairs, one record for all five kinds of event, timed by its one clock.
+trace is the one implementation of these moves.  It runs them through the
+kernels _hit_raw, _reflected, _tangent, _arc and _line, and one start rule,
+_start_kind, which the CLI's config check calls too.  The kernels compute on
+(x, y) pairs of Python floats; numpy stays at the edges (PhasePoint in,
+RayPath out).  trace has two moves (the disk's arc glide; a straight move to
+_hit_raw, a chord or a flat glide) and one boundary rule on the normal of the
+hit (None at a corner: stop; glancing: glide; otherwise reflect).  Its start
+check evaluates the damping at the start point on floats.  It reports a ray as
+RayEvent records of float pairs, one record for all five kinds of event, timed
+by its one clock.
 
 The coverage checker samples phase points, traces each ray up to a time
 horizon, and records the first time it meets the damped set {a > 0}.
@@ -102,29 +103,12 @@ class RayPath:
 # Elementary moves
 
 
-def advance_free(domain: Domain, p: PhasePoint, s: float) -> PhasePoint:
-    """Straight flight x -> x + s*xi; the segment must stay in the closed domain."""
-    if s < 0:
-        raise PreconditionError("flight time must be nonnegative")
-    end = _line(_xy(p.x), _xy(p.xi))(s)[0]
-    # both domains are convex: endpoint membership implies segment membership
-    if not domain.contains(end):
-        raise PreconditionError(
-            f"segment exits the domain (endpoint {end}); compute the boundary hit first")
-    return PhasePoint(end, p.xi.copy())
-
-
-def boundary_hit(domain: Domain, p: PhasePoint) -> tuple[float, np.ndarray]:
-    """Smallest s > 0 with x + s*xi on the boundary, by closed-form intersection."""
-    s, hit = _hit_raw(domain, _xy(p.x), _xy(p.xi))
-    return s, np.array(hit)
-
-
 def _xy(v) -> tuple:
     return float(v[0]), float(v[1])
 
 
 def _hit_raw(domain: Domain, x, xi) -> tuple:
+    """Smallest s > 0 with x + s*xi on the boundary, and that hit point, in closed form."""
     (px, py), (dx, dy) = x, xi
     if isinstance(domain, Rectangle):
         w, h = domain.width, domain.height
@@ -152,14 +136,6 @@ def _hit_raw(domain: Domain, x, xi) -> tuple:
     return s, (hx * k, hy * k)
 
 
-def reflect(domain: Domain, p: PhasePoint) -> PhasePoint:
-    """Specular reflection at a hyperbolic boundary point."""
-    xi_out = _reflected(_xy(domain.outward_normal(p.x)), _xy(p.xi))
-    if xi_out is None:
-        raise PreconditionError("glancing incidence; route to glide handling")
-    return PhasePoint(p.x.copy(), xi_out)
-
-
 def _reflected(nu, xi) -> Optional[tuple]:
     """Direction xi - 2 (xi . nu) nu after reflection off a wall with outward normal nu,
     or None at glancing incidence |xi . nu| <= GLANCING_TOL."""
@@ -168,20 +144,6 @@ def _reflected(nu, xi) -> Optional[tuple]:
     if abs(d) <= GLANCING_TOL:
         return None
     return xi[0] - 2.0 * d * nx, xi[1] - 2.0 * d * ny
-
-
-def glide(domain: Domain, p: PhasePoint, s: float) -> PhasePoint:
-    """Boundary glide of duration s from a glancing boundary point along the unit tangent
-    of p.xi: round the circle on the disk, tangent flight up to the corner on a side."""
-    if s < 0:
-        raise PreconditionError("glide duration must be nonnegative")
-    x = _xy(p.x)
-    xi = _tangent(_xy(domain.outward_normal(x)), _xy(p.xi))
-    if isinstance(domain, Rectangle):
-        return advance_free(domain, PhasePoint(x, xi), s)
-    if s == 0.0:
-        return p
-    return PhasePoint(*_arc(domain, x, xi)[2](s))
 
 
 def _tangent(nu, xi) -> tuple:
@@ -351,26 +313,25 @@ class GridSampler:
             raise ConfigurationError("sampler needs nx >= 1 and ndir >= 1")
         angles = 2.0 * math.pi * np.arange(self.ndir) / self.ndir
         dirs = np.stack([np.cos(angles), np.sin(angles)], axis=1)
+        # cell midpoints of an nx x nx grid over the bounding box, lo + (k + 1/2) (hi - lo) / nx
         if isinstance(domain, Rectangle):
-            xs = (np.arange(self.nx) + 0.5) * domain.width / self.nx
-            ys = (np.arange(self.nx) + 0.5) * domain.height / self.nx
-            px, py = np.meshgrid(xs, ys, indexing="ij")
-            pos = np.stack([px.ravel(), py.ravel()], axis=1)
-            positions = np.repeat(pos, self.ndir, axis=0)
-            directions = np.tile(dirs, (pos.shape[0], 1))
-            return positions, directions
-        r = domain.radius
-        xs = (np.arange(self.nx) + 0.5) * (2 * r) / self.nx - r
-        px, py = np.meshgrid(xs, xs, indexing="ij")
+            box = ((0.0, domain.width), (0.0, domain.height))
+        else:
+            r = domain.radius
+            box = ((-r, r), (-r, r))
+        k = np.arange(self.nx) + 0.5
+        px, py = np.meshgrid(*(k * (hi - lo) / self.nx + lo for lo, hi in box), indexing="ij")
         pos = np.stack([px.ravel(), py.ravel()], axis=1)
-        pos = pos[np.hypot(pos[:, 0], pos[:, 1]) < r * (1 - 1e-9)]
+        if isinstance(domain, Disk):
+            pos = pos[np.hypot(pos[:, 0], pos[:, 1]) < r * (1 - 1e-9)]
         positions = np.repeat(pos, self.ndir, axis=0)
         directions = np.tile(dirs, (pos.shape[0], 1))
-        th = 2.0 * math.pi * np.arange(self.nx) / self.nx
-        bpos = r * np.stack([np.cos(th), np.sin(th)], axis=1)
-        tang = np.stack([-np.sin(th), np.cos(th)], axis=1)
-        positions = np.concatenate([positions, bpos, bpos], axis=0)
-        directions = np.concatenate([directions, tang, -tang], axis=0)
+        if isinstance(domain, Disk):
+            th = 2.0 * math.pi * np.arange(self.nx) / self.nx
+            bpos = r * np.stack([np.cos(th), np.sin(th)], axis=1)
+            tang = np.stack([-np.sin(th), np.cos(th)], axis=1)
+            positions = np.concatenate([positions, bpos, bpos], axis=0)
+            directions = np.concatenate([directions, tang, -tang], axis=0)
         return positions, directions
 
 

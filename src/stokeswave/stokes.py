@@ -40,16 +40,15 @@ W = 2 Lam^(-1/2) [q_x (x) I | I (x) q_y] of rank n_x + n_y.  Shift-invert
 Lanczos (ARPACK) applies its inverse by Woodbury: a Cholesky-factored
 capacitance matrix of size n_x + n_y and O(n_x n_y) work per solve, with no
 transform.  Orthonormal d gives unit-L2 modes; one batched sine transform
-takes them to the vertices.  The dense generalized eigensolve of (K, M) is
-an independent oracle.  Both paths end in the same canonical gauge, so they
-return the same modes.
+takes them to the vertices.  The dense generalized eigensolve of (K, M), in
+tests/conftest.py, is the independent oracle the tests hold this against; it
+ends in the same canonical gauge, so both return the same modes.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -87,14 +86,6 @@ class StaggeredGrid:
         return cls(nx, ny, h)
 
     @property
-    def width(self) -> float:
-        return self.nx * self.h
-
-    @property
-    def height(self) -> float:
-        return self.ny * self.h
-
-    @property
     def n_u(self) -> int:
         return (self.nx + 1) * self.ny
 
@@ -116,9 +107,6 @@ class StaggeredGrid:
 
     def v_points(self) -> np.ndarray:
         return self._points(np.arange(self.nx) + 0.5, np.arange(self.ny + 1))
-
-    def cell_points(self) -> np.ndarray:
-        return self._points(np.arange(self.nx) + 0.5, np.arange(self.ny) + 0.5)
 
     def _points(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
         """Points (i h, j h) of the tensor grid i x j, raveled in C order."""
@@ -217,18 +205,6 @@ class _Operators:
         denom = kx[:, None] + ky[None, :]
         denom[0, 0] = 1.0
         self._poisson_denom = denom
-
-    # -C^T L C and C^T C: the symmetric-definite pencil of the projected
-    # Laplacian, assembled on first use (the class eigensolve never reads it)
-    @cached_property
-    def K(self) -> sp.csr_matrix:
-        k = (-(self.C.T @ self.L @ self.C)).tocsr()
-        return ((k + k.T) * 0.5).tocsr()
-
-    @cached_property
-    def M(self) -> sp.csr_matrix:
-        m = (self.C.T @ self.C).tocsr()
-        return ((m + m.T) * 0.5).tocsr()
 
 
 class _ParityClass:
@@ -390,11 +366,11 @@ _CLUSTER_TOL = 1e-9
 _CLASS_MARGIN = 8
 
 
-def stokes_eigenpairs(grid: StaggeredGrid, count: int, dense: bool = False) -> Modes:
+def stokes_eigenpairs(grid: StaggeredGrid, count: int) -> Modes:
     """Lowest `count` eigenpairs on the divergence-free subspace, ascending, as one
     Modes; modes[k] is the per-mode view.
 
-    By default each reflection class (module docstring) of size n_c is asked
+    Each reflection class (module docstring) of size n_c is asked
     for k_c = min(n_c, count // 4 + _CLASS_MARGIN) pairs: by dense eigh when
     k_c >= n_c - 1, else by shift-invert Lanczos (ARPACK, sigma = 0, constant
     start vector) with the Woodbury solve.  A truncated class whose largest
@@ -402,15 +378,14 @@ def stokes_eigenpairs(grid: StaggeredGrid, count: int, dense: bool = False) -> M
     again.  The merge is a stable sort in the class order ee, eo, oe, oo, so
     a count that splits a degenerate pair keeps the earlier class's mode.  On
     a square grid the class oe is the transpose of eo, so swap partners have
-    bit-identical eigenvalues.  dense=True runs the oracle instead: the dense
-    generalized eigensolve of (K, M) in the vertex basis.
+    bit-identical eigenvalues.
 
-    Both paths fix a canonical gauge on the unit-L2 modes: inside each
-    cluster of eigenvalues within a relative 1e-9 of each other, the basis is
-    rotated to the eigenvectors of a fixed pseudo-random vertex weight, and
-    each mode's sign makes its inner product with the same fixed vector
-    positive.  So the modes do not depend on the solver's roundoff, and the
-    two paths agree.
+    The unit-L2 modes are put in a canonical gauge: inside each cluster of
+    eigenvalues within a relative 1e-9 of each other, the basis is rotated to
+    the eigenvectors of a fixed pseudo-random vertex weight, and each mode's
+    sign makes its inner product with the same fixed vector positive.  So the
+    modes do not depend on the solver's roundoff, and they agree with the
+    dense (K, M) oracle of tests/conftest.py, which ends in the same gauge.
 
     The L2 residuals of -P L phi = lambda phi and the projection pressures are
     formed for all modes at once by leray_project; the worst residual is
@@ -423,13 +398,7 @@ def stokes_eigenpairs(grid: StaggeredGrid, count: int, dense: bool = False) -> M
     if not (1 <= count <= n_psi):
         raise PreconditionError(
             f"count must be between 1 and the div-free dimension {n_psi}")
-    if dense:
-        vals, vecs = scipy.linalg.eigh(ops.K.toarray(), ops.M.toarray(),
-                                       subset_by_index=[0, count - 1])
-        # M-orthonormal, so unit L2 modes; C order fixes the roundoff of the gauge
-        vecs = np.divide(vecs, grid.h, order="C")
-    else:
-        vals, vecs = _class_eigenpairs(grid, count)
+    vals, vecs = _class_eigenpairs(grid, count)
     _canonical_gauge(vals, vecs)
 
     phi = ops.C @ vecs

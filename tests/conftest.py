@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from stokeswave import (BoundaryCollar, DampingProfile, ModalSystem, Rectangle, SideStrip,
                         StaggeredGrid, damping_matrix, stokes_eigenpairs)
-from stokeswave.stokes import _ops
+from stokeswave.stokes import _canonical_gauge, _ops
 
 
 def face_field(grid, fu, fv):
@@ -32,6 +33,26 @@ def split_faces(grid, flat):
     """The u array (nx+1, ny) and the v array (nx, ny+1) of a flat face field."""
     return (flat[:grid.n_u].reshape(grid.nx + 1, grid.ny),
             flat[grid.n_u:].reshape(grid.nx, grid.ny + 1))
+
+
+def pencil(grid):
+    """The streamfunction pencil (K, M) = (-C^T L C, C^T C) of the projected Laplacian,
+    each symmetrized, as sparse matrices."""
+    ops = _ops(grid)
+    k = (-(ops.C.T @ ops.L @ ops.C)).tocsr()
+    m = (ops.C.T @ ops.C).tocsr()
+    return ((k + k.T) * 0.5).tocsr(), ((m + m.T) * 0.5).tocsr()
+
+
+def dense_modes(grid, count):
+    """The oracle of stokes_eigenpairs: the lowest `count` eigenvalues of the dense
+    pencil (K, M) and the unit-L2 modes C psi as columns, in the canonical gauge."""
+    k, m = pencil(grid)
+    vals, vecs = scipy.linalg.eigh(k.toarray(), m.toarray(), subset_by_index=[0, count - 1])
+    # M-orthonormal, so unit L2 modes; C order fixes the roundoff of the gauge
+    vecs = np.divide(vecs, grid.h, order="C")
+    _canonical_gauge(vals, vecs)
+    return vals, _ops(grid).C @ vecs
 
 
 @pytest.fixture(scope="session")

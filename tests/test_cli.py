@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import copy
 import csv
@@ -210,6 +211,9 @@ _GCC = {"T": 1.0, "sampler": {"kind": "seeded_random", "n": 4}}
                             "eps_list": [0.01, 0.1]}, "params.eps_list"),
     ("lame", SQUARE, None, {"nx": 12, "n_modes": 4, "T": 0.1, "dt": 0.01,
                             "eps_list": [0.1, 0.01], "n_init_modes": 5}, "params.n_init_modes"),
+    # T / dt overflows to inf, so the step count cannot be rounded
+    ("observability", SQUARE, COLLAR, {"nx": 12, "n_modes": 4, "T": 1e308, "dt": 1e-300},
+     "params.dt"),
 ])
 def test_malformed_value_names_its_path(tmp_path, capsys, experiment, domain, damping, params,
                                         path):
@@ -659,3 +663,75 @@ def test_grid_artifacts_agree_to_roundoff_across_thread_counts(tmp_path):
             scale = 1.0 if key == "balance_defect" else np.abs([one[key], two[key]]).max()
             gap = np.abs(np.subtract(one[key], two[key])).max()
             assert gap <= 1e-12 * scale, (f.name, key, gap, scale)
+
+
+# Reachability: every function of src/ is called by some CLI run, except the allowlist.
+_REACH_PROBE = """
+import json, sys
+from stokeswave import cli
+called = set()
+
+def hook(frame, event, arg):
+    if event == "call":
+        called.add((frame.f_code.co_filename, frame.f_code.co_firstlineno))
+
+codes = []
+sys.setprofile(hook)
+for path in sys.argv[1:]:
+    codes.append(cli.main([cli.load_config(path)["experiment"], path]))
+sys.setprofile(None)
+print(json.dumps({"codes": codes, "called": sorted(called)}))
+"""
+# Functions no CLI run calls, each kept for a reader outside the CLI.
+_NEVER_CALLED = {
+    # read by perfbench/make_reference.py, to rebuild the Lame E0 as a cross-check
+    "lame.lame_energy",
+    # read by perfbench's tracing, which iterates the modes for their residuals
+    "stokes.Modes.__getitem__",
+    # eigsh's A operator: in shift-invert mode ARPACK reads only its shape and dtype,
+    # and the tests check the Woodbury solve against it
+    "stokes._ParityClass.matvec",
+}
+_GRID_SMALL = {"nx": 8, "n_modes": 6}
+_REACH_RUNS = [
+    ("trace", {"x0": [0.5, 0.5], "xi0": [0.6, 0.8], "T": 5.0}, SQUARE, COLLAR),
+    # a glancing disk start glides round the circle past the patch
+    ("trace", {"x0": [1.0, 0.0], "xi0": [0.0, 1.0], "T": 3.0}, _DISK, _PATCH),
+    ("gcc", {"T": 2.0, "sampler": {"kind": "grid", "nx": 3, "ndir": 4}}, SQUARE, COLLAR),
+    ("gcc", {"T": 2.0, "sampler": {"kind": "grid", "nx": 2, "ndir": 2}}, _DISK,
+     {"shape": "boundary_collar", "width": 0.1}),
+    ("gcc", _GCC, _DISK, _PATCH),
+    ("simulate", {**_GRID_SMALL, "T": 1.0, "dt": 0.01, "window": [0.0, 1.0]}, SQUARE, COLLAR),
+    ("spectrum", _GRID_SMALL, SQUARE, COLLAR),
+    ("resolvent", {**_GRID_SMALL, "sigma": {"min": 0.0, "max": 30.0, "count": 5}}, SQUARE,
+     COLLAR),
+    ("observability", {**_GRID_SMALL, "T": 0.5, "dt": 0.01}, SQUARE, COLLAR),
+    ("lame", {**_GRID_SMALL, "T": 0.1, "dt": 0.005, "eps_list": [1e-1, 1e-2]}, SQUARE, None),
+    ("diagnostics", _GRID_SMALL, SQUARE, COLLAR),
+    ("spectrum", {**_GRID_SMALL, "bogus": 1}, SQUARE, COLLAR),    # a config error
+]
+
+
+def _functions(tree, prefix=""):
+    """(qualified name, first line of its code object) of each function defined in tree."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            name = prefix + node.name
+            if not isinstance(node, ast.ClassDef):
+                # a decorated function's code starts at its first decorator
+                yield name, min([node.lineno] + [d.lineno for d in node.decorator_list])
+            yield from _functions(node, name + ".")
+
+
+def test_every_function_but_the_allowlist_is_reached_by_a_cli_run(tmp_path):
+    paths = [_write(tmp_path, _cfg(exp, params, tmp_path / str(i), damping, domain),
+                    f"reach{i}.json")
+             for i, (exp, params, domain, damping) in enumerate(_REACH_RUNS)]
+    out = json.loads(_fresh(_REACH_PROBE, paths))
+    assert out["codes"] == [0] * (len(_REACH_RUNS) - 1) + [2]
+    called = {(Path(f).resolve(), line) for f, line in out["called"]}
+    src = Path(cli.__file__).resolve().parent
+    never = {f"{f.stem}.{name}" for f in src.glob("*.py")
+             for name, line in _functions(ast.parse(f.read_text(encoding="utf-8")))
+             if (f, line) not in called}
+    assert never == _NEVER_CALLED

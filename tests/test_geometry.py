@@ -31,19 +31,18 @@ def test_outward_normal_points_outward(domain):
         points = (np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])[k]
                   + s[:, None] * np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])[k])
         points = points[(s > 1e-7) & (s < 1.0 - 1e-7)]    # corners have no normal
-        with pytest.raises(PreconditionError):
-            domain.outward_normal((0.0, 0.0))
+        assert domain._normal((0.0, 0.0)) is None
     else:
         points = np.stack([np.cos(t), np.sin(t)], axis=1)
     for x in points:
-        nu = domain.outward_normal(x)
+        nu = np.array(domain._normal(x))
         assert abs(np.hypot(nu[0], nu[1]) - 1.0) <= 1e-12
         assert not domain.contains(x + 1e-6 * nu)
         assert domain.contains(x - 1e-6 * nu)
         # off the boundary, inside and outside, there is no normal
         for off in (x - 1e-6 * nu, x + 1e-6 * nu):
             with pytest.raises(PreconditionError):
-                domain.outward_normal(off)
+                domain._normal(off)
 
 
 def _at(profile, x):

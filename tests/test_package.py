@@ -16,13 +16,13 @@ _PUBLIC = [
     "EigenPair", "EnergyTrace", "GccReport", "GridSampler", "LameState", "LameTrace",
     "ModalState", "ModalSystem", "Modes", "NumericsError", "PhasePoint", "PreconditionError",
     "QuasimodeDiagnostics", "RandomSampler", "RayPath", "Rectangle", "SideStrip",
-    "SpectrumReport", "StaggeredField", "StaggeredGrid", "advance_free", "boundary_hit",
-    "build_modal_system", "check_gcc", "convergence_study", "damping_masses", "damping_matrix",
-    "dissipation_check", "energy", "errors", "evolution", "evolve", "evolve_lame", "fit_decay",
-    "geometry", "glide", "lame", "lame_energy", "leray_project", "make_damping", "make_domain",
-    "modal_reference", "observability_gramian", "quasimode_diagnostics", "random_state",
-    "raytracer", "reflect", "resolvent_sweep", "schema", "semiclassical_constants", "spectral",
-    "spectrum", "stokes", "stokes_eigenpairs", "trace", "undamped_modal_solution",
+    "SpectrumReport", "StaggeredField", "StaggeredGrid", "build_modal_system", "check_gcc",
+    "convergence_study", "damping_masses", "damping_matrix", "dissipation_check", "energy",
+    "errors", "evolution", "evolve", "evolve_lame", "fit_decay", "geometry", "lame",
+    "lame_energy", "leray_project", "make_damping", "make_domain", "modal_reference",
+    "observability_gramian", "quasimode_diagnostics", "random_state", "raytracer",
+    "resolvent_sweep", "schema", "semiclassical_constants", "spectral", "spectrum", "stokes",
+    "stokes_eigenpairs", "trace", "undamped_modal_solution",
 ]
 
 

@@ -5,75 +5,72 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stokeswave import raytracer
 from stokeswave import (BoundaryCollar, ConfigurationError, DampingProfile, Disk,
                         DiskPatch, GridSampler, PhasePoint, PreconditionError, RandomSampler,
-                        Rectangle, SideStrip, advance_free, boundary_hit, check_gcc, glide,
-                        reflect, trace)
+                        Rectangle, SideStrip, check_gcc, raytracer, trace)
+from stokeswave.raytracer import _arc, _hit_raw, _line, _reflected, _tangent
 
 SQ = Rectangle(1.0, 1.0)
 DK = Disk(1.0)
 
+# The ray moves are the float kernels that trace runs, called here directly.
 
-def test_advance_free_examples():
-    p = advance_free(SQ, PhasePoint((0.5, 0.5), (1.0, 0.0)), 0.25)
-    assert np.allclose(p.x, [0.75, 0.5]) and np.allclose(p.xi, [1.0, 0.0])
-    q = PhasePoint((0.3, 0.4), (0.0, 1.0))
-    same = advance_free(SQ, q, 0.0)
-    assert np.all(same.x == q.x) and np.all(same.xi == q.xi)
-    # boundary-hit time from (0.5, 0.5) along +x is (1 - 0.5)/1 = 0.5 < 1
-    with pytest.raises(PreconditionError):
-        advance_free(SQ, PhasePoint((0.5, 0.5), (1.0, 0.0)), 1.0)
+
+def test_free_flight_examples():
+    x, xi = _line((0.5, 0.5), (1.0, 0.0))(0.25)
+    assert np.allclose(x, [0.75, 0.5]) and xi == (1.0, 0.0)
+    assert _line((0.3, 0.4), (0.0, 1.0))(0.0) == ((0.3, 0.4), (0.0, 1.0))
 
 
 def test_boundary_hit_examples():
-    s, hit = boundary_hit(SQ, PhasePoint((0.5, 0.5), (1.0, 0.0)))
+    s, hit = _hit_raw(SQ, (0.5, 0.5), (1.0, 0.0))
     assert s == 0.5 and np.allclose(hit, [1.0, 0.5])
-    s, hit = boundary_hit(DK, PhasePoint((0.0, 0.0), (1.0, 0.0)))
+    s, hit = _hit_raw(DK, (0.0, 0.0), (1.0, 0.0))
     assert abs(s - 1.0) <= 1e-15 and np.allclose(hit, [1.0, 0.0])
     # line-circle: x = 0.5, so the vertical chord exits at y = sqrt(1 - 0.25)
-    s, hit = boundary_hit(DK, PhasePoint((0.5, 0.0), (0.0, 1.0)))
+    s, hit = _hit_raw(DK, (0.5, 0.0), (0.0, 1.0))
     expected = math.sqrt(1.0 - 0.5 ** 2)
     assert abs(s - expected) <= 1e-14
     assert np.allclose(hit, [0.5, expected], atol=1e-14)
 
 
 def test_reflect_examples():
-    r = reflect(SQ, PhasePoint((0.5, 0.0), (1 / math.sqrt(2), -1 / math.sqrt(2))))
-    assert np.allclose(r.xi, [1 / math.sqrt(2), 1 / math.sqrt(2)], atol=1e-15)
-    r = reflect(DK, PhasePoint((1.0, 0.0), (1.0, 0.0)))
-    assert np.allclose(r.xi, [-1.0, 0.0], atol=1e-15)
-    r = reflect(DK, PhasePoint((1.0, 0.0), (1 / math.sqrt(2), 1 / math.sqrt(2))))
-    assert np.allclose(r.xi, [-1 / math.sqrt(2), 1 / math.sqrt(2)], atol=1e-15)
-    assert abs(np.hypot(*r.xi) - 1.0) <= 1e-15
-    with pytest.raises(PreconditionError):
-        reflect(DK, PhasePoint((1.0, 0.0), (0.0, 1.0)))
-    # a rectangle corner, and a point within 1e-9 of it, has no normal to reflect off
+    r = _reflected(SQ._normal((0.5, 0.0)), (1 / math.sqrt(2), -1 / math.sqrt(2)))
+    assert np.allclose(r, [1 / math.sqrt(2), 1 / math.sqrt(2)], atol=1e-15)
+    r = _reflected(DK._normal((1.0, 0.0)), (1.0, 0.0))
+    assert np.allclose(r, [-1.0, 0.0], atol=1e-15)
+    r = _reflected(DK._normal((1.0, 0.0)), (1 / math.sqrt(2), 1 / math.sqrt(2)))
+    assert np.allclose(r, [-1 / math.sqrt(2), 1 / math.sqrt(2)], atol=1e-15)
+    assert abs(np.hypot(*r) - 1.0) <= 1e-15
+    # glancing incidence has no reflection: trace glides there
+    assert _reflected(DK._normal((1.0, 0.0)), (0.0, 1.0)) is None
+    # a rectangle corner, and a point within 1e-9 of it, has no normal to reflect off or
+    # glide along: a ray there stops
     for x in ((1.0, 1.0), (0.0, 5e-10), (1.0 - 5e-10, 0.0)):
-        with pytest.raises(PreconditionError, match="corner"):
-            reflect(SQ, PhasePoint(x, (0.6, -0.8)))
-        with pytest.raises(PreconditionError, match="corner"):
-            glide(SQ, PhasePoint(x, (1.0, 0.0)), 0.1)
+        assert SQ._normal(x) is None
+        assert trace(SQ, None, PhasePoint(x, (1.0, 0.0)), 0.1).terminated == "corner"
 
 
 def test_glide_examples():
     # quarter-circle glide from angle 0: position (0, 1), tangent rotated by 90 degrees
-    p = glide(DK, PhasePoint((1.0, 0.0), (0.0, 1.0)), math.pi / 2)
-    assert np.allclose(p.x, [0.0, 1.0], atol=1e-15)
-    assert np.allclose(p.xi, [-1.0, 0.0], atol=1e-15)
-    q = glide(SQ, PhasePoint((0.2, 0.0), (1.0, 0.0)), 0.3)
-    assert np.allclose(q.x, [0.5, 0.0], atol=1e-15)
-    r0 = PhasePoint((1.0, 0.0), (0.0, 1.0))
-    assert glide(DK, r0, 0.0) is r0
+    x, xi = (1.0, 0.0), (0.0, 1.0)
+    state = _arc(DK, x, _tangent(DK._normal(x), xi))[2]
+    pos, direction = state(math.pi / 2)
+    assert np.allclose(pos, [0.0, 1.0], atol=1e-15)
+    assert np.allclose(direction, [-1.0, 0.0], atol=1e-15)
+    assert state(0.0) == (x, xi)
+    # on a side the glide is tangent flight
+    t = _tangent(SQ._normal((0.2, 0.0)), (1.0, 0.0))
+    assert np.allclose(_line((0.2, 0.0), t)(0.3)[0], [0.5, 0.0], atol=1e-15)
     # along the normal the tangent xi - (xi . nu) nu vanishes: no glide, by trace's rule
     for domain, x, xi in ((DK, (1.0, 0.0), (1.0, 0.0)), (DK, (0.0, -1.0), (0.0, 1.0)),
                           (SQ, (0.5, 0.0), (0.0, -1.0)), (SQ, (1.0, 0.4), (-1.0, 0.0))):
         with pytest.raises(PreconditionError, match="glancing"):
-            glide(domain, PhasePoint(x, xi), 0.1)
+            _tangent(domain._normal(x), xi)
     # just past GLANCING_TOL off the tangent is not glancing either
     tilt = 2 * raytracer.GLANCING_TOL
     with pytest.raises(PreconditionError, match="glancing"):
-        glide(SQ, PhasePoint((0.2, 0.0), (math.sqrt(1 - tilt ** 2), -tilt)), 0.3)
+        _tangent(SQ._normal((0.2, 0.0)), (math.sqrt(1 - tilt ** 2), -tilt))
 
 
 def test_trace_square_example():
@@ -253,6 +250,36 @@ def test_gcc_counts_gliding_starts_on_disk():
     assert on_bnd.sum() == 12
 
 
+def _grid_samples_per_domain(sampler, domain):
+    """GridSampler.samples written out once per domain, the reference for its shared grid."""
+    angles = 2.0 * math.pi * np.arange(sampler.ndir) / sampler.ndir
+    dirs = np.stack([np.cos(angles), np.sin(angles)], axis=1)
+    if isinstance(domain, Rectangle):
+        xs = (np.arange(sampler.nx) + 0.5) * domain.width / sampler.nx
+        ys = (np.arange(sampler.nx) + 0.5) * domain.height / sampler.nx
+        px, py = np.meshgrid(xs, ys, indexing="ij")
+        pos = np.stack([px.ravel(), py.ravel()], axis=1)
+        return np.repeat(pos, sampler.ndir, axis=0), np.tile(dirs, (pos.shape[0], 1))
+    r = domain.radius
+    xs = (np.arange(sampler.nx) + 0.5) * (2 * r) / sampler.nx - r
+    px, py = np.meshgrid(xs, xs, indexing="ij")
+    pos = np.stack([px.ravel(), py.ravel()], axis=1)
+    pos = pos[np.hypot(pos[:, 0], pos[:, 1]) < r * (1 - 1e-9)]
+    th = 2.0 * math.pi * np.arange(sampler.nx) / sampler.nx
+    bpos = r * np.stack([np.cos(th), np.sin(th)], axis=1)
+    tang = np.stack([-np.sin(th), np.cos(th)], axis=1)
+    return (np.concatenate([np.repeat(pos, sampler.ndir, axis=0), bpos, bpos], axis=0),
+            np.concatenate([np.tile(dirs, (pos.shape[0], 1)), tang, -tang], axis=0))
+
+
+@pytest.mark.parametrize("domain", [SQ, Rectangle(2.0, 0.7), DK, Disk(1.3)])
+@pytest.mark.parametrize("nx, ndir", [(1, 1), (6, 4), (7, 5), (40, 16)])
+def test_grid_sampler_positions_are_bit_identical_to_the_per_domain_grids(domain, nx, ndir):
+    got = GridSampler(nx, ndir).samples(domain)
+    want = _grid_samples_per_domain(GridSampler(nx, ndir), domain)
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
 def test_random_sampler_deterministic():
     a = RandomSampler(50, seed=7).samples(SQ)
     b = RandomSampler(50, seed=7).samples(SQ)
@@ -307,37 +334,37 @@ def test_trace_flat_glide_is_tangent_flight_to_the_corner(x0, xi0, corner):
 RECT = Rectangle(2.0, 0.7)
 
 
-def _walk_reflections(domain, p, T):
+def _walk_reflections(domain, x, xi, T):
     """(time, point, xi_in, xi_out) of each reflection reached within flow time T by walking
-    boundary_hit -> reflect from p, up to the first corner or glancing hit; time is the
-    walk's sum of hit times."""
+    _hit_raw -> _normal -> _reflected from (x, xi), up to the first corner or glancing
+    hit; time is the walk's sum of hit times."""
     out, t = [], 0.0
     while t < T - 1e-15:
-        s, hit = boundary_hit(domain, p)
+        s, hit = _hit_raw(domain, x, xi)
         if not s <= T - t:
             break
         t += s
-        try:    # reflect raises at a corner or a glancing hit
-            q = reflect(domain, PhasePoint(hit, p.xi))
-        except PreconditionError:
+        nu = domain._normal(hit)
+        xi_out = None if nu is None else _reflected(nu, xi)
+        if xi_out is None:      # a corner or a glancing hit
             break
-        out.append((t, hit, p.xi, q.xi))
-        p = q
+        out.append((t, hit, xi, xi_out))
+        x, xi = hit, xi_out
     return out
 
 
 @settings(max_examples=150, deadline=None)
 @given(disk=st.booleans(), u=st.floats(0.01, 0.99), v=st.floats(0.01, 0.99),
        angle=st.floats(0.0, 2 * math.pi))
-def test_trace_reflections_are_the_public_moves(disk, u, v, angle):
+def test_trace_reflections_are_the_kernel_walk(disk, u, v, angle):
     # an undamped interior start, uniform in the rectangle or in polar coordinates on the disk
     x0 = (u * math.cos(2 * math.pi * v), u * math.sin(2 * math.pi * v)) if disk \
         else (u * RECT.width, v * RECT.height)
     domain = DK if disk else RECT
-    start = PhasePoint(x0, (math.cos(angle), math.sin(angle)))
-    path = trace(domain, None, start, 20.0)
+    xi0 = (math.cos(angle), math.sin(angle))
+    path = trace(domain, None, PhasePoint(x0, xi0), 20.0)
     refl = [e for e in path.events if e.kind == "reflection"]
-    walked = _walk_reflections(domain, start, 20.0)
+    walked = _walk_reflections(domain, x0, xi0, 20.0)
     assert len(refl) == len(walked)
     for ev, (t, point, xi_in, xi_out) in zip(refl, walked):
         assert ev.t == t
@@ -358,9 +385,10 @@ def test_trace_boundary_glide_is_glide(theta, ccw, T):
     start = PhasePoint((math.cos(theta), math.sin(theta)),
                        (-orient * math.sin(theta), orient * math.cos(theta)))
     path = trace(DK, None, start, T)
-    moved = glide(DK, start, T)
+    x, xi = tuple(map(float, start.x)), tuple(map(float, start.xi))
+    moved = _arc(DK, x, _tangent(DK._normal(x), xi))[2](T)
     assert all(e.kind == "glide_arc" for e in path.events)
-    assert np.array_equal(path.final.x, moved.x) and np.array_equal(path.final.xi, moved.xi)
+    assert path.end == moved
 
 
 STRIP_RECT = DampingProfile(RECT, SideStrip("left", 0.1), 1.0, 0.02)
@@ -372,7 +400,7 @@ SHARP_PATCH = DampingProfile(DK, DiskPatch((0.3, 0.2), 0.2), 1.0, 0.0)
 @given(disk=st.booleans(), u=st.floats(0.01, 0.99), v=st.floats(0.01, 0.99),
        angle=st.floats(0.0, 2 * math.pi), T=st.floats(0.1, 20.0))
 def test_stopped_trace_enters_where_the_full_trace_does(disk, u, v, angle, T):
-    # interior starts as in test_trace_reflections_are_the_public_moves
+    # interior starts as in test_trace_reflections_are_the_kernel_walk
     x0 = (u * math.cos(2 * math.pi * v), u * math.sin(2 * math.pi * v)) if disk \
         else (u * RECT.width, v * RECT.height)
     domain, damping = (DK, SHARP_PATCH) if disk else (RECT, STRIP_RECT)

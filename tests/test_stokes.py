@@ -11,10 +11,10 @@ from stokeswave import (BoundaryCollar, ConfigurationError, DampingProfile, Disk
                         PreconditionError, Rectangle, StaggeredGrid, build_modal_system,
                         damping_masses, damping_matrix, leray_project, stokes_eigenpairs)
 from stokeswave import stokes
-from stokeswave.stokes import (_canonical_gauge, _ops, _Operators, _parity_classes,
-                               solve_neumann_poisson)
+from stokeswave.stokes import _canonical_gauge, _ops, _parity_classes, solve_neumann_poisson
 
-from conftest import face_field, random_divergence_free, random_face_field, split_faces
+from conftest import (dense_modes, face_field, pencil, random_divergence_free,
+                      random_face_field, split_faces)
 
 SQ = Rectangle(1.0, 1.0)
 
@@ -45,7 +45,8 @@ def test_gradient_examples_and_adjointness():
     g = _grid(8)
     ops = _ops(g)
     assert np.abs(ops.G @ np.full(64, 3.7)).max() == 0.0
-    gu, gv = split_faces(g, ops.G @ g.cell_points()[:, 0])
+    # the gradient of q = x, sampled at the cell centers in cell order
+    gu, gv = split_faces(g, ops.G @ np.repeat((np.arange(g.nx) + 0.5) * g.h, g.ny))
     assert np.abs(gu[1:-1, :] - 1.0).max() <= 1e-13
     assert np.abs(gv).max() == 0.0
     # adjointness <G q, f> = -<q, D f>, inner products written out directly
@@ -257,10 +258,10 @@ def test_eigenpairs_dense_oracle_agreement():
     # the unit square has exactly degenerate pairs; the canonical gauge makes
     # both paths return the same modes, not only the same eigenvalues
     g = _grid(16)
-    dense = stokes_eigenpairs(g, 12, dense=True)
-    sparse = stokes_eigenpairs(g, 12, dense=False)
-    assert np.abs(dense.lambdas - sparse.lambdas).max() <= 1e-9
-    assert np.abs(dense.phi - sparse.phi).max() <= 1e-8
+    lam_d, phi_d = dense_modes(g, 12)
+    sparse = stokes_eigenpairs(g, 12)
+    assert np.abs(lam_d - sparse.lambdas).max() <= 1e-9
+    assert np.abs(phi_d - sparse.phi).max() <= 1e-8
 
 
 def test_eigenpairs_count_guard():
@@ -272,11 +273,10 @@ def test_eigenpairs_count_guard():
 def test_class_eigensolve_full_count_matches_oracle():
     # every one of the n_psi = 9 pairs, which the full-size ARPACK run could not return
     g = _grid(4)
-    dense = stokes_eigenpairs(g, 9, dense=True)
+    lam_d, phi_d = dense_modes(g, 9)
     classes = stokes_eigenpairs(g, 9)
-    lam_d = dense.lambdas
     assert np.abs(lam_d - classes.lambdas).max() <= 1e-10 * lam_d.max()
-    assert np.abs(dense.phi - classes.phi).max() <= 1e-8
+    assert np.abs(phi_d - classes.phi).max() <= 1e-8
 
 
 def test_eigenpairs_full_count_above_the_dense_size():
@@ -341,7 +341,7 @@ def test_modes_are_one_matrix_with_per_mode_views():
         with pytest.raises(ValueError):
             array[0] = 1.0
     # the damping matrix against a per-mode loop, and reconstruct as phi @ c
-    collar = DampingProfile(Rectangle(g.width, g.height), BoundaryCollar(0.1), 1.0, 0.02)
+    collar = DampingProfile(Rectangle(g.nx * g.h, g.ny * g.h), BoundaryCollar(0.1), 1.0, 0.02)
     a = np.concatenate([collar.values(g.u_points()), collar.values(g.v_points())])
     loop = [[g.h ** 2 * float((a * p.phi) @ q.phi) for q in pairs] for p in pairs]
     b = damping_matrix(modes, collar)
@@ -379,15 +379,15 @@ def test_streamfunction_pencil_structure(nx, ny):
     # M is the 5-point Dirichlet vertex Laplacian, and K - M^2 is the diagonal
     # 2/h^4 on edge vertices, 4/h^4 on corners and 0 inside
     h = 0.37
-    ops = _Operators(StaggeredGrid(nx, ny, h))
+    k, m = pencil(StaggeredGrid(nx, ny, h))
     mx, my = nx - 1, ny - 1
     lap = (sp.kron(_second_difference(mx), sp.identity(my))
            + sp.kron(sp.identity(mx), _second_difference(my))) / h ** 2
-    assert abs(ops.M - lap).max() <= 1e-12 * abs(ops.M).max()
+    assert abs(m - lap).max() <= 1e-12 * abs(m).max()
     ring = np.zeros((mx, my))
     ring[[0, -1], :] += 2.0 / h ** 4
     ring[:, [0, -1]] += 2.0 / h ** 4
-    assert abs(ops.K - lap @ lap - sp.diags(ring.ravel())).max() <= 1e-12 * abs(ops.K).max()
+    assert abs(k - lap @ lap - sp.diags(ring.ravel())).max() <= 1e-12 * abs(k).max()
 
 
 def _sine_matrix(n):
@@ -402,15 +402,15 @@ def test_parity_classes_are_the_sine_blocks_of_the_pencil(nx, ny, h):
     # Lam^(1/2) A Lam^(1/2) / h^4 with A = Lam + W W^T of the class; every
     # block between two classes is zero
     grid = StaggeredGrid(nx, ny, h)
-    ops = _Operators(grid)
+    k, m = pencil(grid)
     mx, my = nx - 1, ny - 1
     sx, sy = _sine_matrix(mx), _sine_matrix(my)
     # the last sine row is the first with sign (-1)^(k+1): what couples equal parities only
     assert np.abs(sx[-1] - (-1.0) ** np.arange(mx) * sx[0]).max() <= 1e-14
     s = np.kron(sx, sy)
-    k_hat = s @ ops.K.toarray() @ s
-    m_hat = s @ ops.M.toarray() @ s
-    k_max = abs(ops.K).max()
+    k_hat = s @ k.toarray() @ s
+    m_hat = s @ m.toarray() @ s
+    k_max = abs(k).max()
     classes = _parity_classes(grid)
     assert list(classes) == [(0, 0), (0, 1), (1, 0), (1, 1)]
     flat = {c: (cls.ix[:, None] * my + cls.iy).ravel() for c, cls in classes.items()}
@@ -421,12 +421,12 @@ def test_parity_classes_are_the_sine_blocks_of_the_pencil(nx, ny, h):
         block = root[:, None] * cls.dense() * root / h ** 4
         assert np.abs(k_hat[np.ix_(rows, rows)] - block).max() <= 1e-12 * k_max
         assert np.abs(m_hat[np.ix_(rows, rows)] - np.diag(cls.lam.ravel()) / h ** 2).max() \
-            <= 1e-12 * abs(ops.M).max()
+            <= 1e-12 * abs(m).max()
         for other in classes:
             if other != c:
                 cross = np.ix_(rows, flat[other])
                 assert np.abs(k_hat[cross]).max() <= 1e-12 * k_max
-                assert np.abs(m_hat[cross]).max() <= 1e-12 * abs(ops.M).max()
+                assert np.abs(m_hat[cross]).max() <= 1e-12 * abs(m).max()
 
 
 @settings(max_examples=60, deadline=None)
@@ -449,23 +449,22 @@ def test_class_eigensolve_matches_dense_oracle(nx, ny, data):
     g = StaggeredGrid(nx, ny, 1.0 / nx)
     n_psi = (nx - 1) * (ny - 1)
     count = data.draw(st.integers(1, n_psi), label="count")
-    dense = stokes_eigenpairs(g, count, dense=True)
+    lam_d, phi_d = dense_modes(g, count)
     classes = stokes_eigenpairs(g, count)
-    lam_d = dense.lambdas
     assert np.all(np.abs(lam_d - classes.lambdas) <= 1e-10 * lam_d)
     phi_c = classes.phi
     assert np.abs(phi_c.T @ phi_c * g.h ** 2 - np.eye(count)).max() <= 1e-12
     # a count that splits a degenerate cluster leaves its kept modes to each
     # path's own rule, so the modes are compared below that cluster only
-    ops = _ops(g)
-    all_lam = scipy.linalg.eigh(ops.K.toarray(), ops.M.toarray(), eigvals_only=True)
+    k, m = pencil(g)
+    all_lam = scipy.linalg.eigh(k.toarray(), m.toarray(), eigvals_only=True)
     keep = count
     if count < n_psi and all_lam[count] - all_lam[count - 1] <= 1e-9 * all_lam[count]:
         keep = int(np.searchsorted(lam_d, lam_d[-1] * (1.0 - 1e-9)))
     # modes within a relative 1e-6 of a neighbour are fixed by either solver
     # only up to a rotation among them (differences of 6e-9 at gaps of 1e-7 on
     # 28 x 28), so such a group is compared as a span; a lone mode directly
-    phi_d = dense.phi[:, :keep]
+    phi_d = phi_d[:, :keep]
     lam_d = lam_d[:keep]
     for group in np.split(np.arange(keep), np.flatnonzero(np.diff(lam_d) > 1e-6 * lam_d[1:]) + 1):
         want, got = phi_d[:, group], phi_c[:, group]
@@ -513,24 +512,22 @@ def test_truncated_class_doubles_its_count(monkeypatch):
     classes = stokes_eigenpairs(g, count)
     assert asked == [(50, first), (50, first), (49, first), (49, first),
                      (50, 2 * first), (49, 2 * first)]
-    dense = stokes_eigenpairs(g, count, dense=True)
-    lam_d = dense.lambdas
+    lam_d, _ = dense_modes(g, count)
     assert np.all(np.abs(lam_d - classes.lambdas) <= 1e-10 * lam_d)
 
 
 def test_eigenpairs_sparse_matches_dense_on_rectangle():
     # mx != my through eigsh: a 2:1 rectangle, nx = 20 (19 x 9 vertices)
     g = StaggeredGrid.for_rectangle(Rectangle(2.0, 1.0), 20)
-    dense = stokes_eigenpairs(g, 30, dense=True)
-    sparse = stokes_eigenpairs(g, 30, dense=False)
-    lam_d = dense.lambdas
+    lam_d, phi_d = dense_modes(g, 30)
+    sparse = stokes_eigenpairs(g, 30)
     assert np.abs(lam_d - sparse.lambdas).max() <= 1e-10 * lam_d.max()
-    assert np.abs(dense.phi - sparse.phi).max() <= 1e-8
+    assert np.abs(phi_d - sparse.phi).max() <= 1e-8
 
 
 def test_canonical_gauge_undoes_rotation_and_sign():
-    ops = _ops(_grid(16))
-    vals, vecs = scipy.linalg.eigh(ops.K.toarray(), ops.M.toarray(), subset_by_index=[0, 5])
+    k, m = pencil(_grid(16))
+    vals, vecs = scipy.linalg.eigh(k.toarray(), m.toarray(), subset_by_index=[0, 5])
     split = np.diff(vals) / vals[1:]
     a = int(np.argmin(split))
     assert split[a] <= 1e-12            # modes a and a + 1 are a degenerate pair
