@@ -19,8 +19,7 @@ from ._version import __version__
 from .errors import ConfigurationError, NumericsError, PreconditionError
 from .geometry import (BoundaryCollar, DampingProfile, Disk, DiskPatch, Rectangle, SideStrip,
                        make_damping, make_domain)
-from .raytracer import (GccReport, GridSampler, PhasePoint, RandomSampler, RayPath, check_gcc,
-                        trace)
+from .raytracer import GccReport, GridSampler, RandomSampler, RayPath, check_gcc, trace
 
 # grid-half module or public name -> its home module, imported by __getattr__ on first access
 _HOME = {name: module for module, names in {

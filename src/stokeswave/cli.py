@@ -45,6 +45,8 @@ _T = (float, POSITIVE, REQUIRED)
 _PAIR = ([float, float], None, REQUIRED)
 _GRID = {"nx": (int, 3, REQUIRED), "n_modes": (int, 1, REQUIRED)}
 _STEPS = {"T": _T, "dt": _T}
+# largest step count round(T / dt) of a stepped experiment
+_MAX_STEPS = 10 ** 6
 SAMPLERS = {"grid": {"nx": (int, 1, REQUIRED), "ndir": (int, 1, REQUIRED)},
             "seeded_random": {"n": (int, 1, REQUIRED)}}
 PARAMS = {
@@ -119,9 +121,12 @@ def _cross_checks(cfg: dict):
     if "dt" in p:
         if p["T"] < p["dt"]:
             fail("params.T", "must be at least dt")
-        if not math.isfinite(p["T"] / p["dt"]):
+        ratio = p["T"] / p["dt"]
+        if not math.isfinite(ratio):
             fail("params.dt", "T / dt overflows; the step count must be finite")
-        if abs(round(p["T"] / p["dt"]) * p["dt"] - p["T"]) > 1e-9 * p["T"]:
+        if round(ratio) > _MAX_STEPS:
+            fail("params.dt", f"T / dt exceeds {_MAX_STEPS} steps")
+        if abs(round(ratio) * p["dt"] - p["T"]) > 1e-9 * p["T"]:
             fail("params.dt", "T must be an integer multiple of dt")
     if exp == "trace":
         x0 = p["x0"]
@@ -168,8 +173,7 @@ def _modal_system(cfg, domain, damping):
 def run_trace(cfg: dict, domain, damping) -> dict:
     params = cfg["params"]
     xi0 = _unit_direction(params["xi0"])
-    path = raytracer.trace(domain, damping, raytracer.PhasePoint(params["x0"], xi0),
-                           params["T"])
+    path = raytracer.trace(domain, damping, params["x0"], xi0, params["T"])
     rows = [(ev.kind, ev.t, ev.duration, *ev.start, *ev.end) for ev in path.events]
     return {
         "ray_path.csv": (["kind", "t_start", "duration", "x_start", "y_start", "x_end", "y_end"],
@@ -179,8 +183,8 @@ def run_trace(cfg: dict, domain, damping) -> dict:
             "total_time": path.total_time,
             "first_entry_time": path.first_entry_time,
             "n_events": len(path.events),
-            "final_x": path.final.x.tolist(),
-            "final_xi": path.final.xi.tolist(),
+            "final_x": path.end[0],
+            "final_xi": path.end[1],
         },
     }
 
@@ -199,8 +203,8 @@ def run_gcc(cfg: dict, domain, damping) -> dict:
         "corner_terminated": report.corner_terminated,
         "event_cap_terminated": report.event_cap_terminated,
         "sampler": spec,
-        "worst_rays": [{"x": list(p.x), "xi": list(p.xi), "first_entry_time": t}
-                       for p, t in zip(report.worst_rays, report.worst_entry_times)],
+        "worst_rays": [{"x": x, "xi": xi, "first_entry_time": t}
+                       for (x, xi), t in zip(report.worst_rays, report.worst_entry_times)],
     }}
 
 
@@ -209,7 +213,7 @@ def run_simulate(cfg: dict, domain, damping) -> dict:
     params = cfg["params"]
     ms = _modal_system(cfg, domain, damping)
     state0 = evolution.random_state(ms, cfg["seed"])
-    final, trace = evolution.evolve(ms, state0, params["T"], params["dt"], damped=True)
+    final, trace = evolution.evolve(ms, state0, params["T"], params["dt"])
     payload = {
         "n_modes": ms.n_modes,
         "E0": float(trace.E[0]),

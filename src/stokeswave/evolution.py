@@ -38,9 +38,8 @@ class ModalState:
 class EnergyTrace:
     """Per-step samples of energy and cumulative observation quadrature.
 
-    D_cum accumulates the midpoint quadrature of w^T B w along the run; for
-    a damped run that is the dissipated energy, for an undamped run it is
-    the observation functional of the same damping profile.
+    D_cum accumulates the midpoint quadrature of w^T B w along the run: the
+    energy that the damping B has dissipated.
     """
 
     t: np.ndarray
@@ -87,13 +86,9 @@ def _midpoint_setup(m: np.ndarray, dt: float) -> np.ndarray:
     return scipy.linalg.lu_solve(lu, np.eye(n2) + 0.5 * dt * m)
 
 
-def evolve(ms, state0: ModalState, T: float, dt: float,
-           damped: bool = True) -> Tuple[ModalState, EnergyTrace]:
-    """Integrate for n = round(T/dt) midpoint steps, sampling every step.
-
-    The damping matrix enters the dynamics only when damped=True; the
-    trace's D_cum quadrature always uses ms.B (see EnergyTrace).
-    """
+def evolve(ms, state0: ModalState, T: float, dt: float) -> Tuple[ModalState, EnergyTrace]:
+    """Integrate the damped system for n = round(T/dt) midpoint steps, sampling
+    every step."""
     if dt <= 0:
         raise ConfigurationError("dt must be positive")
     if T < dt:
@@ -103,7 +98,7 @@ def evolve(ms, state0: ModalState, T: float, dt: float,
     if n < 1:
         raise ConfigurationError("modal system must have at least one mode")
     b = np.asarray(ms.B, dtype=float)
-    step = _midpoint_setup(generator_matrix(lam, b if damped else np.zeros_like(b)), dt)
+    step = _midpoint_setup(generator_matrix(lam, b), dt)
 
     steps = int(round(T / dt))
     x = np.concatenate([np.asarray(state0.u, float), np.asarray(state0.w, float)])

@@ -46,7 +46,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Tuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -56,6 +56,10 @@ from scipy.sparse.csgraph import reverse_cuthill_mckee
 from .errors import ConfigurationError, NumericsError
 from .evolution import ModalState, undamped_modal_solution
 from .stokes import ModalSystem, StaggeredField, StaggeredGrid, _ops
+
+# largest energy drift max_t |E(t) - E0| / E0 of a convergence_study row: the scheme
+# conserves E exactly, so a larger drift means the run lost its digits (tiny eps)
+_DRIFT_TOL = 1e-3
 
 
 @dataclass
@@ -76,7 +80,7 @@ class LameState:
 
 @dataclass
 class LameTrace:
-    """Sampled (t, E, ||div u||, ||u - reference||); err is NaN without a reference."""
+    """Sampled (t, E, ||div u||, ||u - reference||)."""
 
     t: np.ndarray
     E: np.ndarray
@@ -114,8 +118,7 @@ def _upper_band(a: sp.csr_matrix) -> np.ndarray:
 
 
 def evolve_lame(state0: LameState, T: float, dt: float,
-                reference: Optional[Callable[[float], np.ndarray]] = None,
-                sample_every: int = 1) -> LameTrace:
+                reference: Callable[[float], np.ndarray], sample_every: int = 1) -> LameTrace:
     """Integrate the penalized system for n = round(T/dt) midpoint steps,
     sampling the start, every `sample_every`-th step and the last one.
 
@@ -125,12 +128,10 @@ def evolve_lame(state0: LameState, T: float, dt: float,
     symmetric I - (dt^2/4) L_eps restricted to them, and wall faces moved as
     u_W + t w_W.  The loop runs in band order and scatters back to face order
     at a sample only.  A failed factorization, or a sampled energy,
-    divergence norm or (with a reference) error norm that is not finite,
-    raises NumericsError.
+    divergence norm or error norm that is not finite, raises NumericsError.
 
-    The reference, when given, is a callable t -> flat face vector
-    (n_faces,) on the same grid (e.g. modal_reference); the trace then
-    carries the deviation from it.
+    The reference is a callable t -> flat face vector (n_faces,) on the same
+    grid (e.g. modal_reference); the trace carries the deviation from it.
     """
     if dt <= 0:
         raise ConfigurationError("dt must be positive")
@@ -155,12 +156,8 @@ def evolve_lame(state0: LameState, T: float, dt: float,
     def observe(u, w, t):
         e, div = _energy_and_div(grid, state0.eps, u, w)
         dn = grid.h * float(np.linalg.norm(div))
-        if reference is None:
-            err = math.nan
-        else:
-            err = grid.h * float(np.linalg.norm(u - reference(t)))
-        if not (math.isfinite(e) and math.isfinite(dn)
-                and (reference is None or math.isfinite(err))):
+        err = grid.h * float(np.linalg.norm(u - reference(t)))
+        if not (math.isfinite(e) and math.isfinite(dn) and math.isfinite(err)):
             raise NumericsError(f"non-finite Lame trace at t={t:g} "
                                 f"(eps={state0.eps:g}, dt={dt:g})")
         return t, e, dn, err
@@ -199,7 +196,8 @@ def convergence_study(u0: StaggeredField, w0: StaggeredField, eps_list, T: float
     E0 is the penalized energy at the start, so each row's bound
     max_div <= sqrt(2 eps E0) can be checked from the row alone.  The drift
     max_t |E(t) - E0| / E0 (0 when E0 = 0) is roundoff for an exactly
-    conservative scheme, so a large one flags a run that lost its digits.
+    conservative scheme, so a drift above _DRIFT_TOL means the run lost its
+    digits and raises NumericsError.
     """
     eps_list = [float(e) for e in eps_list]
     if any(a <= b for a, b in zip(eps_list, eps_list[1:])):
@@ -210,9 +208,11 @@ def convergence_study(u0: StaggeredField, w0: StaggeredField, eps_list, T: float
         raise ConfigurationError("reference solution lives on a different grid")
     rows = []
     for eps in eps_list:
-        trace = evolve_lame(LameState(u0, w0, eps), T, dt,
-                            reference=reference, sample_every=sample_every)
+        trace = evolve_lame(LameState(u0, w0, eps), T, dt, reference, sample_every)
         e0 = float(trace.E[0])
         drift = float(np.abs(trace.E - e0).max()) / e0 if e0 > 0 else 0.0
+        if drift > _DRIFT_TOL:
+            raise NumericsError(f"energy drift {drift:.3g} exceeds {_DRIFT_TOL:g} at "
+                                f"eps={eps:g}: the penalized system lost its digits")
         rows.append((eps, float(trace.div_norm.max()), float(trace.err_norm.max()), e0, drift))
     return rows

@@ -9,14 +9,14 @@ terminate a ray: no reflection law is invented for them, they are counted.
 
 trace is the one implementation of these moves.  It runs them through the
 kernels _hit_raw, _reflected, _tangent, _arc and _line, and one start rule,
-_start_kind, which the CLI's config check calls too.  The kernels compute on
-(x, y) pairs of Python floats; numpy stays at the edges (PhasePoint in,
-RayPath out).  trace has two moves (the disk's arc glide; a straight move to
-_hit_raw, a chord or a flat glide) and one boundary rule on the normal of the
-hit (None at a corner: stop; glancing: glide; otherwise reflect).  Its start
-check evaluates the damping at the start point on floats.  It reports a ray as
-RayEvent records of float pairs, one record for all five kinds of event, timed
-by its one clock.
+_start_kind, which the CLI's config check calls too.  The kernels, trace's
+start point and direction and the RayPath it returns are (x, y) pairs of Python
+floats; numpy stays in the samplers.  trace has two moves (the disk's arc
+glide; a straight move to _hit_raw, a chord or a flat glide) and one boundary
+rule on the normal of the hit (None at a corner: stop; glancing: glide;
+otherwise reflect).  Its start check evaluates the damping at the start point
+on floats.  It reports a ray as RayEvent records of float pairs, one record for
+all five kinds of event, timed by its one clock.
 
 The coverage checker samples phase points, traces each ray up to a time
 horizon, and records the first time it meets the damped set {a > 0}.
@@ -44,18 +44,6 @@ _MAX_EVENTS = 200_000
 _N_WORST = 5
 
 
-@dataclass(frozen=True)
-class PhasePoint:
-    """Unit-speed ray state: position and direction; trace's events carry the clock."""
-
-    x: np.ndarray
-    xi: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "x", np.asarray(self.x, dtype=float))
-        object.__setattr__(self, "xi", np.asarray(self.xi, dtype=float))
-
-
 class RayEvent(NamedTuple):
     """One event of a traced ray: its kind ('free_segment', 'glide_arc', 'reflection',
     'corner_stop' or 'damped_entry'), the flow time t at which it starts, and a move
@@ -78,18 +66,13 @@ class RayPath:
     A reflection or corner stop has the t at which the move reaching it ends, and
     the last move ends at total_time.  terminated is 'horizon', 'corner' or
     'error'; tracing with stop_at_entry=True may additionally end with 'entry'.
-    end is the final (position, direction) as float pairs; final reads it as a
-    PhasePoint, built only when read.
+    end is the final (position, direction) as float pairs.
     """
 
     events: List[RayEvent]
     total_time: float
     terminated: str
     end: Tuple[Tuple[float, float], Tuple[float, float]]
-
-    @property
-    def final(self) -> PhasePoint:
-        return PhasePoint(*self.end)
 
     @property
     def first_entry_time(self) -> float:
@@ -183,16 +166,17 @@ def _line(x, xi):
 # Full trace
 
 
-def trace(domain: Domain, damping: Optional[DampingProfile], rho0: PhasePoint, T: float,
+def trace(domain: Domain, damping: Optional[DampingProfile], x, xi, T: float,
           stop_at_entry: bool = False) -> RayPath:
-    """Trace a generalized ray for time T, recording the first damped entry.
+    """Trace a generalized ray from position x along unit direction xi (two pairs)
+    for time T, recording the first damped entry.
 
     With stop_at_entry=True the path is truncated at the first entry event
     (used by the coverage checker); such paths report terminated='entry'.
     """
     if T <= 0:
         raise ConfigurationError("horizon T must be positive")
-    x, xi = _xy(rho0.x), _xy(rho0.xi)
+    x, xi = _xy(x), _xy(xi)
     if abs(math.hypot(*xi) - 1.0) > 1e-12:
         raise PreconditionError("ray direction must be unit length")
     if not domain.contains(x):
@@ -373,7 +357,7 @@ class GccReport:
     n_samples: int
     covered_fraction: float
     max_first_entry_time: float
-    worst_rays: List[PhasePoint]
+    worst_rays: List[Tuple[List[float], List[float]]]
     worst_entry_times: List[float]
     corner_terminated: int
     event_cap_terminated: int
@@ -381,6 +365,9 @@ class GccReport:
 
 def check_gcc(domain: Domain, damping: DampingProfile, T: float, sampler: Sampler) -> GccReport:
     """Trace each sampled ray and report how much of phase space is covered.
+
+    worst_rays are the starts (x, xi), two float pairs, of the _N_WORST rays that
+    enter latest or never, in sample order among ties.
 
     corner_terminated counts rays that reached a rectangle corner, and
     event_cap_terminated rays that hit the cap of _MAX_EVENTS events, before
@@ -390,17 +377,18 @@ def check_gcc(domain: Domain, damping: DampingProfile, T: float, sampler: Sample
     if T <= 0:
         raise ConfigurationError("horizon T must be positive")
     positions, directions = sampler.samples(domain)
-    n = positions.shape[0]
+    starts = list(zip(positions.tolist(), directions.tolist()))
+    n = len(starts)
     entry = np.full(n, math.inf)
     ends = []
-    for i, (x, xi) in enumerate(zip(positions.tolist(), directions.tolist())):
-        path = trace(domain, damping, PhasePoint(x, xi), T, stop_at_entry=True)
+    for i, (x, xi) in enumerate(starts):
+        path = trace(domain, damping, x, xi, T, stop_at_entry=True)
         entry[i] = path.first_entry_time
         ends.append(path.terminated)
     covered = float(np.count_nonzero(entry < T)) / n
     max_entry = math.inf if np.any(np.isinf(entry)) else float(entry.max())
     order = np.argsort(-np.where(np.isinf(entry), np.finfo(float).max, entry), kind="stable")
-    worst = [PhasePoint(positions[int(i)], directions[int(i)]) for i in order[:_N_WORST]]
+    worst = [starts[int(i)] for i in order[:_N_WORST]]
     worst_times = [float(entry[int(i)]) for i in order[:_N_WORST]]
     return GccReport(T, n, covered, max_entry, worst, worst_times, ends.count("corner"),
                      ends.count("error"))

@@ -25,22 +25,17 @@ def fmt_float(x: float) -> str:
 
 
 def sanitize(obj):
-    """Make an object JSON-safe and deterministic (numpy -> python, inf -> str)."""
+    """Make an object JSON-safe and deterministic: tuples become lists, numpy floats
+    Python floats, and non-finite floats strings; everything else passes through."""
     if isinstance(obj, dict):
         return {str(k): sanitize(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [sanitize(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [sanitize(v) for v in obj.tolist()]
     if isinstance(obj, (np.floating, float)):
         x = float(obj)
         if math.isinf(x) or math.isnan(x):
             return fmt_float(x)
         return x
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
     return obj
 
 

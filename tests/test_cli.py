@@ -19,8 +19,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import stokeswave
-from stokeswave import (NumericsError, PhasePoint, PreconditionError, cli, make_damping,
-                        make_domain, stokes, trace)
+from stokeswave import (NumericsError, PreconditionError, cli, make_damping, make_domain,
+                        stokes, trace)
 from stokeswave.cli import main
 from stokeswave.reporting import fmt_float
 
@@ -51,7 +51,7 @@ def test_trace_subcommand(tmp_path):
     assert summary["config"]["experiment"] == "trace"
     # t_start is the tracer's own event time, not a sum of durations
     square = make_domain(SQUARE)
-    path = trace(square, make_damping(square, COLLAR), PhasePoint((0.5, 0.5), (1.0, 0.0)), 2.0)
+    path = trace(square, make_damping(square, COLLAR), (0.5, 0.5), (1.0, 0.0), 2.0)
     assert [row.split(",")[1] for row in csv[3:]] == [fmt_float(ev.t) for ev in path.events]
 
 
@@ -136,6 +136,23 @@ def test_a_non_finite_lame_trace_exits_3(tmp_path, capsys, monkeypatch):
     assert not (tmp_path / "out").exists() or not any((tmp_path / "out").iterdir())
 
 
+@pytest.mark.parametrize("eps_list, code", [([1e-1, 1e-16], 3), ([1e-1, 1e-12], 0)])
+def test_lame_energy_drift_above_its_bound_exits_3(tmp_path, capsys, eps_list, code):
+    # at eps = 1e-16 the penalty swamps the energy's digits (drift 2.4), at 1e-12 not (5e-5);
+    # both drifts are roundoff, so only their side of lame._DRIFT_TOL is pinned
+    cfg = _cfg("lame", {"nx": 8, "n_modes": 6, "T": 0.1, "dt": 0.005, "eps_list": eps_list},
+               tmp_path, damping=None)
+    assert main(["lame", _write(tmp_path, cfg)]) == code
+    if code == 3:
+        assert re.match(r"numeric failure: energy drift \S+ exceeds 0.001 at eps=1e-16: ",
+                        capsys.readouterr().err)
+        assert not (tmp_path / "out").exists() or not any((tmp_path / "out").iterdir())
+    else:
+        lines = (tmp_path / "out" / "lame_study.csv").read_text().splitlines()
+        drifts = [float(line.split(",")[4]) for line in lines[3:]]
+        assert len(drifts) == 2 and drifts[1] <= 1e-3
+
+
 def test_diagnostics_subcommand(tmp_path):
     cfg = _cfg("diagnostics", {"nx": 12, "n_modes": 5}, tmp_path)
     assert main(["diagnostics", _write(tmp_path, cfg)]) == 0
@@ -214,6 +231,8 @@ _GCC = {"T": 1.0, "sampler": {"kind": "seeded_random", "n": 4}}
     # T / dt overflows to inf, so the step count cannot be rounded
     ("observability", SQUARE, COLLAR, {"nx": 12, "n_modes": 4, "T": 1e308, "dt": 1e-300},
      "params.dt"),
+    # a finite step count of 1e300, far above cli._MAX_STEPS
+    ("simulate", SQUARE, COLLAR, {"nx": 8, "n_modes": 6, "T": 1e300, "dt": 1.0}, "params.dt"),
 ])
 def test_malformed_value_names_its_path(tmp_path, capsys, experiment, domain, damping, params,
                                         path):
@@ -239,7 +258,7 @@ def test_malformed_value_names_its_path(tmp_path, capsys, experiment, domain, da
 ])
 def test_cli_rejects_exactly_the_starts_trace_rejects(tmp_path, capsys, domain, x0, xi0):
     try:
-        trace(make_domain(domain), None, PhasePoint(x0, np.array(xi0) / math.hypot(*xi0)), 1.0)
+        trace(make_domain(domain), None, x0, np.array(xi0) / math.hypot(*xi0), 1.0)
         rejected = False
     except PreconditionError:
         rejected = True

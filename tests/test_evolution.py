@@ -20,8 +20,7 @@ def _system(lams, b):
 
 def test_evolve_undamped_harmonic_mode():
     ms = _system([4.0], [[0.0]])
-    final, trace = evolve(ms, ModalState(np.array([1.0]), np.array([0.0])), 10.0, 1e-3,
-                          damped=False)
+    final, trace = evolve(ms, ModalState(np.array([1.0]), np.array([0.0])), 10.0, 1e-3)
     assert np.abs(trace.E - trace.E[0]).max() <= 1e-10 * trace.E[0]
     # trajectory follows cos(2t) up to the midpoint phase error O(dt^2 t)
     assert abs(final.u[0] - math.cos(20.0)) <= 1e-4
@@ -57,6 +56,18 @@ def test_evolve_input_validation():
         evolve(ms, st, 1.0, 0.0)
     with pytest.raises(ConfigurationError):
         evolve(ms, st, 0.5, 1.0)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: evolve(_system([], np.zeros((0, 0))), ModalState(np.zeros(0), np.zeros(0)),
+                    1.0, 0.1), "modal system must have at least one mode"),
+    (lambda: observability_gramian(_system([4.0], [[1.0]]), 0.0, 1e-2),
+     "horizon T must be positive"),
+    (lambda: observability_gramian(_system([4.0], [[1.0]]), 1.0, 0.0), "dt must be positive"),
+], ids=["no_modes", "gramian_horizon", "gramian_dt"])
+def test_library_guards_name_the_bad_argument(call, message):
+    with pytest.raises(ConfigurationError, match=f"^{message}$"):
+        call()
 
 
 def test_energy_examples():
@@ -121,14 +132,14 @@ def test_gramian_unobservable_when_undamped():
 
 def test_gramian_single_mode_quadrature_oracle():
     # N=1, a=1, lam=4, T=pi: the quadratic form must match the direct
-    # midpoint quadrature of the velocity observation along the same flow
+    # midpoint quadrature of the velocity observation along the same undamped flow
     ms = _system([4.0], [[1.0]])
     dt = 1e-3
-    t_end = int(round(math.pi / dt)) * dt
-    g, c_obs = observability_gramian(ms, t_end, dt)
+    steps = int(round(math.pi / dt))
+    g, c_obs = observability_gramian(ms, steps * dt, dt)
     x0 = np.array([1.0, 0.0])
-    _, tr = evolve(ms, ModalState(np.array([1.0]), np.array([0.0])), t_end, dt, damped=False)
-    direct = tr.D_cum[-1]
+    g_ref, _ = _stepped_gramian([4.0], [[1.0]], steps, dt)
+    direct = float(x0 @ g_ref @ x0)
     assert abs(float(x0 @ g @ x0) - direct) <= 1e-8 * direct
     # and the continuum value int_0^pi 4 sin^2(2t) dt = 2 pi at O(dt^2)
     assert abs(direct - 2 * math.pi) <= 1e-4
@@ -141,11 +152,11 @@ def test_gramian_identity_random_states():
     raw = rng.standard_normal((5, 5))
     ms = _system(lams, raw @ raw.T / 5.0)
     g, _ = observability_gramian(ms, 2.0, 1e-2)
+    g_ref, _ = _stepped_gramian(ms.lambdas, ms.B, 200, 1e-2)
     for seed in range(20):
         state = random_state(ms, seed=seed)
         x0 = np.concatenate([state.u, state.w])
-        _, tr = evolve(ms, state, 2.0, 1e-2, damped=False)
-        quad = tr.D_cum[-1]
+        quad = float(x0 @ g_ref @ x0)
         assert abs(float(x0 @ g @ x0) - quad) <= 1e-6 * max(quad, 1e-12)
 
 
@@ -230,7 +241,7 @@ def test_undamped_modal_solution_matches_integrator():
     ms = _system([4.0, 9.0, 25.0], np.zeros((3, 3)))
     state0 = ModalState(np.array([1.0, -0.5, 0.2]), np.array([0.0, 0.3, -0.1]))
     sol = undamped_modal_solution(ms, state0)
-    final, _ = evolve(ms, state0, 2.0, 1e-4, damped=False)
+    final, _ = evolve(ms, state0, 2.0, 1e-4)
     exact = sol(2.0)
     assert np.abs(final.u - exact.u).max() <= 1e-6
     assert np.abs(final.w - exact.w).max() <= 1e-6

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -101,6 +102,37 @@ def test_make_damping_validation():
     assert _at(prof, (0.5, 0.5)) == 2.0
     with pytest.raises(ConfigurationError):
         DampingProfile(sq, BoundaryCollar(0.1), -1.0, 0.0)
+
+
+_SQ = Rectangle(1.0, 1.0)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: Rectangle(0.0, 1.0), "non-positive rectangle dimension"),
+    (lambda: Rectangle(1.0, -2.0), "non-positive rectangle dimension"),
+    (lambda: DampingProfile(_SQ, BoundaryCollar(0.1), 1.0, -0.01),
+     "smoothing_width must be nonnegative"),
+    (lambda: DampingProfile(_SQ, BoundaryCollar(0.0), 1.0), "collar width must be positive"),
+    (lambda: DampingProfile(_SQ, DiskPatch((0.5, 0.5), 0.0), 1.0),
+     "patch radius must be positive"),
+    (lambda: DampingProfile(_SQ, SideStrip("middle", 0.1), 1.0),
+     "strip side must be one of ('bottom', 'right', 'top', 'left')"),
+    (lambda: DampingProfile(_SQ, SideStrip("left", 0.0), 1.0), "strip depth must be positive"),
+], ids=["zero_width", "negative_height", "negative_smoothing", "zero_collar", "zero_patch",
+        "unknown_side", "zero_depth"])
+def test_library_guards_name_the_bad_argument(build, message):
+    with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
+        build()
+
+
+def test_a_zero_amplitude_profile_is_never_entered():
+    # each start lies on the plateau, where a positive amplitude would enter at s = 0
+    collar = DampingProfile(_SQ, BoundaryCollar(0.1), 0.0, 0.02)
+    patch = DampingProfile(Disk(1.0), DiskPatch((0.9, 0.0), 0.3), 0.0, 0.02)
+    for prof, x in ((collar, (0.05, 0.5)), (patch, (0.9, 0.0))):
+        assert _at(prof, x) == 0.0
+        assert prof.entry_time(x, (1.0, 0.0), 10.0) is None
+    assert patch.arc_entry_time(0.0, 1.0, 10.0) is None
 
 
 _RECT = Rectangle(1.3, 0.8)

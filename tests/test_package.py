@@ -14,7 +14,7 @@ PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 _PUBLIC = [
     "BoundaryCollar", "ConfigurationError", "DampingProfile", "DecayFit", "Disk", "DiskPatch",
     "EigenPair", "EnergyTrace", "GccReport", "GridSampler", "LameState", "LameTrace",
-    "ModalState", "ModalSystem", "Modes", "NumericsError", "PhasePoint", "PreconditionError",
+    "ModalState", "ModalSystem", "Modes", "NumericsError", "PreconditionError",
     "QuasimodeDiagnostics", "RandomSampler", "RayPath", "Rectangle", "SideStrip",
     "SpectrumReport", "StaggeredField", "StaggeredGrid", "build_modal_system", "check_gcc",
     "convergence_study", "damping_masses", "damping_matrix", "dissipation_check", "energy",
@@ -56,7 +56,7 @@ def test_the_benchmark_reads_the_lame_state_and_the_per_mode_residuals(monkeypat
     # perfbench/make_reference.py builds the lame initial state through
     # ModalSystem.reconstruct, StaggeredField.zeros, LameState and lame_energy,
     # tracing._eigen iterates the modes for their residuals, and tracing._lame
-    # reads evolve_lame's positional (state, T, dt) and the trace's E and div_norm
+    # reads evolve_lame's positional (state, T, dt, reference) and the trace's E and div_norm
     monkeypatch.syspath_prepend(str(PERFBENCH))
     make_reference = importlib.import_module("make_reference")
     tracing = importlib.import_module("tracing")
@@ -67,8 +67,10 @@ def test_the_benchmark_reads_the_lame_state_and_the_per_mode_residuals(monkeypat
     modes = stokeswave.stokes_eigenpairs(stokeswave.StaggeredGrid(8, 8, 0.125), 6)
     assert tracing._eigen((), {}, modes) == {"max_residual": modes.residual.max()}
     ms = stokeswave.build_modal_system(modes.grid, 6)
-    state0 = stokeswave.LameState(ms.reconstruct([1.0, 0.5, 0.0, 0.2, 0.0, 0.0]),
+    coeffs = [1.0, 0.5, 0.0, 0.2, 0.0, 0.0]
+    state0 = stokeswave.LameState(ms.reconstruct(coeffs),
                                   stokeswave.StaggeredField.zeros(modes.grid), 1e-2)
+    ref = stokeswave.modal_reference(ms, stokeswave.ModalState(coeffs, [0.0] * 6))
     T, dt = 0.3, 0.01
-    probe = tracing._lame((state0, T, dt), {}, stokeswave.evolve_lame(state0, T, dt))
+    probe = tracing._lame((state0, T, dt, ref), {}, stokeswave.evolve_lame(state0, T, dt, ref))
     assert probe["steps"] == round(T / dt) and probe["div_bound_ratio"] <= 1.0

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stokeswave import (BoundaryCollar, ConfigurationError, DampingProfile, Disk,
-                        DiskPatch, GridSampler, PhasePoint, PreconditionError, RandomSampler,
+                        DiskPatch, GridSampler, PreconditionError, RandomSampler,
                         Rectangle, SideStrip, check_gcc, raytracer, trace)
 from stokeswave.raytracer import _arc, _hit_raw, _line, _reflected, _tangent
 
@@ -48,7 +48,7 @@ def test_reflect_examples():
     # glide along: a ray there stops
     for x in ((1.0, 1.0), (0.0, 5e-10), (1.0 - 5e-10, 0.0)):
         assert SQ._normal(x) is None
-        assert trace(SQ, None, PhasePoint(x, (1.0, 0.0)), 0.1).terminated == "corner"
+        assert trace(SQ, None, x, (1.0, 0.0), 0.1).terminated == "corner"
 
 
 def test_glide_examples():
@@ -74,35 +74,35 @@ def test_glide_examples():
 
 
 def test_trace_square_example():
-    path = trace(SQ, None, PhasePoint((0.5, 0.5), (1.0, 0.0)), 2.0)
+    path = trace(SQ, None, (0.5, 0.5), (1.0, 0.0), 2.0)
     refl = [e for e in path.events if e.kind == "reflection"]
     assert len(refl) == 2
     assert np.allclose(refl[0].start, [1.0, 0.5]) and np.allclose(refl[1].start, [0.0, 0.5])
     durations = [e.duration for e in path.events if e.kind == "free_segment"]
     assert np.allclose(durations, [0.5, 1.0, 0.5])
     assert abs(path.total_time - 2.0) <= 1e-12
-    assert np.allclose(path.final.x, [0.5, 0.5], atol=1e-12)
+    assert np.allclose(path.end[0], [0.5, 0.5], atol=1e-12)
 
 
 def test_trace_disk_diameter_orbit():
-    path = trace(DK, None, PhasePoint((0.0, 0.0), (1.0, 0.0)), 4.0)
+    path = trace(DK, None, (0.0, 0.0), (1.0, 0.0), 4.0)
     refl = [e for e in path.events if e.kind == "reflection"]
     assert len(refl) == 2
     assert np.allclose(refl[0].start, [1.0, 0.0]) and np.allclose(refl[1].start, [-1.0, 0.0])
-    assert np.allclose(path.final.x, [0.0, 0.0], atol=1e-12)
+    assert np.allclose(path.end[0], [0.0, 0.0], atol=1e-12)
     durs = np.cumsum([e.duration for e in path.events if e.kind == "free_segment"])
     assert np.allclose(durs, [1.0, 3.0, 4.0])
 
 
 def test_trace_tangential_start_glides_forever():
-    path = trace(DK, None, PhasePoint((1.0, 0.0), (0.0, 1.0)), 7.5)
+    path = trace(DK, None, (1.0, 0.0), (0.0, 1.0), 7.5)
     assert all(e.kind == "glide_arc" for e in path.events)
     assert abs(sum(e.duration for e in path.events) - 7.5) <= 1e-12
-    assert abs(np.hypot(*path.final.x) - 1.0) <= 1e-12
+    assert abs(np.hypot(*path.end[0]) - 1.0) <= 1e-12
 
 
 def test_trace_corner_stop():
-    path = trace(SQ, None, PhasePoint((0.5, 0.5), (1 / math.sqrt(2), 1 / math.sqrt(2))), 2.0)
+    path = trace(SQ, None, (0.5, 0.5), (1 / math.sqrt(2), 1 / math.sqrt(2)), 2.0)
     assert path.terminated == "corner"
     assert path.events[-1].kind == "corner_stop"
     assert np.allclose(path.events[-1].start, [1.0, 1.0], atol=1e-12)
@@ -113,19 +113,19 @@ def test_corner_start_in_damped_set_keeps_its_entry():
     # a ray starting at a corner inside a sharp collar enters at t = 0 and
     # stops at the corner; with or without stop_at_entry the entry time agrees
     collar = DampingProfile(SQ, BoundaryCollar(0.1), 1.0, 0.0)
-    start = PhasePoint((1.0, 1.0), (-0.6, -0.8))
-    path = trace(SQ, collar, start, 2.0)
+    start = (1.0, 1.0), (-0.6, -0.8)
+    path = trace(SQ, collar, *start, 2.0)
     assert path.terminated == "corner"
     assert [e.kind for e in path.events] == ["damped_entry", "corner_stop"]
     assert path.first_entry_time == 0.0
-    stopped = trace(SQ, collar, start, 2.0, stop_at_entry=True)
+    stopped = trace(SQ, collar, *start, 2.0, stop_at_entry=True)
     assert stopped.terminated == "entry"
     assert stopped.first_entry_time == path.first_entry_time
 
 
 def test_trace_records_damped_entry_with_split_segment():
     collar = DampingProfile(SQ, BoundaryCollar(0.1), 1.0, 0.02)
-    path = trace(SQ, collar, PhasePoint((0.5, 0.5), (1.0, 0.0)), 1.0)
+    path = trace(SQ, collar, (0.5, 0.5), (1.0, 0.0), 1.0)
     entries = [e for e in path.events if e.kind == "damped_entry"]
     assert len(entries) == 1
     # support starts where distance to boundary is 0.12, i.e. at x = 0.88
@@ -138,7 +138,7 @@ def test_trace_records_damped_entry_with_split_segment():
 
 def test_speed_preserved_across_many_reflections():
     theta = 0.37
-    path = trace(SQ, None, PhasePoint((0.3, 0.4), (math.cos(theta), math.sin(theta))), 100.0)
+    path = trace(SQ, None, (0.3, 0.4), (math.cos(theta), math.sin(theta)), 100.0)
     drifts = [abs(np.hypot(*e.xi_out) - 1.0) for e in path.events if e.kind == "reflection"]
     assert len(drifts) > 100
     assert max(drifts) <= 1e-12
@@ -148,21 +148,21 @@ def test_reversibility():
     theta = 0.83
     x0 = np.array([0.21, 0.55])
     xi0 = np.array([math.cos(theta), math.sin(theta)])
-    fwd = trace(SQ, None, PhasePoint(x0, xi0), 30.0)
-    back = trace(SQ, None, PhasePoint(fwd.final.x, -fwd.final.xi), 30.0)
-    assert np.linalg.norm(back.final.x - x0) <= 1e-8
-    assert np.linalg.norm(back.final.xi + xi0) <= 1e-8
+    fwd = trace(SQ, None, x0, xi0, 30.0)
+    back = trace(SQ, None, fwd.end[0], np.negative(fwd.end[1]), 30.0)
+    assert np.linalg.norm(back.end[0] - x0) <= 1e-8
+    assert np.linalg.norm(back.end[1] + xi0) <= 1e-8
 
 
 def test_square_billiard_axis_period_two():
-    path = trace(SQ, None, PhasePoint((0.0, 0.5), (1.0, 0.0)), 2.0)
-    assert np.linalg.norm(path.final.x - np.array([0.0, 0.5])) <= 1e-10
+    path = trace(SQ, None, (0.0, 0.5), (1.0, 0.0), 2.0)
+    assert np.linalg.norm(path.end[0] - np.array([0.0, 0.5])) <= 1e-10
 
 
 def test_disk_chord_invariant():
     # tangential momentum |x cross xi| is conserved at every reflection
     theta = 1.1
-    path = trace(DK, None, PhasePoint((0.3, -0.2), (math.cos(theta), math.sin(theta))), 120.0)
+    path = trace(DK, None, (0.3, -0.2), (math.cos(theta), math.sin(theta)), 120.0)
     vals = []
     for e in path.events:
         if e.kind == "reflection":
@@ -176,18 +176,18 @@ def test_trace_glide_enters_patch_at_the_arc_edge():
     patch = DampingProfile(dk, DiskPatch((1.5, 0.0), 0.8), 1.0, 0.0)
     half = math.acos((4.0 + 2.25 - 0.64) / 6.0)
     for orient, angle in ((1.0, 2 * math.pi - 2.0 - half), (-1.0, 2.0 - half)):
-        start = PhasePoint(2.0 * np.array([math.cos(2.0), math.sin(2.0)]),
-                           orient * np.array([-math.sin(2.0), math.cos(2.0)]))
-        path = trace(dk, patch, start, 20.0, stop_at_entry=True)
+        x = 2.0 * np.array([math.cos(2.0), math.sin(2.0)])
+        xi = orient * np.array([-math.sin(2.0), math.cos(2.0)])
+        path = trace(dk, patch, x, xi, 20.0, stop_at_entry=True)
         assert abs(path.first_entry_time - 2.0 * angle) <= 1e-12
-        assert abs(math.hypot(*(path.final.x - (1.5, 0.0))) - 0.8) <= 1e-12
+        assert abs(math.hypot(*np.subtract(path.end[0], (1.5, 0.0))) - 0.8) <= 1e-12
 
 
 def test_grazing_chords_of_sharp_patch_are_entered():
     patch = DampingProfile(DK, DiskPatch((0.0, 0.0), 0.2), 1.0, 0.0)
     offsets = np.linspace(0.199, 0.19999, 200)
     starts = np.random.default_rng(3).uniform(-0.9, -0.5, 200)
-    times = [trace(DK, patch, PhasePoint((x0, d), (1.0, 0.0)), 2.0,
+    times = [trace(DK, patch, (x0, d), (1.0, 0.0), 2.0,
                    stop_at_entry=True).first_entry_time for d, x0 in zip(offsets, starts)]
     exact = -starts - np.sqrt(0.04 - offsets ** 2)
     assert np.abs(np.array(times) - exact).max() <= 1e-12
@@ -198,7 +198,7 @@ def test_event_cap_rays_are_counted(monkeypatch):
     monkeypatch.setattr(raytracer, "_MAX_EVENTS", 6)
     sampler = GridSampler(4, 8)
     rep = check_gcc(SQ, strip, 10.0, sampler)
-    ends = [trace(SQ, strip, PhasePoint(x, xi), 10.0, stop_at_entry=True).terminated
+    ends = [trace(SQ, strip, x, xi, 10.0, stop_at_entry=True).terminated
             for x, xi in zip(*sampler.samples(SQ))]
     assert rep.event_cap_terminated == ends.count("error") > 0
     assert rep.corner_terminated == ends.count("corner")
@@ -219,7 +219,7 @@ def test_check_gcc_negative_disk_patch():
     assert rep.covered_fraction < 1.0
     assert math.isinf(rep.max_first_entry_time)
     # a chord at distance 0.5 from the center never meets the patch
-    path = trace(DK, patch, PhasePoint((0.5, 0.0), (0.0, 1.0)), 10.0)
+    path = trace(DK, patch, (0.5, 0.0), (0.0, 1.0), 10.0)
     assert math.isinf(path.first_entry_time)
 
 
@@ -228,7 +228,7 @@ def test_check_gcc_negative_side_strip():
     rep = check_gcc(SQ, strip, 10.0, GridSampler(8, 8))
     assert rep.covered_fraction < 1.0
     # vertical bouncing ray far from the strip never approaches it
-    path = trace(SQ, strip, PhasePoint((0.9, 0.3), (0.0, 1.0)), 10.0)
+    path = trace(SQ, strip, (0.9, 0.3), (0.0, 1.0), 10.0)
     assert math.isinf(path.first_entry_time)
 
 
@@ -307,14 +307,25 @@ def test_random_sampler_draws_interior_unit_samples(domain):
 
 def test_trace_rejects_bad_inputs():
     with pytest.raises(ConfigurationError):
-        trace(SQ, None, PhasePoint((0.5, 0.5), (1.0, 0.0)), 0.0)
+        trace(SQ, None, (0.5, 0.5), (1.0, 0.0), 0.0)
     with pytest.raises(PreconditionError):
-        trace(SQ, None, PhasePoint((0.5, 0.5), (2.0, 0.0)), 1.0)
+        trace(SQ, None, (0.5, 0.5), (2.0, 0.0), 1.0)
     with pytest.raises(PreconditionError):
-        trace(SQ, None, PhasePoint((0.0, 0.5), (-1.0, 0.0)), 1.0)
+        trace(SQ, None, (0.0, 0.5), (-1.0, 0.0), 1.0)
     for domain in (SQ, DK):
         with pytest.raises(PreconditionError, match="closed domain"):
-            trace(domain, None, PhasePoint((1.5, 0.5), (1.0, 0.0)), 1.0)
+            trace(domain, None, (1.5, 0.5), (1.0, 0.0), 1.0)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: GridSampler(0, 4).samples(SQ), "sampler needs nx >= 1 and ndir >= 1"),
+    (lambda: GridSampler(4, 0).samples(DK), "sampler needs nx >= 1 and ndir >= 1"),
+    (lambda: check_gcc(SQ, DampingProfile(SQ, BoundaryCollar(0.1), 1.0), 0.0,
+                       GridSampler(2, 2)), "horizon T must be positive"),
+], ids=["grid_nx", "grid_ndir", "gcc_horizon"])
+def test_library_guards_name_the_bad_argument(call, message):
+    with pytest.raises(ConfigurationError, match=f"^{message}$"):
+        call()
 
 
 @pytest.mark.parametrize("x0, xi0, corner", [
@@ -323,12 +334,12 @@ def test_trace_rejects_bad_inputs():
     ((1e-11, 0.5), (-1e-10, 1.0), (0.0, 1.0)),     # glancing hit on the left wall
 ], ids=["bottom_hit", "outward_start", "left_hit"])
 def test_trace_flat_glide_is_tangent_flight_to_the_corner(x0, xi0, corner):
-    path = trace(SQ, None, PhasePoint(x0, np.array(xi0) / math.hypot(*xi0)), 2.0)
+    path = trace(SQ, None, x0, np.array(xi0) / math.hypot(*xi0), 2.0)
     assert [e.kind for e in path.events][-2:] == ["glide_arc", "corner_stop"]
     assert all(SQ.contains(e.start) and SQ.contains(e.end) for e in path.events)
     assert path.terminated == "corner"
     assert np.array_equal(path.events[-1].start, corner)
-    assert np.array_equal(path.final.x, corner)
+    assert np.array_equal(path.end[0], corner)
 
 
 RECT = Rectangle(2.0, 0.7)
@@ -362,7 +373,7 @@ def test_trace_reflections_are_the_kernel_walk(disk, u, v, angle):
         else (u * RECT.width, v * RECT.height)
     domain = DK if disk else RECT
     xi0 = (math.cos(angle), math.sin(angle))
-    path = trace(domain, None, PhasePoint(x0, xi0), 20.0)
+    path = trace(domain, None, x0, xi0, 20.0)
     refl = [e for e in path.events if e.kind == "reflection"]
     walked = _walk_reflections(domain, x0, xi0, 20.0)
     assert len(refl) == len(walked)
@@ -382,10 +393,9 @@ def test_trace_reflections_are_the_kernel_walk(disk, u, v, angle):
 @given(theta=st.floats(-math.pi, math.pi), ccw=st.booleans(), T=st.floats(0.01, 50.0))
 def test_trace_boundary_glide_is_glide(theta, ccw, T):
     orient = 1.0 if ccw else -1.0
-    start = PhasePoint((math.cos(theta), math.sin(theta)),
-                       (-orient * math.sin(theta), orient * math.cos(theta)))
-    path = trace(DK, None, start, T)
-    x, xi = tuple(map(float, start.x)), tuple(map(float, start.xi))
+    x = (math.cos(theta), math.sin(theta))
+    xi = (-orient * math.sin(theta), orient * math.cos(theta))
+    path = trace(DK, None, x, xi, T)
     moved = _arc(DK, x, _tangent(DK._normal(x), xi))[2](T)
     assert all(e.kind == "glide_arc" for e in path.events)
     assert path.end == moved
@@ -405,8 +415,8 @@ def test_stopped_trace_enters_where_the_full_trace_does(disk, u, v, angle, T):
         else (u * RECT.width, v * RECT.height)
     domain, damping = (DK, SHARP_PATCH) if disk else (RECT, STRIP_RECT)
     xi0 = (math.cos(angle), math.sin(angle))
-    full = trace(domain, damping, PhasePoint(x0, xi0), T)
-    stopped = trace(domain, damping, PhasePoint(x0, xi0), T, stop_at_entry=True)
+    full = trace(domain, damping, x0, xi0, T)
+    stopped = trace(domain, damping, x0, xi0, T, stop_at_entry=True)
     assert stopped.first_entry_time == full.first_entry_time
     # the stopped path is the full one cut just after its damped_entry event
     assert stopped.events == full.events[:len(stopped.events)]
@@ -423,7 +433,7 @@ def test_check_gcc_covers_the_rays_whose_full_trace_enters_before_T(disk, seed, 
     domain, damping = (DK, SHARP_PATCH) if disk else (RECT, STRIP_RECT)
     sampler = RandomSampler(25, seed)
     rep = check_gcc(domain, damping, T, sampler)
-    entries = [trace(domain, damping, PhasePoint(x, xi), T).first_entry_time
+    entries = [trace(domain, damping, x, xi, T).first_entry_time
                for x, xi in zip(*sampler.samples(domain))]
     assert rep.covered_fraction == sum(e < T for e in entries) / len(entries)
     assert rep.worst_entry_times == sorted(entries, reverse=True)[:len(rep.worst_entry_times)]

@@ -359,6 +359,17 @@ def test_grid_construction_guards():
     assert g.ny == 8 and abs(g.h - 0.125) <= 1e-15
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda: StaggeredGrid(4, 4, 0.0), "grid spacing must be positive"),
+    (lambda: StaggeredGrid(4, 4, math.nan), "grid spacing must be positive"),
+    (lambda: stokes.StaggeredField(np.zeros((4, 4)), np.zeros((4, 5)), StaggeredGrid(4, 4, 0.25)),
+     "staggered array shapes do not match the grid"),
+], ids=["zero_spacing", "nan_spacing", "field_shape"])
+def test_library_guards_name_the_bad_argument(build, message):
+    with pytest.raises(ConfigurationError, match=f"^{message}$"):
+        build()
+
+
 def test_eigen_grid_convergence_small():
     # coarse-grid proxy of the refinement stability claim; the 2% bound at
     # nx = 64 vs 128 is asserted in the acceptance suite
