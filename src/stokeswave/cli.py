@@ -8,11 +8,12 @@ byte-identical.
 
 A runner run_<exp>(cfg, domain, damping) computes and returns its artifacts:
 a dict from file name to a JSON payload (a dict) for a .json name, or to
-(columns, rows) for a .csv name.  main alone creates the output directory
-and writes the artifacts once the runner has returned, so a run that exits 3
-writes none.  Before the first grid run in a process, main sets each loaded
-OpenBLAS to one thread unless OPENBLAS_NUM_THREADS or OMP_NUM_THREADS is set:
-numpy's and scipy's pools oversubscribe the cores on small dense problems.
+(columns, rows) for a .csv name.  main alone creates the output directory,
+before the runner, so an unusable path exits 2 early; it writes the artifacts
+once the runner has returned, so a run that exits 3 adds none to the directory.
+Before the first grid run in a process, main sets each loaded OpenBLAS to one
+thread unless OPENBLAS_NUM_THREADS or OMP_NUM_THREADS is set: numpy's and
+scipy's pools oversubscribe the cores on small dense problems.
 
 The config schema is one set of tables in the format of stokeswave.schema:
 CONFIG, PARAMS (one table per experiment) and SAMPLERS here, DOMAINS and
@@ -45,8 +46,8 @@ _T = (float, POSITIVE, REQUIRED)
 _PAIR = ([float, float], None, REQUIRED)
 _GRID = {"nx": (int, 3, REQUIRED), "n_modes": (int, 1, REQUIRED)}
 _STEPS = {"T": _T, "dt": _T}
-# largest step count round(T / dt) of a stepped experiment
-_MAX_STEPS = 10 ** 6
+# largest step count round(T / dt), sigma count and sampler ray count of one run
+_MAX_COUNT = 10 ** 6
 SAMPLERS = {"grid": {"nx": (int, 1, REQUIRED), "ndir": (int, 1, REQUIRED)},
             "seeded_random": {"n": (int, 1, REQUIRED)}}
 PARAMS = {
@@ -59,7 +60,7 @@ PARAMS = {
                                       "count": (int, 1, REQUIRED)}, None, REQUIRED)},
     "observability": {**_GRID, **_STEPS},
     "lame": {**_GRID, **_STEPS, "eps_list": ([float], POSITIVE, REQUIRED),
-             "n_init_modes": (int, 1, 3), "sample_every": (int, 1, 1)},
+             "n_init_modes": (int, 1, 3)},
     "diagnostics": _GRID,
 }
 EXPERIMENTS = tuple(PARAMS)
@@ -124,8 +125,8 @@ def _cross_checks(cfg: dict):
         ratio = p["T"] / p["dt"]
         if not math.isfinite(ratio):
             fail("params.dt", "T / dt overflows; the step count must be finite")
-        if round(ratio) > _MAX_STEPS:
-            fail("params.dt", f"T / dt exceeds {_MAX_STEPS} steps")
+        if round(ratio) > _MAX_COUNT:
+            fail("params.dt", f"T / dt exceeds {_MAX_COUNT} steps")
         if abs(round(ratio) * p["dt"] - p["T"]) > 1e-9 * p["T"]:
             fail("params.dt", "T must be an integer multiple of dt")
     if exp == "trace":
@@ -144,8 +145,19 @@ def _cross_checks(cfg: dict):
         t = np.arange(round(p["T"] / p["dt"]) + 1) * p["dt"]
         if np.count_nonzero((t >= p["window"][0]) & (t <= p["window"][1])) < 2:
             fail("params.window", "needs t_min < t_max and two samples k*dt between them")
-    if exp == "resolvent" and not p["sigma"]["max"] >= p["sigma"]["min"]:
-        fail("params.sigma.max", "must be >= min")
+    if exp == "gcc":
+        spec = p["sampler"]
+        rays = spec["n"] if "n" in spec else spec["nx"] ** 2 * spec["ndir"] + 2 * spec["nx"]
+        if rays > _MAX_COUNT:
+            fail("params.sampler", f"{rays} rays exceed {_MAX_COUNT}")
+    if exp == "resolvent":
+        sigma = p["sigma"]
+        if not sigma["max"] >= sigma["min"]:
+            fail("params.sigma.max", "must be >= min")
+        if not math.isfinite(sigma["max"] - sigma["min"]):
+            fail("params.sigma.max", "max - min overflows")
+        if sigma["count"] > _MAX_COUNT:
+            fail("params.sigma.count", f"exceeds {_MAX_COUNT}")
     if exp == "lame":
         eps = p["eps_list"]
         if any(a <= b for a, b in zip(eps, eps[1:])):
@@ -263,18 +275,15 @@ def run_observability(cfg: dict, domain, damping) -> dict:
 
 
 def run_lame(cfg: dict, domain, damping) -> dict:
-    from . import evolution, lame, stokes
+    from . import evolution, lame
     params = cfg["params"]
     ms = _modal_system(cfg, domain, damping)
     n_init = params["n_init_modes"]
     coeffs = np.zeros(ms.n_modes)
     coeffs[:n_init] = 1.0 / math.sqrt(n_init)
     state0 = evolution.ModalState(coeffs, np.zeros(ms.n_modes))
-    u0 = ms.reconstruct(coeffs)
-    w0 = stokes.StaggeredField.zeros(ms.grid)
-    rows = lame.convergence_study(u0, w0, params["eps_list"], params["T"], params["dt"],
-                                  lame.modal_reference(ms, state0),
-                                  sample_every=params["sample_every"])
+    rows = lame.convergence_study(ms.reconstruct(coeffs), params["eps_list"], params["T"],
+                                  params["dt"], lame.modal_reference(ms, state0))
     return {"lame_study.csv": (["eps", "max_div", "max_err", "E0", "energy_drift"], rows)}
 
 

@@ -27,11 +27,10 @@ from .errors import ConfigurationError, NumericsError
 
 @dataclass
 class ModalState:
-    """Modal coordinates and velocities at a time instant."""
+    """Modal coordinates and velocities; a start state is at t = 0."""
 
     u: np.ndarray
     w: np.ndarray
-    t: float = 0.0
 
 
 @dataclass
@@ -87,8 +86,8 @@ def _midpoint_setup(m: np.ndarray, dt: float) -> np.ndarray:
 
 
 def evolve(ms, state0: ModalState, T: float, dt: float) -> Tuple[ModalState, EnergyTrace]:
-    """Integrate the damped system for n = round(T/dt) midpoint steps, sampling
-    every step."""
+    """Integrate the damped system for n = round(T/dt) midpoint steps from
+    t = 0, sampling every step at t = k dt; return the state at n dt and the trace."""
     if dt <= 0:
         raise ConfigurationError("dt must be positive")
     if T < dt:
@@ -102,7 +101,7 @@ def evolve(ms, state0: ModalState, T: float, dt: float) -> Tuple[ModalState, Ene
 
     steps = int(round(T / dt))
     x = np.concatenate([np.asarray(state0.u, float), np.asarray(state0.w, float)])
-    ts = state0.t + np.arange(steps + 1) * dt
+    ts = np.arange(steps + 1) * dt
     es = np.empty(steps + 1)
     ds = np.zeros(steps + 1)
     es[0] = _energy(lam, x[:n], x[n:])
@@ -114,8 +113,7 @@ def evolve(ms, state0: ModalState, T: float, dt: float) -> Tuple[ModalState, Ene
         x = x_new
         es[k] = _energy(lam, x[:n], x[n:])
         ds[k] = d_cum
-    final = ModalState(x[:n].copy(), x[n:].copy(), float(ts[-1]))
-    return final, EnergyTrace(ts, es, ds)
+    return ModalState(x[:n].copy(), x[n:].copy()), EnergyTrace(ts, es, ds)
 
 
 def dissipation_check(trace: EnergyTrace) -> float:
@@ -198,7 +196,8 @@ def observability_gramian(ms, T: float, dt: float) -> Tuple[np.ndarray, float]:
 
 
 def undamped_modal_solution(ms, state0: ModalState) -> Callable[[float], ModalState]:
-    """Closed-form undamped propagator t -> state (cosine/sine per mode)."""
+    """Closed-form undamped propagator t -> state at time t from state0 at
+    t = 0 (cosine/sine per mode)."""
     lam = np.asarray(ms.lambdas, dtype=float)
     om = np.sqrt(lam)
     u0 = np.array(state0.u, dtype=float)
@@ -206,7 +205,7 @@ def undamped_modal_solution(ms, state0: ModalState) -> Callable[[float], ModalSt
 
     def at(t: float) -> ModalState:
         c, s = np.cos(om * t), np.sin(om * t)
-        return ModalState(u0 * c + w0 * s / om, -u0 * om * s + w0 * c, t)
+        return ModalState(u0 * c + w0 * s / om, -u0 * om * s + w0 * c)
 
     return at
 

@@ -20,12 +20,10 @@ the average-acceleration Newmark scheme (N. M. Newmark, J. Eng. Mech. Div.
 ASCE 85, 1959).  So one factorization per (eps, dt) of a matrix on the
 displacement alone replaces the solve on (u, w).  The rows of L and of G are
 zero on the wall faces (the no-penetration faces of the boundary), so there
-w' = 0 and the midpoint rule moves a wall face affinely,
-u_W(t) = u_W(0) + t w_W(0).  Only the interior faces are solved for, with
-the wall faces' pull c L_IW (u_W,k + u_W,k+1) on the right-hand side, and
-the interior block I - c L_eps,II is symmetric positive definite.
-StaggeredField zeroes the wall faces, but fields whose wall arrays are
-written afterwards are stepped the same way.
+w' = 0, and wall faces that start at zero stay zero.  StaggeredField zeroes
+the wall faces and evolve_lame rejects a state whose wall arrays were written
+afterwards, so only the interior faces are solved for, and the interior
+block I - c L_eps,II is symmetric positive definite.
 
 That block couples each face to its stencil neighbours only, so the
 reverse Cuthill-McKee ordering (E. Cuthill and J. McKee, Proc. 24th ACM
@@ -53,7 +51,7 @@ import scipy.sparse as sp
 from scipy.linalg.lapack import dpbtrf, dpbtrs
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 
-from .errors import ConfigurationError, NumericsError
+from .errors import ConfigurationError, NumericsError, PreconditionError
 from .evolution import ModalState, undamped_modal_solution
 from .stokes import ModalSystem, StaggeredField, StaggeredGrid, _ops
 
@@ -64,12 +62,11 @@ _DRIFT_TOL = 1e-3
 
 @dataclass
 class LameState:
-    """Displacement, velocity, penalty parameter, time."""
+    """Displacement, velocity and penalty parameter at t = 0."""
 
     u: StaggeredField
     w: StaggeredField
     eps: float
-    t: float = 0.0
 
     def __post_init__(self):
         if not self.eps > 0:
@@ -80,7 +77,7 @@ class LameState:
 
 @dataclass
 class LameTrace:
-    """Sampled (t, E, ||div u||, ||u - reference||)."""
+    """Per-step (t, E, ||div u||, ||u - reference||)."""
 
     t: np.ndarray
     E: np.ndarray
@@ -118,17 +115,18 @@ def _upper_band(a: sp.csr_matrix) -> np.ndarray:
 
 
 def evolve_lame(state0: LameState, T: float, dt: float,
-                reference: Callable[[float], np.ndarray], sample_every: int = 1) -> LameTrace:
-    """Integrate the penalized system for n = round(T/dt) midpoint steps,
-    sampling the start, every `sample_every`-th step and the last one.
+                reference: Callable[[float], np.ndarray]) -> LameTrace:
+    """Integrate the penalized system for n = round(T/dt) midpoint steps from
+    t = 0, sampling every step at t = k dt.
 
-    Each step is the Newmark form of the module docstring on the interior
-    faces: one band Cholesky factorization (dpbtrf of the (bw + 1, n) upper
-    band in reverse Cuthill-McKee order, see the module docstring) of the
-    symmetric I - (dt^2/4) L_eps restricted to them, and wall faces moved as
-    u_W + t w_W.  The loop runs in band order and scatters back to face order
-    at a sample only.  A failed factorization, or a sampled energy,
-    divergence norm or error norm that is not finite, raises NumericsError.
+    A nonzero wall face of u or w raises PreconditionError.  Each step is the
+    Newmark form of the module docstring on the interior faces: one band
+    Cholesky factorization (dpbtrf of the (bw + 1, n) upper band in reverse
+    Cuthill-McKee order, see the module docstring) of the symmetric
+    I - (dt^2/4) L_eps restricted to them.  The loop runs in band order and
+    scatters back to face order to sample.  A failed factorization, or an
+    energy, divergence norm or error norm that is not finite, raises
+    NumericsError.
 
     The reference is a callable t -> flat face vector (n_faces,) on the same
     grid (e.g. modal_reference); the trace carries the deviation from it.
@@ -139,9 +137,10 @@ def evolve_lame(state0: LameState, T: float, dt: float,
         raise ConfigurationError("T must be at least dt")
     grid = state0.u.grid
     inner = _ops(grid).interior
-    wall = ~inner
-    rows = _penalized_laplacian(grid, state0.eps)[inner]
-    l_ii, l_iw = rows[:, inner], rows[:, wall]
+    u, w = state0.u.flat(), state0.w.flat()
+    if u[~inner].any() or w[~inner].any():
+        raise PreconditionError("evolve_lame needs zero wall faces in u and w")
+    l_ii = _penalized_laplacian(grid, state0.eps)[inner][:, inner]
     c = 0.25 * dt * dt
     eye = sp.identity(l_ii.shape[0], format="csr")
     a_minus = (eye - c * l_ii).tocsr()
@@ -162,22 +161,14 @@ def evolve_lame(state0: LameState, T: float, dt: float,
                                 f"(eps={state0.eps:g}, dt={dt:g})")
         return t, e, dn, err
 
-    steps = int(round(T / dt))
-    u, w = state0.u.flat(), state0.w.flat()
-    samples = [observe(u, w, state0.t)]
-    u_wall, w_wall = u[wall], w[wall]
-    # wall pull of step k: c L_IW (u_W,k-1 + u_W,k) = pull_u + (2k - 1) pull_w
-    l_iw = l_iw[perm]
-    pull_u, pull_w = 2.0 * c * (l_iw @ u_wall), c * dt * (l_iw @ w_wall)
+    samples = [observe(u, w, 0.0)]
     ui, wi = u[order], w[order]
-    for k in range(1, steps + 1):
-        u1 = dpbtrs(factor, a_plus @ ui + dt * wi + pull_u + (2 * k - 1) * pull_w)[0]
+    for k in range(1, int(round(T / dt)) + 1):
+        u1 = dpbtrs(factor, a_plus @ ui + dt * wi)[0]
         wi = 2.0 * (u1 - ui) / dt - wi
         ui = u1
-        if k % sample_every == 0 or k == steps:
-            u[order], w[order] = ui, wi
-            u[wall] = u_wall + (k * dt) * w_wall
-            samples.append(observe(u, w, state0.t + k * dt))
+        u[order], w[order] = ui, wi
+        samples.append(observe(u, w, k * dt))
     return LameTrace(*(np.array(column) for column in zip(*samples)))
 
 
@@ -187,11 +178,11 @@ def modal_reference(ms: ModalSystem, state0: ModalState) -> Callable[[float], np
     return lambda t: ms.modes.phi @ sol(t).u
 
 
-def convergence_study(u0: StaggeredField, w0: StaggeredField, eps_list, T: float, dt: float,
-                      reference: Callable[[float], np.ndarray],
-                      sample_every: int = 1) -> List[Tuple[float, float, float, float, float]]:
+def convergence_study(u0: StaggeredField, eps_list, T: float, dt: float,
+                      reference: Callable[[float], np.ndarray]
+                      ) -> List[Tuple[float, float, float, float, float]]:
     """Rows (eps, max_t ||div u_eps||, max_t ||u_eps - reference||, E0, energy drift),
-    eps descending.
+    eps descending, each over every step of evolve_lame from u0 at rest.
 
     E0 is the penalized energy at the start, so each row's bound
     max_div <= sqrt(2 eps E0) can be checked from the row alone.  The drift
@@ -202,13 +193,11 @@ def convergence_study(u0: StaggeredField, w0: StaggeredField, eps_list, T: float
     eps_list = [float(e) for e in eps_list]
     if any(a <= b for a, b in zip(eps_list, eps_list[1:])):
         raise ConfigurationError("eps_list must be strictly descending")
-    if u0.grid != w0.grid:
-        raise ConfigurationError("initial data grids differ")
     if np.shape(reference(0.0)) != (u0.grid.n_faces,):
         raise ConfigurationError("reference solution lives on a different grid")
     rows = []
     for eps in eps_list:
-        trace = evolve_lame(LameState(u0, w0, eps), T, dt, reference, sample_every)
+        trace = evolve_lame(LameState(u0, StaggeredField.zeros(u0.grid), eps), T, dt, reference)
         e0 = float(trace.E[0])
         drift = float(np.abs(trace.E - e0).max()) / e0 if e0 > 0 else 0.0
         if drift > _DRIFT_TOL:

@@ -74,6 +74,8 @@ class StaggeredGrid:
             raise ConfigurationError("grid needs nx, ny >= 3")
         if not self.h > 0:
             raise ConfigurationError("grid spacing must be positive")
+        if not 0 < self.h * self.h < math.inf:
+            raise ConfigurationError(f"grid spacing {self.h:g} has no positive finite square")
 
     @classmethod
     def for_rectangle(cls, domain: Rectangle, nx: int) -> "StaggeredGrid":

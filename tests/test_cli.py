@@ -109,8 +109,7 @@ def test_observability_subcommand(tmp_path):
 
 def test_lame_subcommand(tmp_path):
     cfg = _cfg("lame", {"nx": 12, "n_modes": 4, "T": 0.5, "dt": 0.005,
-                        "eps_list": [1e-1, 1e-2], "n_init_modes": 2,
-                        "sample_every": 5}, tmp_path, damping=None)
+                        "eps_list": [1e-1, 1e-2], "n_init_modes": 2}, tmp_path, damping=None)
     assert main(["lame", _write(tmp_path, cfg)]) == 0
     lines = (tmp_path / "out" / "lame_study.csv").read_text().splitlines()
     assert lines[2] == "eps,max_div,max_err,E0,energy_drift"
@@ -231,8 +230,25 @@ _GCC = {"T": 1.0, "sampler": {"kind": "seeded_random", "n": 4}}
     # T / dt overflows to inf, so the step count cannot be rounded
     ("observability", SQUARE, COLLAR, {"nx": 12, "n_modes": 4, "T": 1e308, "dt": 1e-300},
      "params.dt"),
-    # a finite step count of 1e300, far above cli._MAX_STEPS
+    # a finite step count of 1e300, far above cli._MAX_COUNT
     ("simulate", SQUARE, COLLAR, {"nx": 8, "n_modes": 6, "T": 1e300, "dt": 1.0}, "params.dt"),
+    # sigma max - min overflows to inf, so np.linspace would write nan and inf rows
+    ("resolvent", SQUARE, COLLAR, {"nx": 12, "n_modes": 4,
+                                   "sigma": {"min": -1e308, "max": 1e308, "count": 3}},
+     "params.sigma.max"),
+    # counts above cli._MAX_COUNT: sigma points, and the rays of either sampler
+    ("resolvent", SQUARE, COLLAR, {"nx": 12, "n_modes": 4,
+                                   "sigma": {"min": 0.0, "max": 1.0, "count": 10 ** 12}},
+     "params.sigma.count"),
+    ("gcc", SQUARE, COLLAR, {"T": 1.0, "sampler": {"kind": "seeded_random", "n": 10 ** 12}},
+     "params.sampler"),
+    ("gcc", SQUARE, COLLAR, {"T": 1.0, "sampler": {"kind": "grid", "nx": 10 ** 6, "ndir": 1}},
+     "params.sampler"),
+    # a grid spacing whose square underflows to 0 or overflows to inf
+    ("simulate", {**SQUARE, "width": 1e-300, "height": 1e-300}, None,
+     {"nx": 4, "n_modes": 2, "T": 0.1, "dt": 0.01}, "params.nx"),
+    ("simulate", {**SQUARE, "width": 1e300, "height": 1e300}, None,
+     {"nx": 4, "n_modes": 2, "T": 0.1, "dt": 0.01}, "params.nx"),
 ])
 def test_malformed_value_names_its_path(tmp_path, capsys, experiment, domain, damping, params,
                                         path):
@@ -387,7 +403,7 @@ def test_artifact_embeds_filled_defaults(tmp_path):
     assert embedded["seed"] == 0
     lame = cli.resolve_config(_cfg("lame", {"nx": 12, "n_modes": 4, "T": 1, "dt": 0.5,
                                             "eps_list": [0.1]}, tmp_path, damping=None))
-    assert lame["params"]["n_init_modes"] == 3 and lame["params"]["sample_every"] == 1
+    assert lame["params"]["n_init_modes"] == 3
     assert isinstance(lame["params"]["T"], float)
     sim = cli.resolve_config(_cfg("simulate", {"nx": 12, "n_modes": 4, "T": 1.0, "dt": 0.5},
                                   tmp_path))
@@ -410,11 +426,10 @@ def test_schema_drives_runners_and_help(capsys):
 # Config fuzzing: one mutation makes a valid config invalid by construction.
 # These sets are written from the documented config format, not read from the
 # schema tables.
-_OPTIONAL = {"damping", "seed", "amplitude", "smoothing_width", "window", "n_init_modes",
-             "sample_every"}
+_OPTIONAL = {"damping", "seed", "amplitude", "smoothing_width", "window", "n_init_modes"}
 _NONNEGATIVE = {"T", "dt", "nx", "n_modes", "count", "n", "ndir", "width", "height", "radius",
                 "depth", "amplitude", "smoothing_width", "eps_list", "window", "seed",
-                "n_init_modes", "sample_every"}
+                "n_init_modes"}
 _PAIRS = {"x0", "xi0", "window", "center"}
 _TAGS = {"experiment", "kind", "shape", "side"}
 _VALID = [
@@ -429,7 +444,7 @@ _VALID = [
      SQUARE, COLLAR),
     ("observability", {"nx": 12, "n_modes": 4, "T": 2.0, "dt": 0.01}, SQUARE, COLLAR),
     ("lame", {"nx": 12, "n_modes": 4, "T": 0.5, "dt": 0.005, "eps_list": [1e-1, 1e-2],
-              "n_init_modes": 2, "sample_every": 5}, SQUARE, None),
+              "n_init_modes": 2}, SQUARE, None),
     ("diagnostics", {"nx": 12, "n_modes": 5}, SQUARE, COLLAR),
 ]
 _DROP, _NEG = object(), object()   # delete the key; a negative number drawn by hypothesis

@@ -24,7 +24,7 @@ def test_evolve_undamped_harmonic_mode():
     assert np.abs(trace.E - trace.E[0]).max() <= 1e-10 * trace.E[0]
     # trajectory follows cos(2t) up to the midpoint phase error O(dt^2 t)
     assert abs(final.u[0] - math.cos(20.0)) <= 1e-4
-    assert abs(final.t - 10.0) <= 1e-12
+    assert abs(trace.t[-1] - 10.0) <= 1e-12
 
 
 def test_evolve_damped_single_mode_closed_form():

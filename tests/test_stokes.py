@@ -362,9 +362,11 @@ def test_grid_construction_guards():
 @pytest.mark.parametrize("build, message", [
     (lambda: StaggeredGrid(4, 4, 0.0), "grid spacing must be positive"),
     (lambda: StaggeredGrid(4, 4, math.nan), "grid spacing must be positive"),
+    (lambda: StaggeredGrid(4, 4, 1e-200), "grid spacing 1e-200 has no positive finite square"),
+    (lambda: StaggeredGrid(4, 4, 1e200), "grid spacing 1e\\+200 has no positive finite square"),
     (lambda: stokes.StaggeredField(np.zeros((4, 4)), np.zeros((4, 5)), StaggeredGrid(4, 4, 0.25)),
      "staggered array shapes do not match the grid"),
-], ids=["zero_spacing", "nan_spacing", "field_shape"])
+], ids=["zero_spacing", "nan_spacing", "tiny_spacing", "huge_spacing", "field_shape"])
 def test_library_guards_name_the_bad_argument(build, message):
     with pytest.raises(ConfigurationError, match=f"^{message}$"):
         build()
