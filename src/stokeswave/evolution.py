@@ -8,6 +8,11 @@ solver roundoff), so conservation, monotone decay and the
 energy-equals-initial-minus-dissipated balance are testable at solver
 precision rather than at truncation order.
 
+The step is solved in average-acceleration (Newmark) form, as in lame: with
+c = dt/2, u1 = u0 + c (w0 + w1) leaves N unknowns, not 2N, in
+(I + c^2 Lambda + c B) w1 = (I - c^2 Lambda - c B) w0 - 2 c Lambda u0; evolve
+builds that N x 2N map (u0, w0) -> w1 once.  The damped generator is spectral's.
+
 All functions take any object exposing `.lambdas` (N,) and `.B` (N, N);
 stokes.ModalSystem qualifies, and synthetic systems can be supplied as a
 namespace for closed-form experiments.
@@ -65,41 +70,32 @@ def _energy(lam: np.ndarray, u: np.ndarray, w: np.ndarray) -> float:
     return 0.5 * float(w @ w + lam @ (u * u))
 
 
-def generator_matrix(lambdas: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """First-order generator [[0, I], [-Lambda, -B]] of u'' = -Lambda u - B u'."""
-    n = lambdas.size
-    m = np.zeros((2 * n, 2 * n))
-    m[:n, n:] = np.eye(n)
-    m[n:, :n] = -np.diag(lambdas)
-    m[n:, n:] = -b
-    return m
-
-
-def _midpoint_setup(m: np.ndarray, dt: float) -> np.ndarray:
-    """One-step map (I - dt/2 M)^-1 (I + dt/2 M) of the implicit midpoint rule."""
-    n2 = m.shape[0]
-    try:
-        lu = scipy.linalg.lu_factor(np.eye(n2) - 0.5 * dt * m)
-    except scipy.linalg.LinAlgError as exc:
-        raise NumericsError(f"midpoint step matrix is singular: {exc}") from exc
-    return scipy.linalg.lu_solve(lu, np.eye(n2) + 0.5 * dt * m)
+def _step_count(T: float, dt: float) -> int:
+    """round(T/dt), the number of steps of size dt to the horizon T."""
+    if dt <= 0:
+        raise ConfigurationError("dt must be positive")
+    if T < dt:
+        raise ConfigurationError("T must be at least dt")
+    return int(round(T / dt))
 
 
 def evolve(ms, state0: ModalState, T: float, dt: float) -> Tuple[ModalState, EnergyTrace]:
     """Integrate the damped system for n = round(T/dt) midpoint steps from
     t = 0, sampling every step at t = k dt; return the state at n dt and the trace."""
-    if dt <= 0:
-        raise ConfigurationError("dt must be positive")
-    if T < dt:
-        raise ConfigurationError("T must be at least dt")
+    steps = _step_count(T, dt)
     lam = np.asarray(ms.lambdas, dtype=float)
     n = lam.size
     if n < 1:
         raise ConfigurationError("modal system must have at least one mode")
     b = np.asarray(ms.B, dtype=float)
-    step = _midpoint_setup(generator_matrix(lam, b), dt)
+    c = 0.5 * dt
+    damp = c * c * np.diag(lam) + c * b
+    try:
+        step = scipy.linalg.solve(np.eye(n) + damp,
+                                  np.hstack([np.diag(-dt * lam), np.eye(n) - damp]))
+    except scipy.linalg.LinAlgError as exc:
+        raise NumericsError(f"midpoint step matrix is singular: {exc}") from exc
 
-    steps = int(round(T / dt))
     x = np.concatenate([np.asarray(state0.u, float), np.asarray(state0.w, float)])
     ts = np.arange(steps + 1) * dt
     es = np.empty(steps + 1)
@@ -107,10 +103,11 @@ def evolve(ms, state0: ModalState, T: float, dt: float) -> Tuple[ModalState, Ene
     es[0] = _energy(lam, x[:n], x[n:])
     d_cum = 0.0
     for k in range(1, steps + 1):
-        x_new = step @ x
-        w_mid = 0.5 * (x[n:] + x_new[n:])
+        w_new = step @ x
+        w_mid = 0.5 * (x[n:] + w_new)
         d_cum += dt * float(w_mid @ (b @ w_mid))
-        x = x_new
+        x[:n] += dt * w_mid
+        x[n:] = w_new
         es[k] = _energy(lam, x[:n], x[n:])
         ds[k] = d_cum
     return ModalState(x[:n].copy(), x[n:].copy()), EnergyTrace(ts, es, ds)
@@ -169,10 +166,7 @@ def observability_gramian(ms, T: float, dt: float) -> Tuple[np.ndarray, float]:
     smallest eigenvalue of G in the energy product diag(Lambda, I), without
     the zero-energy u-coordinates of zero modes (where G vanishes).
     """
-    if T <= 0:
-        raise ConfigurationError("horizon T must be positive")
-    if dt <= 0:
-        raise ConfigurationError("dt must be positive")
+    steps = _step_count(T, dt)
     lam = np.asarray(ms.lambdas, dtype=float)
     if np.any(lam < 0):
         raise ConfigurationError("observability Gramian needs lambdas >= 0")
@@ -180,7 +174,6 @@ def observability_gramian(ms, T: float, dt: float) -> Tuple[np.ndarray, float]:
     b = np.asarray(ms.B, dtype=float)
     omega = np.sqrt(lam)
     theta = 2.0 * np.arctan(0.5 * dt * omega)
-    steps = int(round(T / dt))
     wtw = np.zeros((2 * n, 2 * n))
     for start in range(0, steps, _GRAMIAN_BLOCK):
         phase = np.outer(np.arange(start, min(start + _GRAMIAN_BLOCK, steps) + 1), theta)

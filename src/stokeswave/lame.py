@@ -52,7 +52,7 @@ from scipy.linalg.lapack import dpbtrf, dpbtrs
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from .errors import ConfigurationError, NumericsError, PreconditionError
-from .evolution import ModalState, undamped_modal_solution
+from .evolution import ModalState, _step_count, undamped_modal_solution
 from .stokes import ModalSystem, StaggeredField, StaggeredGrid, _ops
 
 # largest energy drift max_t |E(t) - E0| / E0 of a convergence_study row: the scheme
@@ -131,10 +131,7 @@ def evolve_lame(state0: LameState, T: float, dt: float,
     The reference is a callable t -> flat face vector (n_faces,) on the same
     grid (e.g. modal_reference); the trace carries the deviation from it.
     """
-    if dt <= 0:
-        raise ConfigurationError("dt must be positive")
-    if T < dt:
-        raise ConfigurationError("T must be at least dt")
+    steps = _step_count(T, dt)
     grid = state0.u.grid
     inner = _ops(grid).interior
     u, w = state0.u.flat(), state0.w.flat()
@@ -163,7 +160,7 @@ def evolve_lame(state0: LameState, T: float, dt: float,
 
     samples = [observe(u, w, 0.0)]
     ui, wi = u[order], w[order]
-    for k in range(1, int(round(T / dt)) + 1):
+    for k in range(1, steps + 1):
         u1 = dpbtrs(factor, a_plus @ ui + dt * wi)[0]
         wi = 2.0 * (u1 - ui) / dt - wi
         ui = u1

@@ -1,18 +1,16 @@
 """Damped-generator spectra, energy-weighted resolvent sweeps, and
 semiclassical diagnostics of the eigenmodes.
 
-The first-order generator of the damped modal system is the block matrix
-[[0, I], [-Lambda, -B]].  Its spectral abscissa predicts the energy decay
-rate (energy is quadratic in the semigroup, hence the factor two).  The
-resolvent is measured along the imaginary axis in the energy norm, because
-the decay criterion lives in that norm, not the Euclidean one.  In energy
-coordinates (sqrt(lambda) u, u') the generator is
-A = [[0, Omega], [-Omega, -B]] with Omega = diag(sqrt(lambda)), the
-congruence of the block matrix with the square root of the energy Gram
-matrix diag(Lambda, I), written without a division so that zero modes stay
-finite.  The sweep reduces A to complex Schur form T = Z^H A Z once; since Z
-is unitary, smin(A - i*sigma) = smin(T - i*sigma), and each sigma costs a
-few triangular solves of inverse Lanczos instead of a dense SVD.
+This module is the home of the damped generator.  In energy coordinates
+(sqrt(lambda) u, u') it is A = [[0, Omega], [-Omega, -B]] with
+Omega = diag(sqrt(lambda)), written without a division so that zero modes
+stay finite; the energy is half the Euclidean norm squared of the state.
+Its spectral abscissa predicts the energy decay rate (energy is quadratic in
+the semigroup, hence the factor two).  The resolvent is measured along the
+imaginary axis in that norm, because the decay criterion lives there.  The
+sweep reduces A to complex Schur form T = Z^H A Z once; since Z is unitary,
+smin(A - i*sigma) = smin(T - i*sigma), and each sigma costs a few
+triangular solves of inverse Lanczos instead of a dense SVD.
 
 The mode diagnostics operate at each mode's semiclassical scale
 h = 1/sqrt(lambda): boundary flux of h * (normal derivative), the
@@ -32,7 +30,6 @@ import scipy.linalg
 from scipy.linalg.lapack import dstebz, dstein
 
 from .errors import ConfigurationError, NumericsError
-from .evolution import generator_matrix
 from .stokes import Modes, _ops
 
 # Lanczos stops once the residual of its largest Ritz value is this share of it.
@@ -66,6 +63,15 @@ class QuasimodeDiagnostics:
     obs_constant: np.ndarray
 
 
+def generator_matrix(lambdas: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The damped generator A = [[0, Omega], [-Omega, -B]], Omega = diag(sqrt(lambdas))."""
+    lambdas = np.asarray(lambdas, dtype=float)
+    if np.any(lambdas < 0):
+        raise ConfigurationError("damped generator needs lambdas >= 0")
+    omega = np.diag(np.sqrt(lambdas))
+    return np.block([[np.zeros_like(omega), omega], [-omega, -np.asarray(b, dtype=float)]])
+
+
 def spectrum(ms) -> SpectrumReport:
     """Dense eigensolve of the generator of ms, eigenvalues in ascending real part.
 
@@ -73,8 +79,7 @@ def spectrum(ms) -> SpectrumReport:
     ordered by imaginary part, so roundoff cannot order a multiple eigenvalue.
     """
     try:
-        vals = np.linalg.eigvals(generator_matrix(np.asarray(ms.lambdas, dtype=float),
-                                                  np.asarray(ms.B, dtype=float)))
+        vals = np.linalg.eigvals(generator_matrix(ms.lambdas, ms.B))
     except np.linalg.LinAlgError as exc:
         raise NumericsError(f"generator eigensolve failed: {exc}") from exc
     vals = vals[np.argsort(vals.real, kind="stable")]
@@ -91,7 +96,7 @@ def resolvent_sweep(ms, sigma_grid) -> np.ndarray:
     is 1/smin wherever smin > 0 (smin = 0 flags a spectral point on the
     axis and no division is performed here).
 
-    smin is that of A - i*sigma, with A = [[0, Omega], [-Omega, -B]] the
+    smin is that of A - i*sigma, with A = generator_matrix(lambda, B) the
     generator in energy coordinates (module docstring).  It is read off the
     complex Schur factor T of A, computed once (real Schur form, then
     rsf2csf).  Per sigma, Lanczos with full reorthogonalization runs on
@@ -115,17 +120,11 @@ def resolvent_sweep(ms, sigma_grid) -> np.ndarray:
     T - i*sigma exactly singular, or so near singular that its solves
     overflow (smin below about 1e-154*(max|T| + |sigma|)), gives smin = 0.
     """
-    lam = np.asarray(ms.lambdas, dtype=float)
-    if np.any(lam < 0):
-        raise ConfigurationError("resolvent sweep needs lambdas >= 0")
-    n = lam.size
-    omega = np.diag(np.sqrt(lam))
-    t = scipy.linalg.rsf2csf(*scipy.linalg.schur(
-        np.block([[np.zeros((n, n)), omega], [-omega, -np.asarray(ms.B, dtype=float)]])))[0]
+    t = scipy.linalg.rsf2csf(*scipy.linalg.schur(generator_matrix(ms.lambdas, ms.B)))[0]
     t = np.asfortranarray(t)   # LAPACK's order, so that trtrs copies no matrix
     diag = t.diagonal()
     rng = np.random.default_rng(0)
-    start = rng.standard_normal(2 * n) + 1j * rng.standard_normal(2 * n)
+    start = rng.standard_normal(diag.size) + 1j * rng.standard_normal(diag.size)
     start /= np.linalg.norm(start)
     size = np.abs(t).max()
     shifted = np.empty_like(t)
@@ -133,7 +132,7 @@ def resolvent_sweep(ms, sigma_grid) -> np.ndarray:
     # product on the float parts gives t / unit, bit for bit up to the sign of
     # a zero, which no solve divides by
     parts, shifted_parts = t.T.view(float), shifted.T.view(float)
-    work = _lanczos_work(2 * n)
+    work = _lanczos_work(diag.size)
     rows = np.empty((len(sigma_grid), 2))
     for k, sigma in enumerate(sigma_grid):
         sigma = float(sigma)

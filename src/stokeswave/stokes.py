@@ -47,6 +47,7 @@ ends in the same canonical gauge, so both return the same modes.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -280,15 +281,7 @@ def _parity_classes(grid: StaggeredGrid) -> dict:
             for px in (0, 1) for py in (0, 1)}
 
 
-_OPS_CACHE: dict = {}
-
-
-def _ops(grid: StaggeredGrid) -> _Operators:
-    ops = _OPS_CACHE.get(grid)
-    if ops is None:
-        ops = _Operators(grid)
-        _OPS_CACHE[grid] = ops
-    return ops
+_ops = functools.cache(_Operators)
 
 
 # ---------------------------------------------------------------------------

@@ -55,6 +55,13 @@ def dense_modes(grid, count):
     return vals, _ops(grid).C @ vecs
 
 
+def uw_generator(lambdas, b):
+    """The damped generator in (u, w) coordinates, [[0, I], [-Lambda, -B]]: the oracle
+    that spectral.generator_matrix, its energy form, is similar to through diag(Omega, I)."""
+    n = len(lambdas)
+    return np.block([[np.zeros((n, n)), np.eye(n)], [-np.diag(lambdas), -np.asarray(b)]])
+
+
 @pytest.fixture(scope="session")
 def square():
     return Rectangle(1.0, 1.0)

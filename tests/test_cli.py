@@ -303,10 +303,16 @@ def test_lame_with_damping_leaves_no_output(tmp_path, capsys):
     ('{"experiment": "gcc",\n  "oops"\n}', "config syntax error at line 3"),
     (None, "cannot read config file"),
     ("[]", "config root must be a JSON object"),
-], ids=["syntax", "missing_file", "array_root"])
+    (b'{"experiment": "gcc\xff"}', "cannot read config file"),
+    ("[" * 100_000 + "]" * 100_000, "config cannot be decoded: maximum recursion depth"),
+    ('{"seed": ' + "7" * 5000 + "}", "config cannot be decoded: Exceeds the limit"),
+], ids=["syntax", "missing_file", "array_root", "not_utf8", "nested_too_deep",
+        "integer_too_long"])
 def test_malformed_json_reports_line(tmp_path, capsys, text, message):
     p = tmp_path / "bad.json"
-    if text is not None:
+    if isinstance(text, bytes):
+        p.write_bytes(text)
+    elif text is not None:
         p.write_text(text, encoding="utf-8")
     assert main(["gcc", str(p)]) == 2
     err = capsys.readouterr().err

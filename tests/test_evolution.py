@@ -13,6 +13,8 @@ from stokeswave import (ConfigurationError, EnergyTrace, ModalState, NumericsErr
 from stokeswave.evolution import _GRAMIAN_BLOCK
 from stokeswave.geometry import BoundaryCollar, DampingProfile, Rectangle
 
+from conftest import uw_generator
+
 
 def _system(lams, b):
     return SimpleNamespace(lambdas=np.asarray(lams, dtype=float), B=np.asarray(b, dtype=float))
@@ -62,7 +64,7 @@ def test_evolve_input_validation():
     (lambda: evolve(_system([], np.zeros((0, 0))), ModalState(np.zeros(0), np.zeros(0)),
                     1.0, 0.1), "modal system must have at least one mode"),
     (lambda: observability_gramian(_system([4.0], [[1.0]]), 0.0, 1e-2),
-     "horizon T must be positive"),
+     "T must be at least dt"),
     (lambda: observability_gramian(_system([4.0], [[1.0]]), 1.0, 0.0), "dt must be positive"),
 ], ids=["no_modes", "gramian_horizon", "gramian_dt"])
 def test_library_guards_name_the_bad_argument(call, message):
@@ -97,6 +99,35 @@ def test_damped_energy_monotone():
     state = ModalState(rng.standard_normal(6), rng.standard_normal(6))
     _, tr = evolve(ms, state, 5.0, 1e-3)
     assert np.all(np.diff(tr.E) <= 1e-10 * tr.E[0])
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_evolve_matches_first_order_midpoint(seed):
+    # the N-unknown Newmark step against the 2N LU midpoint map of the (u, w)
+    # generator, on a system with a zero mode and a full positive semidefinite B
+    rng = np.random.default_rng(seed)
+    n = 5
+    lam = np.concatenate([[0.0], rng.uniform(0.5, 80.0, size=n - 1)])
+    raw = rng.standard_normal((n, n))
+    b = raw @ raw.T / n
+    dt = rng.uniform(1e-3, 0.2)
+    steps = 150
+    x = rng.standard_normal(2 * n)
+    final, trace = evolve(_system(lam, b), ModalState(x[:n], x[n:]), steps * dt, dt)
+    m = uw_generator(lam, b)
+    lu = scipy.linalg.lu_factor(np.eye(2 * n) - 0.5 * dt * m)
+    a_plus = np.eye(2 * n) + 0.5 * dt * m
+    es, ds = [0.5 * (x[n:] @ x[n:] + lam @ x[:n] ** 2)], [0.0]
+    for _ in range(steps):
+        x_new = scipy.linalg.lu_solve(lu, a_plus @ x)
+        w_mid = 0.5 * (x[n:] + x_new[n:])
+        ds.append(ds[-1] + dt * (w_mid @ b @ w_mid))
+        x = x_new
+        es.append(0.5 * (x[n:] @ x[n:] + lam @ x[:n] ** 2))
+    assert np.abs(trace.E - es).max() <= 1e-12 * es[0]
+    assert np.abs(trace.D_cum - ds).max() <= 1e-12 * ds[-1]
+    got = np.concatenate([final.u, final.w])
+    assert np.abs(got - x).max() <= 1e-12 * np.abs(x).max()
 
 
 def test_fit_decay_synthetic():
@@ -164,9 +195,7 @@ def _stepped_gramian(lams, b, steps, dt):
     """Reference: step the undamped fundamental matrix with LU midpoint solves."""
     lam = np.asarray(lams, dtype=float)
     n = lam.size
-    m = np.zeros((2 * n, 2 * n))
-    m[:n, n:] = np.eye(n)
-    m[n:, :n] = -np.diag(lam)
+    m = uw_generator(lam, np.zeros((n, n)))
     lu = scipy.linalg.lu_factor(np.eye(2 * n) - 0.5 * dt * m)
     a_plus = np.eye(2 * n) + 0.5 * dt * m
     phi = np.eye(2 * n)

@@ -13,11 +13,11 @@ from stokeswave import (BoundaryCollar, ConfigurationError, DampingProfile, Rect
                         quasimode_diagnostics, resolvent_sweep, semiclassical_constants,
                         spectrum, stokes_eigenpairs)
 from stokeswave import spectral
-from stokeswave.evolution import generator_matrix
+from stokeswave.spectral import generator_matrix
 from stokeswave.geometry import DiskPatch
 from stokeswave.stokes import _ops
 
-from conftest import split_faces
+from conftest import split_faces, uw_generator
 
 
 def _system(lams, b):
@@ -103,7 +103,7 @@ def test_resolvent_dense_inverse_oracle():
     sqrt_g = _energy_weights(g)
     for sigma in (0.0, 1.7, 4.2):
         smin = resolvent_sweep(g, [sigma])[0][1]
-        inv = np.linalg.inv(generator_matrix(g.lambdas, g.B) - 1j * sigma * np.eye(6))
+        inv = np.linalg.inv(uw_generator(g.lambdas, g.B) - 1j * sigma * np.eye(6))
         scaled_inv = sqrt_g[:, None] * inv / sqrt_g[None, :]
         norm_oracle = np.linalg.svd(scaled_inv, compute_uv=False)[0]
         assert abs(1.0 / smin - norm_oracle) <= 1e-10 * norm_oracle
@@ -123,7 +123,7 @@ def test_resolvent_bounded_by_eigenvalue_distance():
     raw = rng.standard_normal((4, 4))
     g = _system(lams, raw @ raw.T / 6.0)
     sqrt_g = _energy_weights(g)
-    scaled = sqrt_g[:, None] * generator_matrix(g.lambdas, g.B) / sqrt_g[None, :]
+    scaled = sqrt_g[:, None] * uw_generator(g.lambdas, g.B) / sqrt_g[None, :]
     vals, vecs = np.linalg.eig(scaled)
     cond = np.linalg.cond(vecs)
     for sigma in np.linspace(0.5, 8.0, 9):
@@ -298,6 +298,9 @@ def test_resolvent_zero_mode():
 def test_resolvent_rejects_negative_lambda():
     with pytest.raises(ConfigurationError):
         resolvent_sweep(_system([4.0, -1.0], np.eye(2)), [0.0])
+    # spectrum shares the generator, and with it the check
+    with pytest.raises(ConfigurationError, match="^damped generator needs lambdas >= 0$"):
+        spectrum(_system([4.0, -1.0], np.eye(2)))
 
 
 def test_scaling_invariance_of_assembly():
