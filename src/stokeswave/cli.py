@@ -46,7 +46,8 @@ _T = (float, POSITIVE, REQUIRED)
 _PAIR = ([float, float], None, REQUIRED)
 _GRID = {"nx": (int, 3, REQUIRED), "n_modes": (int, 1, REQUIRED)}
 _STEPS = {"T": _T, "dt": _T}
-# largest step count round(T / dt), sigma count and sampler ray count of one run
+# largest step count round(T / dt), sigma count, sampler ray count and grid cell
+# count of one run
 _MAX_COUNT = 10 ** 6
 SAMPLERS = {"grid": {"nx": (int, 1, REQUIRED), "ndir": (int, 1, REQUIRED)},
             "seeded_random": {"n": (int, 1, REQUIRED)}}
@@ -118,6 +119,8 @@ def _cross_checks(cfg: dict):
             grid = stokes.StaggeredGrid.for_rectangle(domain, p["nx"])
         except ConfigurationError as exc:
             fail("params.nx", str(exc))
+        if grid.n_cells > _MAX_COUNT:
+            fail("params.nx", f"{grid.n_cells} grid cells exceed {_MAX_COUNT}")
         dim = (grid.nx - 1) * (grid.ny - 1)
         if p["n_modes"] > dim:
             fail("params.n_modes", f"must not exceed the divergence-free dimension {dim}")

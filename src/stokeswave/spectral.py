@@ -10,7 +10,9 @@ the semigroup, hence the factor two).  The resolvent is measured along the
 imaginary axis in that norm, because the decay criterion lives there.  The
 sweep reduces A to complex Schur form T = Z^H A Z once; since Z is unitary,
 smin(A - i*sigma) = smin(T - i*sigma), and each sigma costs a few
-triangular solves of inverse Lanczos instead of a dense SVD.
+triangular solves of inverse Lanczos instead of a dense SVD.  A row of the
+sweep depends on its sigma alone, so resolvent_sweep deals the sigma grid
+out, interleaved, to forked processes, one per CPU the process may use.
 
 The mode diagnostics operate at each mode's semiclassical scale
 h = 1/sqrt(lambda): boundary flux of h * (normal derivative), the
@@ -22,6 +24,7 @@ arrays of a stokes.Modes and return arrays over the modes.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from typing import Tuple
 
@@ -39,6 +42,8 @@ _LANCZOS_TOL = 1e-12
 # 8e-5 relative on the benchmark sweep; the two differ by about 1e-4 over the
 # relative gap of the largest Ritz value, so a factor 2 covers gaps to 1e-4.
 _SCREEN = 2.0
+# Fewest sigma rows per process of a resolvent sweep (resolvent_sweep)
+_ROWS_PER_JOB = 48
 # Real parts within this share of the spectral radius are tied in the eigenvalue order.
 _TIE_TOL = 1e-10
 
@@ -114,6 +119,26 @@ def resolvent_sweep(ms, sigma_grid) -> np.ndarray:
     seed and is the same for every sigma, so a row depends on its sigma
     alone and reruns are byte-identical.
 
+    So the grid is split across processes, and a row has the same bits in
+    whichever computes it.  jobs = min(len(os.sched_getaffinity(0)),
+    count // _ROWS_PER_JOB) workers each get at least _ROWS_PER_JOB rows:
+    worker k takes sigma_grid[k::jobs], and the rows are scattered back in
+    grid order.  Rows cost unevenly, so the split interleaves: on the
+    benchmark sweep (A of order m = 200, 200 sigma in [0, 60]) Lanczos took
+    5 to 47 steps per sigma, and the upper half of the grid held 73 % of
+    them.  The caller sweeps share 0 itself and hands shares 1 to jobs - 1 to
+    a pool of processes started by "fork", which need no fresh import of
+    scipy; every worker is joined before the sweep returns, also when one
+    raises.  The pool costs about 15 ms (fork 5-11 ms, worker start 11-14 ms,
+    join 3 ms).  On two CPUs it broke even against one process between 80
+    and 96 rows at m = 200, below 64 at m = 80 and between 96 and 128 at
+    m = 12 (medians of 31 alternating calls, one OpenBLAS thread, 2-core
+    x86_64); hence 48 rows per worker.  One worker forks nothing: on one CPU,
+    below 2 * _ROWS_PER_JOB sigma, or without os.sched_getaffinity or the
+    "fork" start method.  Restricting the CPU affinity (taskset -c 0) gives
+    the serial sweep.  From Python 3.12 os.fork warns (DeprecationWarning)
+    in a process with threads, as a grid run is once OpenBLAS is loaded.
+
     Zero modes: lambda = 0 gives a zero row and column in A, which leave the
     singular value |sigma| of A - i*sigma.  So smin <= |sigma| and
     smin(0) = 0, flagging the generator's eigenvalue 0.  A shift that makes
@@ -122,6 +147,28 @@ def resolvent_sweep(ms, sigma_grid) -> np.ndarray:
     """
     t = scipy.linalg.rsf2csf(*scipy.linalg.schur(generator_matrix(ms.lambdas, ms.B)))[0]
     t = np.asfortranarray(t)   # LAPACK's order, so that trtrs copies no matrix
+    sigmas = np.asarray(sigma_grid, dtype=float)
+    jobs = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    jobs = min(jobs, sigmas.size // _ROWS_PER_JOB)
+    if jobs > 1:
+        # imported here, so that the set-up of a grid run does not pay for it
+        import multiprocessing
+        if "fork" not in multiprocessing.get_all_start_methods():
+            jobs = 1
+    if jobs < 2:
+        return _sweep_rows(t, sigmas)
+    from concurrent.futures import ProcessPoolExecutor
+    rows = np.empty((sigmas.size, 2))
+    with ProcessPoolExecutor(jobs - 1, mp_context=multiprocessing.get_context("fork")) as pool:
+        shares = [pool.submit(_sweep_rows, t, sigmas[k::jobs]) for k in range(1, jobs)]
+        rows[0::jobs] = _sweep_rows(t, sigmas[0::jobs])
+        for k, share in enumerate(shares, 1):
+            rows[k::jobs] = share.result()
+    return rows
+
+
+def _sweep_rows(t: np.ndarray, sigmas: np.ndarray) -> np.ndarray:
+    """Rows (sigma, smin) of resolvent_sweep for each of sigmas, from the Schur factor t."""
     diag = t.diagonal()
     rng = np.random.default_rng(0)
     start = rng.standard_normal(diag.size) + 1j * rng.standard_normal(diag.size)
@@ -133,8 +180,8 @@ def resolvent_sweep(ms, sigma_grid) -> np.ndarray:
     # a zero, which no solve divides by
     parts, shifted_parts = t.T.view(float), shifted.T.view(float)
     work = _lanczos_work(diag.size)
-    rows = np.empty((len(sigma_grid), 2))
-    for k, sigma in enumerate(sigma_grid):
+    rows = np.empty((sigmas.size, 2))
+    for k, sigma in enumerate(sigmas):
         sigma = float(sigma)
         # solve with entries of order one, so the Lanczos vectors, of order
         # smin^-2, overflow only where smin is below about 1e-154 of them; the

@@ -6,6 +6,7 @@ import functools
 import io
 import json
 import math
+import multiprocessing
 import os
 import re
 import subprocess
@@ -249,6 +250,12 @@ _GCC = {"T": 1.0, "sampler": {"kind": "seeded_random", "n": 4}}
      {"nx": 4, "n_modes": 2, "T": 0.1, "dt": 0.01}, "params.nx"),
     ("simulate", {**SQUARE, "width": 1e300, "height": 1e300}, None,
      {"nx": 4, "n_modes": 2, "T": 0.1, "dt": 0.01}, "params.nx"),
+    # cell counts above cli._MAX_COUNT, whose operators would not fit in memory:
+    # 1e10 on the square and 1e9 on a tall rectangle
+    ("resolvent", SQUARE, COLLAR, {"nx": 10 ** 5, "n_modes": 4,
+                                   "sigma": {"min": 0.0, "max": 1.0, "count": 3}}, "params.nx"),
+    ("resolvent", {**SQUARE, "height": 1000.0}, COLLAR,
+     {"nx": 1000, "n_modes": 4, "sigma": {"min": 0.0, "max": 1.0, "count": 3}}, "params.nx"),
 ])
 def test_malformed_value_names_its_path(tmp_path, capsys, experiment, domain, damping, params,
                                         path):
@@ -396,6 +403,32 @@ def test_resolvent_rerun_is_byte_identical(tmp_path):
     first = (tmp_path / "out" / "resolvent_curve.csv").read_bytes()
     assert main(["resolvent", path]) == 0
     assert (tmp_path / "out" / "resolvent_curve.csv").read_bytes() == first
+
+
+def test_split_resolvent_run_leaves_no_process(tmp_path, capsys, monkeypatch):
+    # 25 sigma split across two processes, first as they run, then with a worker that fails
+    from stokeswave import spectral
+    monkeypatch.setattr(spectral, "_ROWS_PER_JOB", 4)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    cfg = _cfg("resolvent", {"nx": 12, "n_modes": 6,
+                             "sigma": {"min": 0.0, "max": 40.0, "count": 25}}, tmp_path)
+    path = _write(tmp_path, cfg)
+    assert main(["resolvent", path]) == 0
+    assert multiprocessing.active_children() == []
+    curve = tmp_path / "out" / "resolvent_curve.csv"
+    curve.unlink()
+    parent, smin = os.getpid(), spectral._triangular_smin
+
+    def fail_in_worker(t, start, work):
+        if os.getpid() != parent:
+            raise NumericsError("worker failed")
+        return smin(t, start, work)
+
+    monkeypatch.setattr(spectral, "_triangular_smin", fail_in_worker)
+    assert main(["resolvent", path]) == 3
+    assert capsys.readouterr().err == "numeric failure: worker failed\n"
+    assert not curve.exists()
+    assert multiprocessing.active_children() == []
 
 
 def test_artifact_embeds_filled_defaults(tmp_path):

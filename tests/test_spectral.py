@@ -1,4 +1,7 @@
+import concurrent.futures
 import math
+import multiprocessing
+import os
 import warnings
 from types import SimpleNamespace
 
@@ -293,6 +296,86 @@ def test_resolvent_zero_mode():
     curve = _assert_matches_svd(g, sigmas)
     assert curve[0][1] == 0.0
     assert np.all(curve[:, 1] <= np.abs(curve[:, 0]) * (1 + 1e-12))
+
+
+def _assert_rows_depend_on_their_sigma_alone(g, sigmas):
+    curve = resolvent_sweep(g, sigmas)
+    assert np.array_equal(curve, np.vstack([resolvent_sweep(g, [s]) for s in sigmas]))
+    perm = np.random.default_rng(len(sigmas)).permutation(len(sigmas))
+    assert np.array_equal(resolvent_sweep(g, np.asarray(sigmas)[perm]), curve[perm])
+
+
+@settings(max_examples=50, deadline=None)
+@given(case=_sweep_cases())
+def test_resolvent_rows_depend_on_their_sigma_alone(case):
+    # the property the split of the grid across processes rests on
+    lams, b, sigmas = case
+    _assert_rows_depend_on_their_sigma_alone(_system(lams, b), sigmas)
+
+
+@pytest.fixture
+def collar16():
+    square = Rectangle(1.0, 1.0)
+    collar = DampingProfile(square, BoundaryCollar(0.1), 1.0, 0.02)
+    return build_modal_system(StaggeredGrid.for_rectangle(square, 16), 12, collar)
+
+
+def test_resolvent_rows_depend_on_their_sigma_alone_on_collar_system(collar16):
+    _assert_rows_depend_on_their_sigma_alone(collar16, np.linspace(0.0, 60.0, 40))
+
+
+def _force_split(monkeypatch, cpus):
+    """Make a sweep of at least 2 * 4 sigma split across `cpus` processes."""
+    monkeypatch.setattr(spectral, "_ROWS_PER_JOB", 4)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+
+
+@pytest.mark.parametrize("cpus", [2, 3])
+def test_split_sweep_is_the_serial_sweep_bit_for_bit(monkeypatch, collar16, cpus):
+    sigmas = np.linspace(0.0, 60.0, 25)
+    serial = resolvent_sweep(collar16, sigmas)
+    _force_split(monkeypatch, cpus)
+    assert np.array_equal(resolvent_sweep(collar16, sigmas), serial)
+    assert multiprocessing.active_children() == []
+
+
+def test_a_raising_worker_raises_and_leaves_no_child(monkeypatch, collar16):
+    _force_split(monkeypatch, 2)
+    parent, smin = os.getpid(), spectral._triangular_smin
+
+    def fail_in_worker(t, start, work):
+        if os.getpid() != parent:
+            raise RuntimeError("worker failed")
+        return smin(t, start, work)
+
+    # patched before the fork, so the worker inherits it
+    monkeypatch.setattr(spectral, "_triangular_smin", fail_in_worker)
+    with pytest.raises(RuntimeError, match="^worker failed$"):
+        resolvent_sweep(collar16, np.linspace(0.0, 60.0, 25))
+    assert multiprocessing.active_children() == []
+
+
+class _NoPool:
+    def __init__(self, *args, **kwargs):
+        raise AssertionError("a one-worker sweep constructed a process pool")
+
+
+@pytest.mark.parametrize("cpus, methods, count", [
+    (1, None, 25),                # one CPU
+    (None, None, 25),             # no os.sched_getaffinity
+    (2, ["spawn"], 25),           # no "fork" start method
+    (2, None, 7),                 # fewer than 2 * 4 rows
+])
+def test_one_worker_constructs_no_pool(monkeypatch, collar16, cpus, methods, count):
+    sigmas = np.linspace(0.0, 60.0, count)
+    serial = resolvent_sweep(collar16, sigmas)
+    _force_split(monkeypatch, cpus)
+    if cpus is None:
+        monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _NoPool)
+    if methods is not None:
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: methods)
+    assert np.array_equal(resolvent_sweep(collar16, sigmas), serial)
 
 
 def test_resolvent_rejects_negative_lambda():
