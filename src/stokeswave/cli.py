@@ -16,10 +16,11 @@ thread unless OPENBLAS_NUM_THREADS or OMP_NUM_THREADS is set: numpy's and
 scipy's pools oversubscribe the cores on small dense problems.
 
 The config schema is one set of tables in the format of stokeswave.schema:
-CONFIG, PARAMS (one table per experiment) and SAMPLERS here, DOMAINS and
-DAMPINGS in stokeswave.geometry.  They drive validation, defaults and the help
-of each subcommand; _cross_checks holds the rules that tie two values together.
-resolve_config applies both before any output directory exists.
+CONFIG and PARAMS (one table per experiment) here, DOMAINS and DAMPINGS in
+stokeswave.geometry, SAMPLERS in stokeswave.raytracer.  They drive validation,
+defaults and the help of each subcommand; _cross_checks holds the rules that tie
+two values together.  resolve_config applies both before any output directory
+exists.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 """
@@ -49,11 +50,9 @@ _STEPS = {"T": _T, "dt": _T}
 # largest step count round(T / dt), sigma count, sampler ray count and grid cell
 # count of one run
 _MAX_COUNT = 10 ** 6
-SAMPLERS = {"grid": {"nx": (int, 1, REQUIRED), "ndir": (int, 1, REQUIRED)},
-            "seeded_random": {"n": (int, 1, REQUIRED)}}
 PARAMS = {
     "trace": {"x0": _PAIR, "xi0": _PAIR, "T": _T},
-    "gcc": {"T": _T, "sampler": (Tagged("kind", SAMPLERS), None, REQUIRED)},
+    "gcc": {"T": _T, "sampler": (Tagged("kind", raytracer.SAMPLERS), None, REQUIRED)},
     "simulate": {**_GRID, **_STEPS, "window": ([float, float], 0, None)},
     "spectrum": _GRID,
     "resolvent": {**_GRID, "sigma": ({"min": (float, None, REQUIRED),
@@ -107,8 +106,8 @@ def _cross_checks(cfg: dict):
         fail("damping", "gcc experiment needs a damping profile")
     if damping is not None and exp == "lame":
         fail("damping", "lame experiment is undamped; set damping to null")
-    if damping is not None and damping["shape"] == "side_strip" and not rectangle:
-        fail("damping.shape", "side_strip requires a rectangle domain")
+    if damping is not None:
+        make_damping(domain, damping)
     if "nx" in p:
         # a grid experiment loads the grid half (and scipy) here, during set-up
         from . import evolution, lame, spectral, stokes  # noqa: F401
@@ -152,7 +151,9 @@ def _cross_checks(cfg: dict):
             fail("params.window", "needs t_min < t_max and two samples k*dt between them")
     if exp == "gcc":
         spec = p["sampler"]
-        rays = spec["n"] if "n" in spec else spec["nx"] ** 2 * spec["ndir"] + 2 * spec["nx"]
+        # a grid sampler adds 2 nx boundary starts on the disk (raytracer.GridSampler)
+        rays = (spec["n"] if "n" in spec
+                else spec["nx"] ** 2 * spec["ndir"] + (0 if rectangle else 2 * spec["nx"]))
         if rays > _MAX_COUNT:
             fail("params.sampler", f"{rays} rays exceed {_MAX_COUNT}")
     if exp == "resolvent":

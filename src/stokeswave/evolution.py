@@ -29,6 +29,10 @@ import scipy.linalg
 
 from .errors import ConfigurationError, NumericsError
 
+# largest relative energy-balance defect (dissipation_check) of an evolve run: midpoint
+# keeps the balance to solver roundoff, so a larger defect means the run lost its digits
+_BALANCE_TOL = 1e-8
+
 
 @dataclass
 class ModalState:
@@ -81,7 +85,10 @@ def _step_count(T: float, dt: float) -> int:
 
 def evolve(ms, state0: ModalState, T: float, dt: float) -> Tuple[ModalState, EnergyTrace]:
     """Integrate the damped system for n = round(T/dt) midpoint steps from
-    t = 0, sampling every step at t = k dt; return the state at n dt and the trace."""
+    t = 0, sampling every step at t = k dt; return the state at n dt and the trace.
+
+    A balance defect (dissipation_check) above _BALANCE_TOL, or one that is not
+    finite, raises NumericsError."""
     steps = _step_count(T, dt)
     lam = np.asarray(ms.lambdas, dtype=float)
     n = lam.size
@@ -110,7 +117,12 @@ def evolve(ms, state0: ModalState, T: float, dt: float) -> Tuple[ModalState, Ene
         x[n:] = w_new
         es[k] = _energy(lam, x[:n], x[n:])
         ds[k] = d_cum
-    return ModalState(x[:n].copy(), x[n:].copy()), EnergyTrace(ts, es, ds)
+    trace = EnergyTrace(ts, es, ds)
+    defect = dissipation_check(trace)
+    if not defect <= _BALANCE_TOL:
+        raise NumericsError(f"energy balance defect {defect:.3g} exceeds {_BALANCE_TOL:g}: "
+                            "the midpoint run lost its digits")
+    return ModalState(x[:n].copy(), x[n:].copy()), trace
 
 
 def dissipation_check(trace: EnergyTrace) -> float:
@@ -164,7 +176,8 @@ def observability_gramian(ms, T: float, dt: float) -> Tuple[np.ndarray, float]:
     dt, not an O(dt^2) approximation of it.  W^T W is summed over blocks of
     _GRAMIAN_BLOCK steps, so memory is O(N^2) for any T/dt.  c_obs is the
     smallest eigenvalue of G in the energy product diag(Lambda, I), without
-    the zero-energy u-coordinates of zero modes (where G vanishes).
+    the zero-energy u-coordinates of zero modes (where G vanishes).  A G that
+    is not finite (a damping so large that it overflows) raises NumericsError.
     """
     steps = _step_count(T, dt)
     lam = np.asarray(ms.lambdas, dtype=float)
@@ -180,8 +193,11 @@ def observability_gramian(ms, T: float, dt: float) -> Tuple[np.ndarray, float]:
         sin, cos = np.sin(phase), np.cos(phase)
         w_mid = np.hstack([-0.5 * omega * (sin[:-1] + sin[1:]), 0.5 * (cos[:-1] + cos[1:])])
         wtw += w_mid.T @ w_mid
-    g = dt * wtw * np.tile(b, (2, 2))
-    g = 0.5 * (g + g.T)
+    with np.errstate(over="ignore", invalid="ignore"):     # checked just below
+        g = dt * wtw * np.tile(b, (2, 2))
+        g = 0.5 * (g + g.T)
+    if not np.isfinite(g).all():
+        raise NumericsError("observability Gramian is not finite")
     keep = np.concatenate([lam > 0, np.ones(n, dtype=bool)])
     gram = np.diag(np.concatenate([lam, np.ones(n)])[keep])
     c_obs = float(scipy.linalg.eigh(g[np.ix_(keep, keep)], gram, eigvals_only=True)[0])

@@ -16,8 +16,8 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .errors import ConfigurationError, PreconditionError
-from .schema import POSITIVE, REQUIRED, Tagged, check_value
+from .errors import PreconditionError
+from .schema import POSITIVE, REQUIRED, Tagged, check_spec, check_value, fail
 
 _SIDES = ("bottom", "right", "top", "left")
 # outward unit normal of each rectangle side, in the order of _SIDES
@@ -32,8 +32,7 @@ class Rectangle:
     height: float
 
     def __post_init__(self):
-        if not (self.width > 0 and self.height > 0):
-            raise ConfigurationError("non-positive rectangle dimension")
+        check_spec(vars(self), DOMAINS["rectangle"], "domain")
 
     def contains(self, x) -> bool:
         return (-1e-12 <= x[0] <= self.width + 1e-12) and (-1e-12 <= x[1] <= self.height + 1e-12)
@@ -56,8 +55,7 @@ class Disk:
     radius: float
 
     def __post_init__(self):
-        if not self.radius > 0:
-            raise ConfigurationError("non-positive radius")
+        check_spec(vars(self), DOMAINS["disk"], "domain")
 
     def contains(self, x) -> bool:
         return math.hypot(x[0], x[1]) <= self.radius + 1e-12
@@ -123,22 +121,12 @@ class DampingProfile:
     smoothing_width: float = 0.0
 
     def __post_init__(self):
-        if self.amplitude < 0:
-            raise ConfigurationError("damping amplitude must be nonnegative")
-        if self.smoothing_width < 0:
-            raise ConfigurationError("smoothing_width must be nonnegative")
-        sh = self.shape
-        if isinstance(sh, BoundaryCollar) and sh.width <= 0:
-            raise ConfigurationError("collar width must be positive")
-        if isinstance(sh, DiskPatch) and sh.radius <= 0:
-            raise ConfigurationError("patch radius must be positive")
-        if isinstance(sh, SideStrip):
-            if sh.side not in _SIDES:
-                raise ConfigurationError(f"strip side must be one of {_SIDES}")
-            if sh.depth <= 0:
-                raise ConfigurationError("strip depth must be positive")
-            if not isinstance(self.domain, Rectangle):
-                raise ConfigurationError("side_strip requires a rectangle domain")
+        kind = type(self.shape)
+        name = next((k for k, cls in _SHAPES.items() if cls is kind), kind.__name__)
+        check_value({"shape": name, **vars(self.shape), "amplitude": self.amplitude,
+                     "smoothing_width": self.smoothing_width}, DAMPING, "damping")
+        if name == "side_strip" and not isinstance(self.domain, Rectangle):
+            fail("damping.shape", "side_strip requires a rectangle domain")
 
     def support_distance(self, pts: np.ndarray) -> np.ndarray:
         """Signed distance to the nominal support (<= 0 on the plateau)."""
@@ -259,12 +247,12 @@ DAMPINGS = {
     "side_strip": {"side": (_SIDES, None, REQUIRED), "depth": _POS, **_PROFILE},
 }
 DAMPING = (Tagged("shape", DAMPINGS), None, None)
+_SHAPES = {"boundary_collar": BoundaryCollar, "disk_patch": DiskPatch, "side_strip": SideStrip}
 
 
 def make_damping(domain: Domain, spec) -> DampingProfile:
     """Build a DampingProfile from a spec mapping; see DAMPINGS."""
     spec = check_value(spec, DAMPING, "damping")
-    shape = {"boundary_collar": BoundaryCollar, "disk_patch": DiskPatch,
-             "side_strip": SideStrip}[spec.pop("shape")]
+    shape = _SHAPES[spec.pop("shape")]
     amplitude, smoothing = spec.pop("amplitude"), spec.pop("smoothing_width")
     return DampingProfile(domain, shape(**spec), amplitude, smoothing)

@@ -20,10 +20,10 @@ the average-acceleration Newmark scheme (N. M. Newmark, J. Eng. Mech. Div.
 ASCE 85, 1959).  So one factorization per (eps, dt) of a matrix on the
 displacement alone replaces the solve on (u, w).  The rows of L and of G are
 zero on the wall faces (the no-penetration faces of the boundary), so there
-w' = 0, and wall faces that start at zero stay zero.  StaggeredField zeroes
-the wall faces and evolve_lame rejects a state whose wall arrays were written
-afterwards, so only the interior faces are solved for, and the interior
-block I - c L_eps,II is symmetric positive definite.
+w' = 0, and wall faces that start at zero stay zero.  evolve_lame rejects a
+state with a nonzero wall face (ModalSystem.reconstruct gives exact zeros
+there), so only the interior faces are solved for, and the interior block
+I - c L_eps,II is symmetric positive definite.
 
 That block couples each face to its stencil neighbours only, so the
 reverse Cuthill-McKee ordering (E. Cuthill and J. McKee, Proc. 24th ACM

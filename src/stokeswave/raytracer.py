@@ -35,6 +35,7 @@ import numpy as np
 
 from .errors import ConfigurationError, NumericsError, PreconditionError
 from .geometry import DampingProfile, Disk, Domain, Rectangle
+from .schema import REQUIRED, check_spec
 
 # |xi . normal| at or below this routes a boundary hit to glide handling.
 GLANCING_TOL = 1e-9
@@ -281,6 +282,11 @@ def _start_kind(domain: Domain, x, xi) -> str:
 # Coverage checking
 
 
+# the config schema of the samplers (format: see stokeswave.schema)
+SAMPLERS = {"grid": {"nx": (int, 1, REQUIRED), "ndir": (int, 1, REQUIRED)},
+            "seeded_random": {"n": (int, 1, REQUIRED)}}
+
+
 @dataclass(frozen=True)
 class GridSampler:
     """Uniform interior position grid x uniform direction grid.
@@ -292,9 +298,10 @@ class GridSampler:
     nx: int
     ndir: int
 
+    def __post_init__(self):
+        check_spec(vars(self), SAMPLERS["grid"], "sampler")
+
     def samples(self, domain: Domain) -> tuple[np.ndarray, np.ndarray]:
-        if self.nx < 1 or self.ndir < 1:
-            raise ConfigurationError("sampler needs nx >= 1 and ndir >= 1")
         angles = 2.0 * math.pi * np.arange(self.ndir) / self.ndir
         dirs = np.stack([np.cos(angles), np.sin(angles)], axis=1)
         # cell midpoints of an nx x nx grid over the bounding box, lo + (k + 1/2) (hi - lo) / nx
@@ -326,9 +333,10 @@ class RandomSampler:
     n: int
     seed: int = 0
 
+    def __post_init__(self):
+        check_spec({"n": self.n}, SAMPLERS["seeded_random"], "sampler")
+
     def samples(self, domain: Domain) -> tuple[np.ndarray, np.ndarray]:
-        if self.n < 1:
-            raise ConfigurationError("sampler needs n >= 1")
         rng = np.random.default_rng(self.seed)
         if isinstance(domain, Rectangle):
             pos = rng.random((self.n, 2)) * np.array([domain.width, domain.height])
@@ -374,8 +382,6 @@ def check_gcc(domain: Domain, damping: DampingProfile, T: float, sampler: Sample
     entering the damped set (tracing stops at the first entry).  Both count
     as not covered.
     """
-    if T <= 0:
-        raise ConfigurationError("horizon T must be positive")
     positions, directions = sampler.samples(domain)
     starts = list(zip(positions.tolist(), directions.tolist()))
     n = len(starts)

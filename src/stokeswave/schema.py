@@ -7,6 +7,9 @@ POSITIVE (> 0) or n (>= n), applied to each element of a list.  The default is
 REQUIRED, None (optional: absent means None, and an optional object may also
 be null) or the value filled in.  check_spec returns every key of the table,
 floats as float; a violation raises ConfigurationError("<dotted path>: <reason>").
+The tables are the only statement of each bound: the CLI checks a config
+through them, and the constructors of the domains, damping profiles and ray
+samplers check their own fields through the same tables.
 """
 
 from __future__ import annotations

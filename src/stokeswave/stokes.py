@@ -119,7 +119,8 @@ class StaggeredGrid:
 
 @dataclass
 class StaggeredField:
-    """Staggered velocity field; boundary faces are forced to zero (no penetration)."""
+    """Staggered velocity field, held as given: the wall faces (no penetration) are
+    zero in a field of the modes, and lame.evolve_lame rejects one where they are not."""
 
     u: np.ndarray
     v: np.ndarray
@@ -131,10 +132,6 @@ class StaggeredField:
             raise ConfigurationError("staggered array shapes do not match the grid")
         self.u = np.array(self.u, dtype=float)
         self.v = np.array(self.v, dtype=float)
-        self.u[0, :] = 0.0
-        self.u[-1, :] = 0.0
-        self.v[:, 0] = 0.0
-        self.v[:, -1] = 0.0
 
     @classmethod
     def zeros(cls, grid: StaggeredGrid) -> "StaggeredField":

@@ -808,3 +808,40 @@ def test_every_function_but_the_allowlist_is_reached_by_a_cli_run(tmp_path):
              for name, line in _functions(ast.parse(f.read_text(encoding="utf-8")))
              if (f, line) not in called}
     assert never == _NEVER_CALLED
+
+
+@pytest.mark.parametrize("domain, refused", [(SQUARE, False), (_DISK, True)],
+                         ids=["square", "disk"])
+def test_the_ray_cap_counts_boundary_starts_on_the_disk_only(tmp_path, domain, refused):
+    # nx^2 ndir is exactly the cap; only the disk's grid sampler adds 2 nx glide starts.
+    # resolve_config alone, so no run of 10**6 rays starts
+    cfg = _cfg("gcc", {"T": 1.0, "sampler": {"kind": "grid", "nx": 1000, "ndir": 1}},
+               tmp_path, domain=domain)
+    if refused:
+        with pytest.raises(stokeswave.ConfigurationError,
+                           match=r"^params.sampler: 1002000 rays exceed 1000000$"):
+            cli.resolve_config(cfg)
+    else:
+        assert cli.resolve_config(cfg)["params"]["sampler"]["nx"] == 1000
+
+
+# the norm of observability.json overflows from amplitude 1e160 on, with a RuntimeWarning
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("experiment, params, amplitude, failure", [
+    ("observability", {"nx": 8, "n_modes": 6, "T": 0.1, "dt": 0.01}, 1e308,
+     "observability Gramian is not finite"),
+    ("observability", {"nx": 8, "n_modes": 6, "T": 0.1, "dt": 0.01}, 1e200, None),
+    ("simulate", {"nx": 16, "n_modes": 20, "T": 1.0, "dt": 0.01}, 1e100,
+     r"energy balance defect \S+ exceeds 1e-08: "),
+    ("simulate", {"nx": 16, "n_modes": 20, "T": 1.0, "dt": 0.01}, 1e20, None),
+], ids=["gramian_inf", "gramian_finite", "balance_broken", "balance_kept"])
+def test_a_huge_damping_exits_3_once_the_numbers_break(tmp_path, capsys, experiment, params,
+                                                       amplitude, failure):
+    cfg = _cfg(experiment, params, tmp_path, damping={**COLLAR, "amplitude": amplitude})
+    code = main([experiment, _write(tmp_path, cfg)])
+    if failure is None:
+        assert code == 0
+    else:
+        assert code == 3
+        assert re.match(f"numeric failure: {failure}", capsys.readouterr().err)
+        assert not any((tmp_path / "out").iterdir())

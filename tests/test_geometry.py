@@ -1,5 +1,6 @@
 import math
 import re
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -8,6 +9,9 @@ from hypothesis import strategies as st
 
 from stokeswave import (BoundaryCollar, ConfigurationError, DampingProfile, Disk, DiskPatch,
                         PreconditionError, Rectangle, SideStrip, make_damping, make_domain)
+from stokeswave.geometry import DAMPINGS, DOMAINS
+from stokeswave.geometry import _SHAPES as SHAPE_CLASSES
+from stokeswave.schema import POSITIVE
 
 
 def test_make_domain_examples():
@@ -15,7 +19,7 @@ def test_make_domain_examples():
     assert make_domain({"kind": "disk", "radius": 1.0}) == Disk(1.0)
     with pytest.raises(ConfigurationError, match="^domain.radius: must be positive$"):
         make_domain({"kind": "disk", "radius": -1.0})
-    with pytest.raises(ConfigurationError, match="non-positive radius"):
+    with pytest.raises(ConfigurationError, match="^domain.radius: must be positive$"):
         Disk(-1.0)
     with pytest.raises(ConfigurationError):
         make_domain({"kind": "rectangle", "width": 0.0, "height": 1.0})
@@ -107,22 +111,74 @@ def test_make_damping_validation():
 _SQ = Rectangle(1.0, 1.0)
 
 
+@dataclass(frozen=True)
+class _Ring:
+    """A shape that no damping table lists."""
+    width: float
+
+
 @pytest.mark.parametrize("build, message", [
-    (lambda: Rectangle(0.0, 1.0), "non-positive rectangle dimension"),
-    (lambda: Rectangle(1.0, -2.0), "non-positive rectangle dimension"),
+    (lambda: Rectangle(0.0, 1.0), "domain.width: must be positive"),
+    (lambda: Rectangle(1.0, -2.0), "domain.height: must be positive"),
+    (lambda: Rectangle(math.inf, 1.0), "domain.width: must be a finite number"),
+    (lambda: Disk(math.inf), "domain.radius: must be a finite number"),
     (lambda: DampingProfile(_SQ, BoundaryCollar(0.1), 1.0, -0.01),
-     "smoothing_width must be nonnegative"),
-    (lambda: DampingProfile(_SQ, BoundaryCollar(0.0), 1.0), "collar width must be positive"),
+     "damping.smoothing_width: must be nonnegative"),
+    (lambda: DampingProfile(_SQ, BoundaryCollar(0.1), 1.0, math.nan),
+     "damping.smoothing_width: must be a finite number"),
+    (lambda: DampingProfile(_SQ, BoundaryCollar(0.0), 1.0), "damping.width: must be positive"),
     (lambda: DampingProfile(_SQ, DiskPatch((0.5, 0.5), 0.0), 1.0),
-     "patch radius must be positive"),
+     "damping.radius: must be positive"),
+    (lambda: DampingProfile(_SQ, DiskPatch((math.nan, 0.5), 0.2), 1.0),
+     "damping.center: must be a finite number"),
     (lambda: DampingProfile(_SQ, SideStrip("middle", 0.1), 1.0),
-     "strip side must be one of ('bottom', 'right', 'top', 'left')"),
-    (lambda: DampingProfile(_SQ, SideStrip("left", 0.0), 1.0), "strip depth must be positive"),
-], ids=["zero_width", "negative_height", "negative_smoothing", "zero_collar", "zero_patch",
-        "unknown_side", "zero_depth"])
+     "damping.side: must be one of ('bottom', 'right', 'top', 'left'), got 'middle'"),
+    (lambda: DampingProfile(_SQ, SideStrip("left", 0.0), 1.0), "damping.depth: must be positive"),
+    (lambda: DampingProfile(Disk(1.0), SideStrip("left", 0.1), 1.0),
+     "damping.shape: side_strip requires a rectangle domain"),
+    (lambda: DampingProfile(_SQ, _Ring(0.1), 1.0),
+     "damping.shape: must be one of ('boundary_collar', 'disk_patch', 'side_strip'), "
+     "got '_Ring'"),
+], ids=["zero_width", "negative_height", "infinite_width", "infinite_radius",
+        "negative_smoothing", "nan_smoothing", "zero_collar", "zero_patch", "nan_center",
+        "unknown_side", "zero_depth", "strip_on_disk", "unknown_shape"])
 def test_library_guards_name_the_bad_argument(build, message):
     with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
         build()
+
+
+# a valid spec of each entry of DOMAINS and DAMPINGS, without its defaulted keys
+_VALID = {"rectangle": {"width": 1.0, "height": 1.0}, "disk": {"radius": 1.0},
+          "boundary_collar": {"width": 0.1}, "disk_patch": {"center": (0.5, 0.5), "radius": 0.2},
+          "side_strip": {"side": "left", "depth": 0.1}}
+# every key whose rule bounds its value or lists the allowed ones
+_BOUNDED = [(path, name, key, rule)
+            for path, tables in (("domain", DOMAINS), ("damping", DAMPINGS))
+            for name, table in tables.items() for key, rule in table.items()
+            if rule[1] is not None or isinstance(rule[0], tuple)]
+
+
+@pytest.mark.parametrize("path, name, key, rule", _BOUNDED,
+                         ids=[f"{name}.{key}" for _, name, key, _ in _BOUNDED])
+def test_constructor_and_factory_reject_an_out_of_range_value_alike(path, name, key, rule):
+    kind, lo, _ = rule
+    bad = "middle" if isinstance(kind, tuple) else 0.0 if lo == POSITIVE else lo - 1.0
+    spec = {**_VALID[name], key: bad}
+    if path == "domain":
+        calls = (lambda: {"rectangle": Rectangle, "disk": Disk}[name](**spec),
+                 lambda: make_domain({"kind": name, **spec}))
+    else:
+        profile = {"amplitude": spec.pop("amplitude", 1.0),
+                   "smoothing_width": spec.pop("smoothing_width", 0.0)}
+        calls = (lambda: DampingProfile(_SQ, SHAPE_CLASSES[name](**spec), **profile),
+                 lambda: make_damping(_SQ, {"shape": name, **spec, **profile}))
+    messages = []
+    for call in calls:
+        with pytest.raises(ConfigurationError) as info:
+            call()
+        messages.append(str(info.value))
+    assert messages[0] == messages[1]
+    assert messages[0].startswith(f"{path}.{key}: must be ")
 
 
 def test_a_zero_amplitude_profile_is_never_entered():

@@ -142,15 +142,28 @@ def test_zero_energy_has_zero_drift():
 def test_a_non_finite_trace_raises():
     # faces of 1e200 overflow the energy at the first sample, whatever the roundoff
     grid = _grid(8)
-    u0 = StaggeredField.from_flat(grid, np.full(grid.n_faces, 1e200))
+    u0 = StaggeredField.from_flat(grid, np.where(_ops(grid).interior, 1e200, 0.0))
     with pytest.raises(NumericsError, match=r"non-finite Lame trace at t=0 \(eps=0.01, dt=0.01\)"):
         evolve_lame(LameState(u0, StaggeredField.zeros(grid), 1e-2), 0.1, 1e-2,
                     _zero_reference(grid))
 
 
+def test_a_field_built_with_a_nonzero_wall_face_keeps_it_and_is_rejected():
+    grid = _grid(8)
+    wall = ~_ops(grid).interior
+    u0 = StaggeredField.from_flat(grid, wall.astype(float))
+    assert np.array_equal(u0.flat(), wall)
+    with pytest.raises(PreconditionError, match="^evolve_lame needs zero wall faces in u and w$"):
+        evolve_lame(LameState(u0, StaggeredField.zeros(grid), 1e-2), 0.1, 1e-2,
+                    _zero_reference(grid))
+    # a field of the modes is exactly zero there
+    ms = build_modal_system(grid, 4)
+    assert not ms.reconstruct(np.ones(4)).flat()[wall].any()
+
+
 @pytest.mark.parametrize("field", ["u", "w"])
 def test_a_nonzero_wall_face_raises(field):
-    # StaggeredField zeroes its wall faces only at construction; one written after is rejected
+    # a wall face written after construction is rejected too
     grid = _grid(8)
     state = LameState(StaggeredField.zeros(grid), StaggeredField.zeros(grid), 1e-2)
     getattr(state, field).v[3, 0] = 1.0
@@ -296,9 +309,6 @@ def test_wall_rows_vanish_and_interior_block_is_symmetric(nx, ny, h, eps):
     grid = StaggeredGrid(nx, ny, h)
     lop = _penalized_laplacian(grid, eps)
     inner = _ops(grid).interior
-    # the wall faces are the ones StaggeredField holds at zero
-    assert np.array_equal(StaggeredField.from_flat(grid, np.ones(grid.n_faces)).flat() == 1.0,
-                          inner)
     assert lop[~inner].count_nonzero() == 0
     assert np.all(lop.diagonal()[inner] != 0.0)
     block = lop[inner][:, inner]
@@ -316,10 +326,11 @@ def test_newmark_step_matches_first_order_midpoint(nx, ny, h, eps, dt, steps, se
     assume(not math.isclose(h, 1.0 / nx))
     grid = StaggeredGrid(nx, ny, h)
     rng = np.random.default_rng(seed)
-    # random interior faces; from_flat zeroes the wall faces
-    u0, w0 = (StaggeredField.from_flat(grid, rng.standard_normal(grid.n_faces))
-              for _ in range(2))
     inner = _ops(grid).interior
+    # random interior faces and zero wall faces
+    u0, w0 = (StaggeredField.from_flat(grid, np.where(inner, rng.standard_normal(grid.n_faces),
+                                                      0.0))
+              for _ in range(2))
     target = np.where(inner, rng.standard_normal(grid.n_faces), 0.0)
     parts = np.arange(grid.n_faces) < grid.n_u
 

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from stokeswave import (BoundaryCollar, ConfigurationError, DampingProfile, Disk,
                         DiskPatch, GridSampler, PreconditionError, RandomSampler,
-                        Rectangle, SideStrip, check_gcc, raytracer, trace)
+                        Rectangle, SideStrip, check_gcc, cli, raytracer, trace)
 from stokeswave.raytracer import _arc, _hit_raw, _line, _reflected, _tangent
 
 SQ = Rectangle(1.0, 1.0)
@@ -318,14 +318,35 @@ def test_trace_rejects_bad_inputs():
 
 
 @pytest.mark.parametrize("call, message", [
-    (lambda: GridSampler(0, 4).samples(SQ), "sampler needs nx >= 1 and ndir >= 1"),
-    (lambda: GridSampler(4, 0).samples(DK), "sampler needs nx >= 1 and ndir >= 1"),
+    (lambda: GridSampler(0, 4), "sampler.nx: must be >= 1"),
+    (lambda: GridSampler(4, 0), "sampler.ndir: must be >= 1"),
+    (lambda: GridSampler(1.5, 4), "sampler.nx: must be an integer"),
+    (lambda: RandomSampler(True), "sampler.n: must be an integer"),
     (lambda: check_gcc(SQ, DampingProfile(SQ, BoundaryCollar(0.1), 1.0), 0.0,
                        GridSampler(2, 2)), "horizon T must be positive"),
-], ids=["grid_nx", "grid_ndir", "gcc_horizon"])
+], ids=["grid_nx", "grid_ndir", "grid_float_nx", "random_bool_n", "gcc_horizon"])
 def test_library_guards_name_the_bad_argument(call, message):
     with pytest.raises(ConfigurationError, match=f"^{message}$"):
         call()
+
+
+_SAMPLER_CLASSES = {"grid": GridSampler, "seeded_random": RandomSampler}
+_COUNTS = [(kind, key) for kind, table in raytracer.SAMPLERS.items() for key in table]
+
+
+@pytest.mark.parametrize("kind, key", _COUNTS, ids=[f"{k}.{key}" for k, key in _COUNTS])
+def test_sampler_and_config_reject_an_out_of_range_count_alike(kind, key):
+    # the library's path is "sampler", the config's "params.sampler"
+    spec = {**{k: 2 for k in raytracer.SAMPLERS[kind]}, key: 0}
+    with pytest.raises(ConfigurationError) as library:
+        _SAMPLER_CLASSES[kind](**spec)
+    cfg = {"experiment": "gcc", "domain": {"kind": "rectangle", "width": 1.0, "height": 1.0},
+           "damping": {"shape": "boundary_collar", "width": 0.1},
+           "params": {"T": 1.0, "sampler": {"kind": kind, **spec}}, "output_dir": "unused"}
+    with pytest.raises(ConfigurationError) as config:
+        cli.resolve_config(cfg)
+    assert str(library.value) == f"sampler.{key}: must be >= 1"
+    assert str(config.value) == f"params.{library.value}"
 
 
 @pytest.mark.parametrize("x0, xi0, corner", [
