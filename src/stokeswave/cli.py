@@ -271,12 +271,15 @@ def run_observability(cfg: dict, domain, damping) -> dict:
     params = cfg["params"]
     ms = _modal_system(cfg, domain, damping)
     gram, c_obs = evolution.observability_gramian(ms, params["T"], params["dt"])
+    # the norm of G 2^-k scaled back, k the exponent of max|G|: the squares of a large
+    # finite G overflow, and the power of two changes no bit of the norm
+    k = math.frexp(float(np.abs(gram).max()))[1]
     return {"observability.json": {
         "n_modes": ms.n_modes,
         "T": params["T"],
         "dt": params["dt"],
         "c_obs": c_obs,
-        "gramian_frobenius_norm": float(np.linalg.norm(gram)),
+        "gramian_frobenius_norm": float(np.ldexp(np.linalg.norm(np.ldexp(gram, -k)), k)),
     }}
 
 

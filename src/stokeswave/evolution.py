@@ -87,8 +87,8 @@ def evolve(ms, state0: ModalState, T: float, dt: float) -> Tuple[ModalState, Ene
     """Integrate the damped system for n = round(T/dt) midpoint steps from
     t = 0, sampling every step at t = k dt; return the state at n dt and the trace.
 
-    A balance defect (dissipation_check) above _BALANCE_TOL, or one that is not
-    finite, raises NumericsError."""
+    A step system or a balance defect (dissipation_check) that is not finite, or
+    a defect above _BALANCE_TOL, raises NumericsError."""
     steps = _step_count(T, dt)
     lam = np.asarray(ms.lambdas, dtype=float)
     n = lam.size
@@ -96,7 +96,11 @@ def evolve(ms, state0: ModalState, T: float, dt: float) -> Tuple[ModalState, Ene
         raise ConfigurationError("modal system must have at least one mode")
     b = np.asarray(ms.B, dtype=float)
     c = 0.5 * dt
-    damp = c * c * np.diag(lam) + c * b
+    with np.errstate(over="ignore", invalid="ignore"):     # checked just below
+        damp = c * c * np.diag(lam) + c * b
+    # a finite damp keeps dt Lambda = 2 c Lambda <= max(c^2, 4) Lambda finite too
+    if not np.isfinite(damp).all():
+        raise NumericsError("midpoint step system is not finite: c^2 Lambda or c B overflows")
     try:
         step = scipy.linalg.solve(np.eye(n) + damp,
                                   np.hstack([np.diag(-dt * lam), np.eye(n) - damp]))
@@ -144,14 +148,19 @@ def fit_decay(trace: EnergyTrace, window: Tuple[float, float]) -> DecayFit:
     if np.any(e <= 0.0):
         raise NumericsError("energy vanishes on the fit window; fit is degenerate")
     loge = np.log(e)
-    slope, intercept = np.polyfit(t, loge, 1)
-    alpha = -float(slope)
+    # np.polyfit scales its columns by their norms, which squares t; on t 2^-k the
+    # fit has the same bits, and no tiny or huge time underflows or overflows
+    k = math.frexp(float(np.abs(t).max()))[1]
+    slope, intercept = np.polyfit(np.ldexp(t, -k), loge, 1)
+    slope = np.ldexp(slope, -k)
     pred = slope * t + intercept
     ss_res = float(np.sum((loge - pred) ** 2))
     ss_tot = float(np.sum((loge - loge.mean()) ** 2))
-    # variance at rounding level means the data is constant: an exact fit
+    # variance at rounding level means the data is constant: the exact fit has slope 0
     floor = loge.size * (np.finfo(float).eps * (1.0 + float(np.abs(loge).max()))) ** 2
-    r2 = 1.0 if ss_tot <= 4.0 * floor else 1.0 - ss_res / ss_tot
+    flat = ss_tot <= 4.0 * floor
+    alpha = 0.0 if flat else -float(slope)
+    r2 = 1.0 if flat else 1.0 - ss_res / ss_tot
     e_ref = trace.E[0]
     c0 = float(np.max(e * np.exp(alpha * t)) / e_ref) * (1.0 + 1e-12)
     return DecayFit(max(c0, 1.0), alpha, r2, (float(t0), float(t1)))

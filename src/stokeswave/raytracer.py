@@ -392,9 +392,9 @@ def check_gcc(domain: Domain, damping: DampingProfile, T: float, sampler: Sample
         entry[i] = path.first_entry_time
         ends.append(path.terminated)
     covered = float(np.count_nonzero(entry < T)) / n
-    max_entry = math.inf if np.any(np.isinf(entry)) else float(entry.max())
-    order = np.argsort(-np.where(np.isinf(entry), np.finfo(float).max, entry), kind="stable")
+    # each entry time is finite and at most T, or inf: rays that never enter sort first
+    order = np.argsort(-entry, kind="stable")
     worst = [starts[int(i)] for i in order[:_N_WORST]]
     worst_times = [float(entry[int(i)]) for i in order[:_N_WORST]]
-    return GccReport(T, n, covered, max_entry, worst, worst_times, ends.count("corner"),
+    return GccReport(T, n, covered, float(entry.max()), worst, worst_times, ends.count("corner"),
                      ends.count("error"))

@@ -279,6 +279,11 @@ def _squares(arrays) -> np.ndarray:
     return sum(np.einsum("ik,ik->k", a, a) for a in arrays)
 
 
+def _walls(ax: np.ndarray, ay: np.ndarray, k: int):
+    """Layer k off the left, right, bottom and top walls: of ax across x, of ay across y."""
+    return ax[k], ax[-1 - k], ay[:, k], ay[:, -1 - k]
+
+
 def quasimode_diagnostics(modes: Modes, damping_masses: np.ndarray) -> QuasimodeDiagnostics:
     """Boundary diagnostics of every mode at its semiclassical scale, as (k,) arrays.
 
@@ -291,7 +296,7 @@ def quasimode_diagnostics(modes: Modes, damping_masses: np.ndarray) -> Quasimode
     near-wall tangential difference is exactly the cell divergence, which
     vanishes for discrete divergence-free modes.  That identity is the
     discrete form of the vanishing normal trace forced by incompressibility
-    and no-slip.  The wall stencils are slices of the mode matrix.
+    and no-slip.  The wall stencils are layers of the mode arrays (_walls).
     """
     grid = modes.grid
     nx, ny, hg = grid.nx, grid.ny, grid.h
@@ -301,33 +306,17 @@ def quasimode_diagnostics(modes: Modes, damping_masses: np.ndarray) -> Quasimode
 
     # second-order one-sided normal derivatives on the four walls
     # normal component: wall value is an exact grid node (zero)
-    dn_norm = [
-        (4.0 * u[1] - u[2]) / (2 * hg),                # left wall, d(u)/dx
-        (4.0 * u[-2] - u[-3]) / (2 * hg),              # right wall
-        (4.0 * v[:, 1] - v[:, 2]) / (2 * hg),          # bottom wall, d(v)/dy
-        (4.0 * v[:, -2] - v[:, -3]) / (2 * hg),        # top wall
-    ]
+    dn_norm = [(4.0 * a - b) / (2 * hg) for a, b in zip(_walls(u, v, 1), _walls(u, v, 2))]
     # tangential component: first values sit at hg/2 and 3hg/2 off the wall
-    dn_tan = [
-        (9.0 * v[0] - v[1]) / (3 * hg),                # left wall, d(v)/dx
-        (9.0 * v[-1] - v[-2]) / (3 * hg),              # right wall
-        (9.0 * u[:, 0] - u[:, 1]) / (3 * hg),          # bottom wall, d(u)/dy
-        (9.0 * u[:, -1] - u[:, -2]) / (3 * hg),        # top wall
-    ]
+    dn_tan = [(9.0 * a - b) / (3 * hg) for a, b in zip(_walls(v, u, 0), _walls(v, u, 1))]
     boundary_flux = h_sc * np.sqrt(hg * _squares(dn_norm + dn_tan))
 
     div = (_ops(grid).D @ modes.phi).reshape(nx, ny, -1)
-    ring = np.concatenate([div[0], div[-1], div[:, 0], div[:, -1]])
-    defect = h_sc * np.abs(ring).max(axis=0)
+    defect = h_sc * np.abs(np.concatenate(_walls(div, div, 0))).max(axis=0)
 
     qq = modes.pressure
     q_interior = h_sc * hg * np.sqrt(_squares([qq.reshape(nx * ny, -1)]))
-    traces = [
-        (3.0 * qq[0] - qq[1]) / 2.0,
-        (3.0 * qq[-1] - qq[-2]) / 2.0,
-        (3.0 * qq[:, 0] - qq[:, 1]) / 2.0,
-        (3.0 * qq[:, -1] - qq[:, -2]) / 2.0,
-    ]
+    traces = [(3.0 * a - b) / 2.0 for a, b in zip(_walls(qq, qq, 0), _walls(qq, qq, 1))]
     q_boundary = h_sc * np.sqrt(hg * _squares(traces))
 
     return QuasimodeDiagnostics(h_sc, boundary_flux, defect, (q_interior, q_boundary),

@@ -87,6 +87,20 @@ def test_simulate_with_fit_window(tmp_path):
     assert summary["balance_defect"] <= 1e-8
 
 
+@pytest.mark.parametrize("dt", [1e-100, 1e-200, 1e-300])
+def test_a_fit_over_tiny_times_is_the_exact_fit_of_constant_energy(tmp_path, dt):
+    # E does not change over two steps of dt, so the exact fit has slope 0; at the
+    # smaller dt np.polyfit on raw t squares it below the normal range
+    cfg = _cfg("simulate", {"nx": 3, "n_modes": 4, "T": 2 * dt, "dt": dt,
+                            "window": [0.0, 2 * dt]}, tmp_path)
+    assert main(["simulate", _write(tmp_path, cfg)]) == 0
+    summary = json.loads((tmp_path / "out" / "simulate_summary.json").read_text())
+    assert summary["E0"] == summary["E_final"]
+    assert summary["decay_fit"]["alpha"] == 0.0
+    assert summary["decay_fit"]["r_squared"] == 1.0
+    assert summary["decay_fit"]["C0"] == 1.0 + 1e-12
+
+
 def test_spectrum_and_resolvent_subcommands(tmp_path):
     cfg = _cfg("spectrum", {"nx": 12, "n_modes": 4}, tmp_path)
     assert main(["spectrum", _write(tmp_path, cfg, "s.json")]) == 0
@@ -825,23 +839,27 @@ def test_the_ray_cap_counts_boundary_starts_on_the_disk_only(tmp_path, domain, r
         assert cli.resolve_config(cfg)["params"]["sampler"]["nx"] == 1000
 
 
-# the norm of observability.json overflows from amplitude 1e160 on, with a RuntimeWarning
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-@pytest.mark.parametrize("experiment, params, amplitude, failure", [
+# outcome is the message of an exit 3, or values pinned in the JSON artifact of an exit 0
+@pytest.mark.parametrize("experiment, params, amplitude, outcome", [
     ("observability", {"nx": 8, "n_modes": 6, "T": 0.1, "dt": 0.01}, 1e308,
      "observability Gramian is not finite"),
-    ("observability", {"nx": 8, "n_modes": 6, "T": 0.1, "dt": 0.01}, 1e200, None),
+    ("observability", {"nx": 8, "n_modes": 6, "T": 0.1, "dt": 0.01}, 1e200,
+     {"gramian_frobenius_norm": 1.6938919629614397e+200}),
     ("simulate", {"nx": 16, "n_modes": 20, "T": 1.0, "dt": 0.01}, 1e100,
      r"energy balance defect \S+ exceeds 1e-08: "),
-    ("simulate", {"nx": 16, "n_modes": 20, "T": 1.0, "dt": 0.01}, 1e20, None),
-], ids=["gramian_inf", "gramian_finite", "balance_broken", "balance_kept"])
+    ("simulate", {"nx": 16, "n_modes": 20, "T": 1.0, "dt": 0.01}, 1e20, {}),
+    ("simulate", {"nx": 3, "n_modes": 4, "T": 1e160, "dt": 1e160}, 1.0,
+     "midpoint step system is not finite"),
+], ids=["gramian_inf", "gramian_finite", "balance_broken", "balance_kept", "step_overflow"])
 def test_a_huge_damping_exits_3_once_the_numbers_break(tmp_path, capsys, experiment, params,
-                                                       amplitude, failure):
+                                                       amplitude, outcome):
     cfg = _cfg(experiment, params, tmp_path, damping={**COLLAR, "amplitude": amplitude})
     code = main([experiment, _write(tmp_path, cfg)])
-    if failure is None:
+    if isinstance(outcome, dict):
         assert code == 0
+        report = json.loads(next((tmp_path / "out").glob("*.json")).read_text())
+        assert {key: report[key] for key in outcome} == outcome
     else:
         assert code == 3
-        assert re.match(f"numeric failure: {failure}", capsys.readouterr().err)
+        assert re.match(f"numeric failure: {outcome}", capsys.readouterr().err)
         assert not any((tmp_path / "out").iterdir())

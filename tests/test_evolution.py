@@ -145,6 +145,18 @@ def test_fit_decay_synthetic():
         assert ee <= fit.C0 * tr.E[0] * math.exp(-fit.alpha * tt) * (1 + 1e-9)
 
 
+@settings(max_examples=200, deadline=None)
+@given(dt_exp=st.floats(-8.0, 8.0), first=st.integers(0, 20),
+       log_e=st.lists(st.floats(-5.0, 5.0), min_size=2, max_size=60).filter(
+           lambda ys: max(ys) - min(ys) > 1e-6))
+def test_fit_decay_slope_is_polyfit_bit_for_bit(dt_exp, first, log_e):
+    # the power-of-two rescaling of the times changes no bit of the slope
+    t = (first + np.arange(len(log_e))) * 10.0 ** dt_exp
+    e = np.exp(log_e)
+    fit = fit_decay(EnergyTrace(t, e, np.zeros_like(t)), (t[0], t[-1]))
+    assert fit.alpha == -float(np.polyfit(t, np.log(e), 1)[0])
+
+
 def test_fit_decay_degenerate():
     t = np.linspace(0.0, 1.0, 50)
     tr = EnergyTrace(t, np.zeros_like(t), np.zeros_like(t))
