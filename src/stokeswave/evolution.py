@@ -162,7 +162,10 @@ def fit_decay(trace: EnergyTrace, window: Tuple[float, float]) -> DecayFit:
     alpha = 0.0 if flat else -float(slope)
     r2 = 1.0 if flat else 1.0 - ss_res / ss_tot
     e_ref = trace.E[0]
-    c0 = float(np.max(e * np.exp(alpha * t)) / e_ref) * (1.0 + 1e-12)
+    with np.errstate(over="ignore"):   # exp(alpha t) overflows long before e exp(alpha t)
+        peak = np.max(e * np.exp(alpha * t)) / e_ref
+        peak = peak if np.isfinite(peak) else np.exp(np.max(loge + alpha * t) - np.log(e_ref))
+    c0 = float(peak) * (1.0 + 1e-12)
     return DecayFit(max(c0, 1.0), alpha, r2, (float(t0), float(t1)))
 
 

@@ -311,8 +311,9 @@ def quasimode_diagnostics(modes: Modes, damping_masses: np.ndarray) -> Quasimode
     dn_tan = [(9.0 * a - b) / (3 * hg) for a, b in zip(_walls(v, u, 0), _walls(v, u, 1))]
     boundary_flux = h_sc * np.sqrt(hg * _squares(dn_norm + dn_tan))
 
-    div = (_ops(grid).D @ modes.phi).reshape(nx, ny, -1)
-    defect = h_sc * np.abs(np.concatenate(_walls(div, div, 0))).max(axis=0)
+    cells = np.arange(nx * ny).reshape(nx, ny)
+    ring = np.concatenate(_walls(cells, cells, 0))
+    defect = h_sc * np.abs(_ops(grid).D[ring] @ modes.phi).max(axis=0)
 
     qq = modes.pressure
     q_interior = h_sc * hg * np.sqrt(_squares([qq.reshape(nx * ny, -1)]))

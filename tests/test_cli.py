@@ -795,6 +795,8 @@ _REACH_RUNS = [
     ("observability", {**_GRID_SMALL, "T": 0.5, "dt": 0.01}, SQUARE, COLLAR),
     ("lame", {**_GRID_SMALL, "T": 0.1, "dt": 0.005, "eps_list": [1e-1, 1e-2]}, SQUARE, None),
     ("diagnostics", _GRID_SMALL, SQUARE, COLLAR),
+    # classes above stokes._SPLIT_SIZE, solved as their swap halves
+    ("diagnostics", {"nx": 72, "n_modes": 20}, SQUARE, COLLAR),
     ("spectrum", {**_GRID_SMALL, "bogus": 1}, SQUARE, COLLAR),    # a config error
 ]
 

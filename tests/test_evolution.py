@@ -157,6 +157,18 @@ def test_fit_decay_slope_is_polyfit_bit_for_bit(dt_exp, first, log_e):
     assert fit.alpha == -float(np.polyfit(t, np.log(e), 1)[0])
 
 
+def test_fit_decay_envelope_is_finite_where_exp_alpha_t_overflows(recwarn):
+    # on [720, 721] exp(t) overflows by itself, but e^-t exp(t) = 1 is the exact constant
+    t = np.arange(72_101) * 0.01
+    fit = fit_decay(EnergyTrace(t, np.exp(-t), np.zeros_like(t)), (720.0, 721.0))
+    assert abs(fit.alpha - 1.0) <= 1e-6 and abs(fit.C0 - 1.0) <= 1e-6
+    # a constant that truly overflows stays inf, without a numpy warning
+    e = np.array([1e-300, 1e300, 1e299])
+    steep = fit_decay(EnergyTrace(np.array([0.0, 1.0, 2.0]), e, e), (1.0, 2.0))
+    assert steep.C0 == math.inf
+    assert not recwarn.list
+
+
 def test_fit_decay_degenerate():
     t = np.linspace(0.0, 1.0, 50)
     tr = EnergyTrace(t, np.zeros_like(t), np.zeros_like(t))

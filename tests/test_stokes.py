@@ -6,10 +6,12 @@ import scipy.linalg
 import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse.linalg import ArpackNoConvergence
 
 from stokeswave import (BoundaryCollar, ConfigurationError, DampingProfile, DiskPatch, Modes,
-                        PreconditionError, Rectangle, StaggeredGrid, build_modal_system,
-                        damping_masses, damping_matrix, leray_project, stokes_eigenpairs)
+                        NumericsError, PreconditionError, Rectangle, StaggeredGrid,
+                        build_modal_system, damping_masses, damping_matrix, leray_project,
+                        stokes_eigenpairs)
 from stokeswave import stokes
 from stokeswave.stokes import _canonical_gauge, _ops, _parity_classes, solve_neumann_poisson
 
@@ -460,8 +462,25 @@ def test_parity_class_woodbury_solve_matches_dense_solve(nx, ny, seed):
 @given(nx=st.integers(3, 30), ny=st.integers(3, 30), data=st.data())
 def test_class_eigensolve_matches_dense_oracle(nx, ny, data):
     g = StaggeredGrid(nx, ny, 1.0 / nx)
+    _check_against_dense_oracle(g, data.draw(st.integers(1, (nx - 1) * (ny - 1)), label="count"))
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(3, 30), data=st.data())
+def test_split_class_eigensolve_matches_dense_oracle(n, data):
+    # every ee and oo class solved as its two swap halves, whatever its size; a
+    # full count makes every half take the dense path
+    g = StaggeredGrid(n, n, 1.0 / n)
+    full = data.draw(st.booleans(), label="full")
+    count = (n - 1) ** 2 if full else data.draw(st.integers(1, (n - 1) ** 2), label="count")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(stokes, "_SPLIT_SIZE", 1)
+        _check_against_dense_oracle(g, count)
+
+
+def _check_against_dense_oracle(g, count):
+    nx, ny = g.nx, g.ny
     n_psi = (nx - 1) * (ny - 1)
-    count = data.draw(st.integers(1, n_psi), label="count")
     lam_d, phi_d = dense_modes(g, count)
     classes = stokes_eigenpairs(g, count)
     assert np.all(np.abs(lam_d - classes.lambdas) <= 1e-10 * lam_d)
@@ -496,10 +515,13 @@ def test_batched_residuals_and_pressures_match_leray_project(nx, ny, count):
         assert np.abs(q - p.pressure).max() <= 1e-12 * np.abs(q).max()
 
 
-def test_split_pair_keeps_the_earlier_class_and_partners_are_bit_identical():
+@pytest.mark.parametrize("split_size", [stokes._SPLIT_SIZE, 1], ids=["classes", "halves"])
+def test_split_pair_keeps_the_earlier_class_and_partners_are_bit_identical(monkeypatch,
+                                                                            split_size):
     # on the square the second and third modes are swap partners in the
     # classes eo and oe; count = 2 splits them and keeps the eo mode, whose
     # streamfunction is even in x and odd in y, so u is even in both
+    monkeypatch.setattr(stokes, "_SPLIT_SIZE", split_size)
     g = _grid(16)
     u = split_faces(g, stokes_eigenpairs(g, 2)[1].phi)[0]
     assert np.abs(u[::-1, :] - u).max() <= 1e-12 * np.abs(u).max()
@@ -527,6 +549,131 @@ def test_truncated_class_doubles_its_count(monkeypatch):
                      (50, 2 * first), (49, 2 * first)]
     lam_d, _ = dense_modes(g, count)
     assert np.all(np.abs(lam_d - classes.lambdas) <= 1e-10 * lam_d)
+
+
+def test_truncated_swap_half_doubles_its_count(monkeypatch):
+    # at nx = 32 and 424 modes the swap-symmetric half of ee holds more than the
+    # count // 8 + margin = 61 pairs it is asked for first
+    monkeypatch.setattr(stokes, "_SPLIT_SIZE", 1)
+    asked = []
+    lowest = stokes._SwapHalf.lowest
+    monkeypatch.setattr(stokes._SwapHalf, "lowest",
+                        lambda self, k: asked.append((self.sign, self.size, k))
+                        or lowest(self, k))
+    g = _grid(32)
+    count = 424
+    first = count // 8 + stokes._CLASS_MARGIN
+    modes = stokes_eigenpairs(g, count)
+    # in the class order ee+, ee-, eo, oe, oo+, oo-
+    assert asked == [(1.0, 136, first), (-1.0, 120, first), (1.0, 120, first),
+                     (-1.0, 105, first), (1.0, 136, 2 * first)]
+    k, m = pencil(g)
+    lam_d = scipy.linalg.eigh(k.toarray(), m.toarray(), eigvals_only=True)[:count]
+    assert np.all(np.abs(lam_d - modes.lambdas) <= 1e-10 * lam_d)
+
+
+@pytest.mark.parametrize("split_size", [stokes._SPLIT_SIZE, 1], ids=["classes", "halves"])
+def test_an_arpack_run_that_does_not_converge_raises(monkeypatch, split_size):
+    def no_convergence(*args, k, **kwargs):
+        raise ArpackNoConvergence("no convergence", np.zeros(3), np.zeros((1, 3)))
+
+    monkeypatch.setattr(stokes, "_SPLIT_SIZE", split_size)
+    monkeypatch.setattr(stokes, "eigsh", no_convergence)
+    k = 100 // (8 if split_size == 1 else 4) + stokes._CLASS_MARGIN
+    with pytest.raises(NumericsError,
+                       match=f"^eigensolver did not converge: 3 of {k} eigenvalues found$"):
+        stokes_eigenpairs(_grid(32), 100)
+
+
+def _swap_basis(n, sign):
+    """Columns (e_kl + sign e_lk) / sqrt 2 for k < l, then e_kk for sign 1, of raveled
+    (n, n) arrays, written out entry by entry."""
+    cols = []
+    for k in range(n):
+        for l in range(k, n):
+            e = np.zeros((n, n))
+            if k == l:
+                if sign < 0:
+                    continue
+                e[k, k] = 1.0
+            else:
+                e[k, l], e[l, k] = math.sqrt(0.5), sign * math.sqrt(0.5)
+            cols.append(e.ravel())
+    return np.array(cols).reshape(-1, n * n).T
+
+
+def _reduced_dense(half):
+    return half.reduce(half.reduce(half.parent.dense()).T)
+
+
+@pytest.mark.parametrize("n", [3, 4, 7, 12, 17])
+def test_swap_halves_are_the_sine_blocks_on_swap_symmetric_and_antisymmetric_arrays(n):
+    # K restricted to a class is Lam^(1/2) A Lam^(1/2) / h^4 in the sine basis; on a
+    # square the swap maps ee and oo into themselves, so A, restricted to the arrays
+    # with d = d^T or d = -d^T, splits into two blocks that share its eigenvalues
+    h = 1.0 / n
+    grid = StaggeredGrid(n, n, h)
+    k, _ = pencil(grid)
+    s = np.kron(_sine_matrix(n - 1), _sine_matrix(n - 1))
+    k_hat = s @ k.toarray() @ s
+    for c in [(0, 0), (1, 1)]:
+        cls = _parity_classes(grid)[c]
+        rows = (cls.ix[:, None] * (n - 1) + cls.iy).ravel()
+        root = np.sqrt(cls.lam.ravel())
+        a = k_hat[np.ix_(rows, rows)] * h ** 4 / root[:, None] / root
+        scale = np.abs(a).max()
+        halves = [stokes._SwapHalf(cls, sign) for sign in (1.0, -1.0)]
+        for half in halves:
+            e = _swap_basis(cls.shape[0], half.sign)
+            assert half.size == e.shape[1]
+            assert np.abs(half.expand(np.eye(half.size)) - e).max(initial=0.0) == 0.0
+            assert np.abs(_reduced_dense(half) - e.T @ a @ e).max(initial=0.0) <= 1e-12 * scale
+            x = np.random.default_rng(n).standard_normal(half.size)
+            assert np.abs(half.reduce(half.expand(x)) - x).max(initial=0.0) \
+                <= 1e-15 * np.abs(x).max(initial=0.0)
+        plus, minus = (_swap_basis(cls.shape[0], sign) for sign in (1.0, -1.0))
+        assert np.abs(plus.T @ a @ minus).max(initial=0.0) <= 1e-12 * scale
+        both = np.sort(np.concatenate([np.linalg.eigvalsh(_reduced_dense(h_)) for h_ in halves]))
+        assert np.abs(both - np.linalg.eigvalsh(cls.dense())).max() <= 1e-12 * scale
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(3, 40), seed=st.integers(0, 2 ** 32 - 1))
+def test_swap_half_solve_matches_dense_solve(n, seed):
+    rng = np.random.default_rng(seed)
+    classes = _parity_classes(StaggeredGrid(n, n, 1.0))
+    for half in (stokes._SwapHalf(classes[c], sign) for c in [(0, 0), (1, 1)]
+                 for sign in (1.0, -1.0)):
+        if half.size == 0:
+            continue
+        a = _reduced_dense(half)
+        b = rng.standard_normal(half.size)
+        x = half.solve(b)
+        assert np.linalg.norm(a @ x - b) <= 1e-12 * np.abs(a).max() * np.linalg.norm(x)
+        oracle = np.linalg.solve(a, b)
+        assert np.linalg.norm(x - oracle) <= 1e-10 * np.linalg.norm(oracle)
+
+
+def test_swap_half_streamfunctions_are_swap_symmetric_or_antisymmetric(monkeypatch):
+    # a mode of a half is exactly (anti)symmetric in its sine coefficients, so its
+    # streamfunction is to roundoff; the eo and oe modes, of mixed reflection
+    # parities, are not
+    monkeypatch.setattr(stokes, "_SPLIT_SIZE", 1)
+    g = _grid(24)
+    psi = stokes._class_eigenpairs(g, 80)[1].reshape(23, 23, -1)
+    signs = []
+    for p in psi.transpose(2, 0, 1):
+        if np.abs(p[::-1, :] - p[:, ::-1]).max() > 1e-12 * np.abs(p).max():
+            continue
+        sym, anti = np.abs(p - p.T).max(), np.abs(p + p.T).max()
+        assert min(sym, anti) <= 1e-14 * np.abs(p).max()
+        signs.append(sym < anti)
+    assert any(signs) and not all(signs)
+    for c in [(0, 0), (1, 1)]:
+        for sign in (1.0, -1.0):
+            d = stokes._SwapHalf(_parity_classes(g)[c], sign).lowest(6)[1].reshape(
+                _parity_classes(g)[c].shape + (-1,))
+            assert np.array_equal(d, sign * d.transpose(1, 0, 2))
 
 
 def test_eigenpairs_sparse_matches_dense_on_rectangle():
